@@ -5,8 +5,6 @@
 //! Extra flags beyond the shared [`Opts`] set:
 //!
 //! ```text
-//! --bench-json <path>   also write a BENCH_sim.json throughput report
-//! --bench               shorthand for --bench-json BENCH_sim.json
 //! --keep-going          isolate harness panics: finish the others,
 //!                       print a FAILURES section, exit nonzero
 //! --force-panic <name>  panic inside the named harness (tests the
@@ -41,8 +39,7 @@
 //!
 //! The printed experiment output is byte-identical for every `--jobs`
 //! value — and for a journaled run whether it completed in one go or
-//! was interrupted and resumed; only the timing annotations and the
-//! JSON report vary.
+//! was interrupted and resumed; only the timing annotations vary.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,7 +53,6 @@ use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 /// Flags specific to this binary, parsed from the leftovers of
 /// [`Opts::parse`].
 struct BenchFlags {
-    json_path: Option<String>,
     keep_going: bool,
     force_panic: Option<String>,
     trace_out: Option<String>,
@@ -72,7 +68,6 @@ struct BenchFlags {
 
 fn parse_bench_flags(unknown: Vec<String>) -> BenchFlags {
     let mut flags = BenchFlags {
-        json_path: None,
         keep_going: false,
         force_panic: None,
         trace_out: None,
@@ -89,19 +84,6 @@ fn parse_bench_flags(unknown: Vec<String>) -> BenchFlags {
     let mut i = 0;
     while i < unknown.len() {
         match unknown[i].as_str() {
-            "--bench" => {
-                flags
-                    .json_path
-                    .get_or_insert_with(|| "BENCH_sim.json".to_string());
-            }
-            "--bench-json" => {
-                if let Some(p) = unknown.get(i + 1) {
-                    flags.json_path = Some(p.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --bench-json needs a path");
-                }
-            }
             "--keep-going" => flags.keep_going = true,
             "--trace-out" => {
                 if let Some(p) = unknown.get(i + 1) {
@@ -239,13 +221,9 @@ fn main() {
     let total_wall = t0.elapsed();
 
     let mut failures: Vec<(&str, &str)> = Vec::new();
-    let mut succeeded: Vec<&ExperimentResult> = Vec::new();
     for (name, r) in &results {
         match r {
-            Ok(res) => {
-                println!("{}  [{} took {:.1?}]\n", res.output, res.name, res.wall);
-                succeeded.push(res);
-            }
+            Ok(res) => println!("{}  [{} took {:.1?}]\n", res.output, res.name, res.wall),
             Err(msg) => failures.push((name, msg)),
         }
     }
@@ -256,18 +234,13 @@ fn main() {
         }
     }
 
-    // Disarm and drain *before* bench_json: its checkpoint-overhead
-    // probe builds a throwaway system that must run untraced.
-    let trace_report = if tracing {
+    if tracing {
         tako_sim::trace::disarm();
-        Some(tako_sim::trace::drain())
-    } else {
-        None
-    };
-    // Reports are evidence: write them atomically so a crash mid-write
-    // can't leave a half-formed file masquerading as a real one.
-    let report_store = DiskStorage::new();
-    if let Some(report) = &trace_report {
+        let report = tako_sim::trace::drain();
+        // Reports are evidence: write them atomically so a crash
+        // mid-write can't leave a half-formed file masquerading as a
+        // real one.
+        let report_store = DiskStorage::new();
         if let Some(path) = &flags.trace_out {
             match report_store.write_atomic(
                 std::path::Path::new(path),
@@ -299,123 +272,13 @@ fn main() {
     eprintln!(
         "all experiments: {}/{} ok in {total_s:.1}s wall on {} jobs, \
          {accesses} simulated accesses ({:.0}/s)",
-        succeeded.len(),
+        results.len() - failures.len(),
         results.len(),
         opts.jobs,
         accesses as f64 / total_s.max(1e-9),
     );
 
-    if let Some(path) = flags.json_path {
-        let baseline = committed_accesses_per_sec(&path);
-        let json = bench_json(
-            opts,
-            total_s,
-            accesses,
-            baseline,
-            &succeeded,
-            trace_report.as_ref(),
-        );
-        match report_store.write_atomic(std::path::Path::new(&path), json.as_bytes()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("error: writing {path}: {e}"),
-        }
-    }
     if !failures.is_empty() {
         std::process::exit(1);
     }
-}
-
-/// Measure snapshot encode/restore cost on a warmed default 16-core
-/// system, so BENCH_sim.json records what an epoch-boundary checkpoint
-/// actually costs relative to simulation throughput.
-fn checkpoint_overhead() -> (usize, f64, f64) {
-    use tako_core::TakoSystem;
-    use tako_cpu::{AccessKind, MemSystem};
-    let mut cfg = tako_sim::config::SystemConfig::default_16core();
-    cfg.watchdog.enabled = true;
-    let mut sys = TakoSystem::new(cfg);
-    let _ = sys.alloc_real(1 << 20);
-    let mut t = 0u64;
-    for k in 0..50_000u64 {
-        let addr = 0x1000_0000 + (k % (1 << 14)) * 64;
-        t = sys.timed_access((k % 16) as usize, AccessKind::Read, addr, t);
-    }
-    const REPS: u32 = 10;
-    let t0 = Instant::now();
-    let mut snap = Vec::new();
-    for _ in 0..REPS {
-        snap = sys.snapshot_bytes();
-    }
-    let snapshot_ms = t0.elapsed().as_secs_f64() * 1000.0 / f64::from(REPS);
-    let t1 = Instant::now();
-    for _ in 0..REPS {
-        sys.restore_bytes(&snap).expect("self-restore");
-    }
-    let restore_ms = t1.elapsed().as_secs_f64() * 1000.0 / f64::from(REPS);
-    (snap.len(), snapshot_ms, restore_ms)
-}
-
-/// Pull `accesses_per_sec` out of the previously committed report at
-/// `path`, so the fresh report can state its own delta against what the
-/// repo last recorded. Naive line scan — the report is hand-rolled JSON
-/// with one key per line.
-fn committed_accesses_per_sec(path: &str) -> Option<f64> {
-    let prev = std::fs::read_to_string(path).ok()?;
-    for line in prev.lines() {
-        if let Some(rest) = line.trim().strip_prefix("\"accesses_per_sec\":") {
-            return rest.trim().trim_end_matches(',').parse().ok();
-        }
-    }
-    None
-}
-
-/// Hand-rolled JSON (the workspace carries no serde): the throughput
-/// report consumed by EXPERIMENTS.md's benchmarking section.
-fn bench_json(
-    opts: Opts,
-    total_wall_s: f64,
-    accesses: u64,
-    baseline_accesses_per_sec: Option<f64>,
-    results: &[&ExperimentResult],
-    trace: Option<&tako_sim::trace::TraceReport>,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"jobs\": {},\n", opts.jobs));
-    s.push_str(&format!("  \"lanes\": {},\n", opts.lanes));
-    s.push_str(&format!(
-        "  \"host_cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    s.push_str(&format!("  \"scale\": {},\n", opts.scale));
-    s.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    s.push_str(&format!("  \"total_wall_s\": {total_wall_s:.3},\n"));
-    s.push_str(&format!("  \"simulated_accesses\": {accesses},\n"));
-    let aps = accesses as f64 / total_wall_s.max(1e-9);
-    s.push_str(&format!("  \"accesses_per_sec\": {aps:.0},\n"));
-    if let Some(base) = baseline_accesses_per_sec {
-        s.push_str(&format!("  \"baseline_accesses_per_sec\": {base:.0},\n"));
-        s.push_str(&format!(
-            "  \"accesses_per_sec_delta\": {:.3},\n",
-            aps / base.max(1e-9) - 1.0
-        ));
-    }
-    let (snap_bytes, snap_ms, restore_ms) = checkpoint_overhead();
-    s.push_str(&format!(
-        "  \"checkpoint\": {{\"snapshot_bytes\": {snap_bytes}, \
-         \"snapshot_ms\": {snap_ms:.3}, \"restore_ms\": {restore_ms:.3}}},\n"
-    ));
-    if let Some(report) = trace {
-        s.push_str(&format!("  \"metrics\": {},\n", report.metrics_json()));
-    }
-    s.push_str("  \"experiments\": {\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    \"{}\": {{\"wall_s\": {:.3}}}{comma}\n",
-            r.name,
-            r.wall.as_secs_f64()
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
 }

@@ -82,7 +82,6 @@ fn sweep_opts(seed: u64) -> Opts {
         // across the counting pass and every sweep run, and thread
         // interleaving would perturb the numbering.
         jobs: 1,
-        lanes: 0,
     }
 }
 

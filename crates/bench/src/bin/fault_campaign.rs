@@ -25,9 +25,9 @@
 //! ```
 
 use tako_bench::{run_variants, warn_unknown, Opts};
-use tako_core::{run_multicore_lanes, TakoSystem};
+use tako_core::TakoSystem;
 use tako_cpu::{
-    AccessKind, BranchPredictor, CoreEnv, CoreTiming, LaneProgram, MemSystem, StepResult,
+    run_multicore, AccessKind, BranchPredictor, CoreEnv, CoreTiming, MemSystem, StepResult,
     ThreadProgram,
 };
 use tako_sim::checkpoint::encode;
@@ -329,17 +329,16 @@ fn checkpoint_under_fault(kind: FaultKind, opts: &Opts, watchdog_cycles: u64) ->
     t2 == t && encode(&sys2) == reference
 }
 
-/// A minimal lane-runnable program: a read-modify-write stride walk
-/// over a private slice of a real range. The whole point is to drive
-/// the *lane engine* (speculative per-tile windows, journal replay,
-/// epoch-cadence checkpoints) rather than the serial interleaver.
-struct LaneWalker {
+/// A minimal thread program: a read-modify-write stride walk over a
+/// private slice of a real range, one per tile, so sixteen of them
+/// drive the multicore interleaver through epoch-cadence checkpoints.
+struct StrideWalker {
     base: u64,
     i: u64,
     n: u64,
 }
 
-impl ThreadProgram for LaneWalker {
+impl ThreadProgram for StrideWalker {
     fn step(&mut self, env: &mut CoreEnv<'_>) -> StepResult {
         if self.i >= self.n {
             return StepResult::Done;
@@ -357,30 +356,21 @@ impl ThreadProgram for LaneWalker {
     }
 }
 
-impl LaneProgram for LaneWalker {
-    fn lane_save(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.i)
-    }
-    fn lane_restore(&mut self, saved: Box<dyn std::any::Any + Send>) {
-        self.i = *saved.downcast::<u64>().unwrap();
-    }
-}
-
-/// Checkpoint-under-lanes: snapshot a system between two *lane-engine*
-/// runs (speculative per-tile windows live on the fork-join pool, the
-/// epoch watchdog's checkpoint cadence armed), resume in a fresh
-/// system, replay the second run, and require byte-identical final
-/// snapshots plus identical finish cycles. Pins that the SoA tag-array
-/// state the lanes mutate round-trips exactly.
-fn checkpoint_under_lanes(opts: &Opts, watchdog_cycles: u64) -> bool {
+/// Checkpoint-under-multicore: snapshot a system between two
+/// 16-program interleaved runs (the epoch watchdog's checkpoint cadence
+/// armed), resume in a fresh system, replay the second run, and require
+/// byte-identical final snapshots plus identical finish cycles. Pins
+/// that the SoA tag-array state the interleaver mutates round-trips
+/// exactly.
+fn checkpoint_multicore(opts: &Opts, watchdog_cycles: u64) -> bool {
     let mut cfg = base_cfg(watchdog_cycles);
     cfg.watchdog.epoch_cycles = 5_000;
     cfg.checkpoint = Some(CheckpointConfig { every_epochs: 2 });
 
-    fn lane_run(sys: &mut TakoSystem, base: u64, work: u64, phase: u64) -> u64 {
+    fn multicore_run(sys: &mut TakoSystem, base: u64, work: u64, phase: u64) -> u64 {
         let tiles = 16usize;
-        let mut programs: Vec<LaneWalker> = (0..tiles as u64)
-            .map(|k| LaneWalker {
+        let mut programs: Vec<StrideWalker> = (0..tiles as u64)
+            .map(|k| StrideWalker {
                 base: base + k * (1 << 14),
                 i: phase * work,
                 n: (phase + 1) * work,
@@ -390,21 +380,21 @@ fn checkpoint_under_lanes(opts: &Opts, watchdog_cycles: u64) -> bool {
             .map(|_| CoreTiming::new(tako_sim::config::SystemConfig::default_16core().core))
             .collect();
         let mut preds: Vec<BranchPredictor> = (0..tiles).map(|_| BranchPredictor::new()).collect();
-        let mut progs: Vec<(usize, &mut dyn LaneProgram)> = programs
+        let mut progs: Vec<(usize, &mut dyn ThreadProgram)> = programs
             .iter_mut()
             .enumerate()
-            .map(|(k, p)| (k, p as &mut dyn LaneProgram))
+            .map(|(k, p)| (k, p as &mut dyn ThreadProgram))
             .collect();
-        run_multicore_lanes(&mut progs, &mut cores, &mut preds, sys, 1 << 20, 2)
+        run_multicore(&mut progs, &mut cores, &mut preds, sys, 1 << 20)
     }
 
     let work = opts.sized(2048) as u64;
     let mut sys = TakoSystem::new(cfg.clone());
     let base = 0x1000_0000;
     let _ = sys.alloc_real(1 << 20);
-    lane_run(&mut sys, base, work, 0);
+    multicore_run(&mut sys, base, work, 0);
     let mid = sys.snapshot_bytes();
-    let t_ref = lane_run(&mut sys, base, work, 1);
+    let t_ref = multicore_run(&mut sys, base, work, 1);
     let reference = encode(&sys);
 
     let mut sys2 = TakoSystem::new(cfg);
@@ -412,7 +402,7 @@ fn checkpoint_under_lanes(opts: &Opts, watchdog_cycles: u64) -> bool {
     if sys2.restore_bytes(&mid).is_err() {
         return false;
     }
-    let t2 = lane_run(&mut sys2, base, work, 1);
+    let t2 = multicore_run(&mut sys2, base, work, 1);
     t2 == t_ref && encode(&sys2) == reference
 }
 
@@ -532,13 +522,13 @@ fn main() {
         }
     }
 
-    // Checkpoint-under-lanes: the lane engine's speculative windows and
-    // the SoA tag arrays they mutate must survive the same round trip.
+    // Checkpoint-under-multicore: sixteen interleaved programs and the
+    // SoA tag arrays they mutate must survive the same round trip.
     {
         total += 1;
-        let ok = checkpoint_under_lanes(&opts, flags.watchdog_cycles);
+        let ok = checkpoint_multicore(&opts, flags.watchdog_cycles);
         println!(
-            "checkpoint  lanes=2   mid-run resume {}",
+            "checkpoint  multicore mid-run resume {}",
             if ok { "byte-identical" } else { "DIVERGED" }
         );
         if !ok {

@@ -113,7 +113,6 @@ fn phi_params(opts: Opts) -> phi::Params {
             threads: 16,
             threshold: 3,
             seed: opts.seed,
-            lanes: opts.lanes,
         }
     } else {
         phi::Params {
@@ -123,7 +122,6 @@ fn phi_params(opts: Opts) -> phi::Params {
             threads: 16,
             threshold: 3,
             seed: opts.seed,
-            lanes: opts.lanes,
         }
     }
 }
@@ -498,7 +496,6 @@ pub fn fig25_scalability(opts: Opts) -> String {
             threads: tiles,
             threshold: 3,
             seed: opts.seed,
-            lanes: opts.lanes,
         };
         let cfg = SystemConfig::with_tiles(tiles);
         let sw = phi::run(phi::Variant::Software, &params, &cfg);

@@ -13,12 +13,6 @@
 //! --seed <n>    override the RNG seed
 //! --jobs <n>    worker threads for the per-variant / per-experiment
 //!               fan-out (default: available parallelism)
-//! --lanes <n>   per-tile parallel lanes *inside* each phi simulation
-//!               (default 0 = the serial interleaver). Lane runs are
-//!               deterministic — identical for every n >= 1 — but use
-//!               unit-step granularity, a different (equally valid)
-//!               schedule than the serial chunked interleave, so their
-//!               digests form their own golden family.
 //! ```
 //!
 //! Output is **deterministic and independent of `--jobs`**: every
@@ -63,8 +57,6 @@ pub struct Opts {
     /// Worker threads for fan-out (variants within a figure, or
     /// experiments within `all_experiments`).
     pub jobs: usize,
-    /// Per-tile parallel lanes inside each phi simulation (0 = serial).
-    pub lanes: usize,
 }
 
 impl Default for Opts {
@@ -74,7 +66,6 @@ impl Default for Opts {
             paper: false,
             seed: 0x7AC0,
             jobs: default_jobs(),
-            lanes: 0,
         }
     }
 }
@@ -104,12 +95,6 @@ impl Opts {
                 "--jobs" => {
                     if let Some(v) = args.get(i + 1) {
                         opts.jobs = v.parse().unwrap_or(opts.jobs).max(1);
-                        i += 1;
-                    }
-                }
-                "--lanes" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.lanes = v.parse().unwrap_or(opts.lanes);
                         i += 1;
                     }
                 }
@@ -150,7 +135,7 @@ pub fn warn_unknown(unknown: &[String]) {
     for u in unknown {
         eprintln!(
             "warning: unknown argument `{u}` \
-             (known: --scale <f>, --paper, --seed <n>, --jobs <n>, --lanes <n>)"
+             (known: --scale <f>, --paper, --seed <n>, --jobs <n>)"
         );
     }
 }
@@ -307,14 +292,6 @@ mod tests {
         assert!(o.paper);
         assert_eq!(o.seed, 7);
         assert_eq!(o.jobs, 3);
-        assert_eq!(o.lanes, 0);
-    }
-
-    #[test]
-    fn parse_lanes() {
-        let (o, unknown) = Opts::parse(&s(&["--lanes", "4"]));
-        assert!(unknown.is_empty());
-        assert_eq!(o.lanes, 4);
     }
 
     #[test]

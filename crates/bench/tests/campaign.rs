@@ -32,7 +32,6 @@ fn opts() -> Opts {
         paper: false,
         seed: 42,
         jobs: 2,
-        lanes: 0,
     }
 }
 

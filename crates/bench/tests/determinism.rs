@@ -11,7 +11,6 @@ fn tiny_opts(jobs: usize) -> Opts {
         paper: false,
         seed: 0x7AC0,
         jobs,
-        lanes: 0,
     }
 }
 

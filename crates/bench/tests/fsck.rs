@@ -38,7 +38,6 @@ fn opts() -> Opts {
         paper: false,
         seed: 42,
         jobs: 1,
-        lanes: 0,
     }
 }
 

@@ -41,7 +41,6 @@ fn tracing_on_and_off_produce_identical_output() {
         paper: false,
         seed: 0x7AC0,
         jobs: 1,
-        lanes: 0,
     };
 
     let off = digest_all(opts);

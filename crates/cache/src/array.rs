@@ -150,17 +150,6 @@ pub struct EvictEvent {
     pub owner: Option<u8>,
 }
 
-/// Rollback record for one speculatively touched slot: the
-/// replacement-relevant state a pure lane step can mutate. Captured by
-/// [`CacheArray::slot_undo`], restored by [`CacheArray::restore_slot`].
-#[derive(Debug, Clone, Copy)]
-pub struct SlotUndo {
-    slot: usize,
-    rrpv: u8,
-    lru: u64,
-    flags: u8,
-}
-
 /// A set-associative cache tag array with struct-of-arrays storage.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
@@ -326,44 +315,6 @@ impl CacheArray {
             }
             None => false,
         }
-    }
-
-    /// The monotone touch stamp backing LRU promotion. Exposed (with
-    /// [`CacheArray::set_touch_stamp`]) so a speculative lane step can
-    /// be rolled back exactly: `lookup` advances the stamp even on a
-    /// miss, so undo must restore it alongside the touched slot.
-    #[inline]
-    pub fn touch_stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Overwrite the touch stamp (lane-step rollback only).
-    #[inline]
-    pub fn set_touch_stamp(&mut self, v: u64) {
-        self.stamp = v;
-    }
-
-    /// Capture the replacement-relevant state of the slot holding
-    /// `line`, for lane-step rollback. A pure (L1-hit) step mutates only
-    /// rrpv/LRU promotion state and the flag byte — tags, fill times,
-    /// sharers, and ownership are untouched — so this triple plus the
-    /// touch stamp is a complete undo record for the slot.
-    #[inline]
-    pub fn slot_undo(&self, line: Addr) -> Option<SlotUndo> {
-        self.find(line).map(|i| SlotUndo {
-            slot: i,
-            rrpv: self.rrpv[i],
-            lru: self.lru[i],
-            flags: self.flags[i],
-        })
-    }
-
-    /// Restore a capture taken by [`CacheArray::slot_undo`].
-    #[inline]
-    pub fn restore_slot(&mut self, u: SlotUndo) {
-        self.rrpv[u.slot] = u.rrpv;
-        self.lru[u.slot] = u.lru;
-        self.flags[u.slot] = u.flags;
     }
 
     /// Choose a victim way in `set` for inserting a line with

@@ -250,58 +250,3 @@ fn prefetcher_observe_is_allocation_free() {
     });
     assert_eq!(n, 0, "StridePrefetcher::observe allocated");
 }
-
-/// The lane engine's speculative probe discipline — capture a
-/// [`SlotUndo`] *before* the access, restore the slot and the global
-/// touch stamp on abort — must be allocation-free on hits and misses
-/// alike, and stay so when the victim path (batched SRRIP aging sweeps
-/// included) runs with an armed observer on the accounting bus.
-#[test]
-fn lane_undo_and_victim_walk_are_allocation_free() {
-    use tako_core::hierarchy::CachePort;
-    use tako_sim::event::{AccountingBus, LevelId, SinkTap};
-    use tako_sim::fault::FaultInjector;
-    use tako_sim::trace::Observer;
-
-    for armed in [false, true] {
-        let mut a = array(ReplPolicy::Trrip);
-        let mut bus = AccountingBus::new(FaultInjector::new(None));
-        if armed {
-            bus.tap = SinkTap::Observer(Box::new(Observer::new()));
-        }
-        for k in 0..2048u64 {
-            let line = k * LINE_BYTES;
-            if a.probe(line).is_none() {
-                a.insert(line, k % 3 == 0, false, InsertKind::Demand, 0);
-            }
-        }
-        let n = allocs_in(|| {
-            for k in 0..4096u64 {
-                let line = (k % 3072) * LINE_BYTES;
-                // Speculative probe: undo capture, access, rollback.
-                let undo = a.slot_undo(line);
-                let stamp = a.touch_stamp();
-                let hit = {
-                    let mut port = CachePort::new(&mut a, LevelId::L2);
-                    port.lookup_counted(line, &mut bus).is_some()
-                };
-                if k % 2 == 0 {
-                    // Abort path: the array must roll back bit-exactly.
-                    if let Some(u) = undo {
-                        a.restore_slot(u);
-                    }
-                    a.set_touch_stamp(stamp);
-                } else if !hit {
-                    // Commit path: inserts evict (the array is past
-                    // capacity), driving victim selection and the
-                    // batched replacement-state aging sweep.
-                    a.insert(line, k % 5 == 0, false, InsertKind::Demand, k);
-                }
-            }
-        });
-        assert_eq!(
-            n, 0,
-            "lane undo/victim walk allocated (observer armed: {armed})"
-        );
-    }
-}

@@ -47,12 +47,10 @@ impl Hierarchy {
         done
     }
 
-    /// The watchdog tail every completed core access runs: stall
-    /// detection plus the epoch sweep. Shared by the serial walk above
-    /// and the lane-replay path so both produce identical watchdog
-    /// counter histories. `line` is the accessed cache line; on the
-    /// first stall the snapshot names it (and its LLC bank/set) as the
-    /// blocked line.
+    /// The watchdog tail every completed core access runs, on the hot
+    /// path and the staged walk alike: stall detection plus the epoch
+    /// sweep. `line` is the accessed cache line; on the first stall the
+    /// snapshot names it (and its LLC bank/set) as the blocked line.
     fn watchdog_observe(&mut self, line: Addr, t: Cycle, done: Cycle) {
         if let Some(latency) = self.watchdog.observe_access(t, done) {
             self.bus.emit(TxnEvent::StallDetected { latency });
@@ -63,16 +61,6 @@ impl Hierarchy {
         }
         if self.watchdog.epoch_due(done) {
             self.watchdog_epoch(done);
-        }
-    }
-
-    /// Replay the accounting of one committed pure lane step's L1d hit:
-    /// exactly what the hot walk emits, re-run serially at the lane
-    /// epoch barrier in canonical step order.
-    pub(crate) fn lane_replay_hit(&mut self, line: Addr, t: Cycle, done: Cycle) {
-        self.bus.emit(TxnEvent::Hit(LevelId::L1d));
-        if self.watchdog.enabled() {
-            self.watchdog_observe(line, t, done);
         }
     }
 

@@ -72,7 +72,6 @@ pub mod ctx;
 pub mod engine;
 pub mod error;
 pub mod hierarchy;
-pub mod lanes;
 pub mod morph;
 pub mod overhead;
 pub mod system;
@@ -81,7 +80,6 @@ pub mod watchdog;
 pub use ctx::EngineCtx;
 pub use error::TakoError;
 pub use hierarchy::{SchedPoint, StageScheduler};
-pub use lanes::run_multicore_lanes;
 pub use morph::{CallbackKind, Morph, MorphHandle, MorphId, MorphLevel};
 pub use system::TakoSystem;
 pub use watchdog::{DiagnosticSnapshot, Watchdog};

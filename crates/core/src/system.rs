@@ -22,7 +22,7 @@ use crate::morph::{Morph, MorphEntry, MorphHandle, MorphLevel};
 /// A complete simulated täkō system: the tiled CMP of Table 3 plus the
 /// Morph registry, engines, and allocator.
 pub struct TakoSystem {
-    pub(crate) hier: Hierarchy,
+    hier: Hierarchy,
     alloc: Allocator,
     energy: EnergyModel,
 }
@@ -98,17 +98,6 @@ impl TakoSystem {
     /// Mutable access to the hierarchy.
     pub fn hierarchy_mut(&mut self) -> &mut Hierarchy {
         &mut self.hier
-    }
-
-    /// Split the hierarchy into the disjoint pieces a lane window
-    /// needs: exclusive per-tile cache islands, the shared read-only
-    /// backing store, and the configuration. Everything else (bus,
-    /// watchdog, LLC, DRAM, engines) is untouched during a window.
-    pub(crate) fn lane_split(
-        &mut self,
-    ) -> (&mut [crate::hierarchy::Tile], &PhysMem, &SystemConfig) {
-        let h = &mut self.hier;
-        (&mut h.tiles, &h.mem, &h.cfg)
     }
 
     /// The address-space allocator (for workload setup).

@@ -68,72 +68,6 @@ pub trait MemSystem {
         let _ = tile;
         None
     }
-
-    // --- Functional primitives -------------------------------------
-    //
-    // `CoreEnv` routes every functional read and write through these
-    // instead of touching `data()` directly, so a lane view (a per-tile
-    // speculative execution context) can interpose a shared read-only
-    // backing store plus a per-lane write buffer without ever handing
-    // out `&mut PhysMem`. The defaults delegate to `data()` and cost
-    // nothing on the serial path.
-
-    /// Functional read of a `u64`.
-    fn func_read_u64(&mut self, addr: Addr) -> u64 {
-        self.data().read_u64(addr)
-    }
-    /// Functional read of an `f64`.
-    fn func_read_f64(&mut self, addr: Addr) -> f64 {
-        self.data().read_f64(addr)
-    }
-    /// Functional read of a `u32`.
-    fn func_read_u32(&mut self, addr: Addr) -> u32 {
-        self.data().read_u32(addr)
-    }
-    /// Functional write of a `u64`.
-    fn func_write_u64(&mut self, addr: Addr, val: u64) {
-        self.data().write_u64(addr, val)
-    }
-    /// Functional write of an `f64`.
-    fn func_write_f64(&mut self, addr: Addr, val: f64) {
-        self.data().write_f64(addr, val)
-    }
-    /// Functional write of a `u32`.
-    fn func_write_u32(&mut self, addr: Addr, val: u32) {
-        self.data().write_u32(addr, val)
-    }
-    /// Functional write of raw bytes.
-    fn func_write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        self.data().write_bytes(addr, bytes)
-    }
-    /// Functional relaxed atomic add on an `f64`.
-    fn func_add_f64(&mut self, addr: Addr, val: f64) {
-        self.data().add_f64(addr, val)
-    }
-    /// Functional relaxed fetch-add on a `u64`, returning the old value.
-    fn func_fetch_add_u64(&mut self, addr: Addr, val: u64) -> u64 {
-        self.data().fetch_add_u64(addr, val)
-    }
-
-    // --- Accounting primitives -------------------------------------
-    //
-    // Same story for the core-side statistics bumps: lane views journal
-    // these and replay them into the real registry in canonical order
-    // at the epoch barrier, so watchdog sweeps observe byte-identical
-    // counter histories.
-
-    /// Add `n` to counter `c`.
-    fn acct(&mut self, c: Counter, n: u64) {
-        self.stats().add(c, n)
-    }
-    /// Record an exposed load-to-use latency sample.
-    fn acct_load_latency(&mut self, lat: Cycle) {
-        self.stats().load_latency.record(lat)
-    }
-    /// Switch the statistics phase (edge/bin/vertex breakdowns).
-    fn set_phase(&mut self, phase: usize) {
-        self.stats().set_phase(phase)
-    }
 }
 
 /// Result of one [`ThreadProgram::step`].
@@ -150,26 +84,6 @@ pub enum StepResult {
 pub trait ThreadProgram {
     /// Perform one unit of work.
     fn step(&mut self, env: &mut CoreEnv<'_>) -> StepResult;
-}
-
-/// A thread program that can run speculatively on a per-tile lane.
-///
-/// A lane runner snapshots the program before each speculative step and
-/// rolls it back (via [`LaneProgram::lane_restore`]) when the step turns
-/// out to be impure — i.e. it touched anything beyond the tile's own
-/// private caches. Contract for implementors:
-///
-/// - `lane_save` must capture **all** state `step` can mutate, cheaply
-///   (the save runs before every speculative step).
-/// - After the abort point of a poisoned step, loads return zero; the
-///   rest of the step must tolerate that without panicking or touching
-///   state outside the environment (everything inside it is rolled
-///   back, so garbage-driven writes are harmless).
-pub trait LaneProgram: ThreadProgram + Send {
-    /// Snapshot the program's mutable state.
-    fn lane_save(&self) -> Box<dyn std::any::Any + Send>;
-    /// Restore a snapshot taken by [`LaneProgram::lane_save`].
-    fn lane_restore(&mut self, saved: Box<dyn std::any::Any + Send>);
 }
 
 /// The per-step execution environment handed to a [`ThreadProgram`].
@@ -213,40 +127,41 @@ impl<'a> CoreEnv<'a> {
             .sys
             .timed_access(self.tile, AccessKind::Read, addr, issue);
         let lat = self.core.load_complete(issue, done);
-        self.sys.acct(Counter::CoreLoad, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
-        self.sys.acct_load_latency(lat);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreLoad, 1);
+        stats.add(Counter::CoreInstr, 1);
+        stats.load_latency.record(lat);
     }
 
     /// Load a `u64`, timing the access as independent of prior loads.
     pub fn load_u64(&mut self, addr: Addr) -> u64 {
         self.timed_load(addr, false);
-        self.sys.func_read_u64(addr)
+        self.sys.data().read_u64(addr)
     }
 
     /// Load a `u64` whose address depends on the previous load's value
     /// (pointer chasing — serializes in the core).
     pub fn load_u64_dep(&mut self, addr: Addr) -> u64 {
         self.timed_load(addr, true);
-        self.sys.func_read_u64(addr)
+        self.sys.data().read_u64(addr)
     }
 
     /// Load an `f64` (independent).
     pub fn load_f64(&mut self, addr: Addr) -> f64 {
         self.timed_load(addr, false);
-        self.sys.func_read_f64(addr)
+        self.sys.data().read_f64(addr)
     }
 
     /// Load an `f64` whose address depends on the previous load.
     pub fn load_f64_dep(&mut self, addr: Addr) -> f64 {
         self.timed_load(addr, true);
-        self.sys.func_read_f64(addr)
+        self.sys.data().read_f64(addr)
     }
 
     /// Load a `u32` (independent).
     pub fn load_u32(&mut self, addr: Addr) -> u32 {
         self.timed_load(addr, false);
-        self.sys.func_read_u32(addr)
+        self.sys.data().read_u32(addr)
     }
 
     fn timed_load_stream(&mut self, addr: Addr) {
@@ -255,27 +170,28 @@ impl<'a> CoreEnv<'a> {
             .sys
             .timed_access(self.tile, AccessKind::ReadStream, addr, issue);
         let lat = self.core.load_complete(issue, done);
-        self.sys.acct(Counter::CoreLoad, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
-        self.sys.acct_load_latency(lat);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreLoad, 1);
+        stats.add(Counter::CoreInstr, 1);
+        stats.load_latency.record(lat);
     }
 
     /// Non-temporal load of a `u64` (streaming scans: bin drains, logs).
     pub fn load_stream_u64(&mut self, addr: Addr) -> u64 {
         self.timed_load_stream(addr);
-        self.sys.func_read_u64(addr)
+        self.sys.data().read_u64(addr)
     }
 
     /// Non-temporal load of an `f64`.
     pub fn load_stream_f64(&mut self, addr: Addr) -> f64 {
         self.timed_load_stream(addr);
-        self.sys.func_read_f64(addr)
+        self.sys.data().read_f64(addr)
     }
 
     /// Non-temporal load of a `u32`.
     pub fn load_stream_u32(&mut self, addr: Addr) -> u32 {
         self.timed_load_stream(addr);
-        self.sys.func_read_u32(addr)
+        self.sys.data().read_u32(addr)
     }
 
     /// Poll for a pending user-space interrupt (the handler dispatch
@@ -284,7 +200,7 @@ impl<'a> CoreEnv<'a> {
         let hit = self.sys.take_interrupt(self.tile);
         if hit.is_some() {
             self.core.compute(20); // handler entry/exit
-            self.sys.acct(Counter::CoreInstr, 20);
+            self.sys.stats().add(Counter::CoreInstr, 20);
         }
         hit
     }
@@ -293,7 +209,7 @@ impl<'a> CoreEnv<'a> {
     pub fn demote_line(&mut self, addr: Addr) {
         let issue = self.core.post_write();
         let _ = self.sys.timed_demote(self.tile, addr, issue);
-        self.sys.acct(Counter::CoreInstr, 1);
+        self.sys.stats().add(Counter::CoreInstr, 1);
     }
 
     /// Software prefetch of a streaming line: starts the fetch without
@@ -303,7 +219,7 @@ impl<'a> CoreEnv<'a> {
         let _ = self
             .sys
             .timed_access(self.tile, AccessKind::ReadStream, addr, issue);
-        self.sys.acct(Counter::CoreInstr, 1);
+        self.sys.stats().add(Counter::CoreInstr, 1);
     }
 
     /// Non-temporal store of a `u64` (streaming appends).
@@ -312,9 +228,10 @@ impl<'a> CoreEnv<'a> {
         let _ = self
             .sys
             .timed_access(self.tile, AccessKind::WriteStream, addr, issue);
-        self.sys.acct(Counter::CoreStore, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
-        self.sys.func_write_u64(addr, val);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreStore, 1);
+        stats.add(Counter::CoreInstr, 1);
+        self.sys.data().write_u64(addr, val);
     }
 
     /// Non-temporal store of an `f64`.
@@ -323,9 +240,10 @@ impl<'a> CoreEnv<'a> {
         let _ = self
             .sys
             .timed_access(self.tile, AccessKind::WriteStream, addr, issue);
-        self.sys.acct(Counter::CoreStore, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
-        self.sys.func_write_f64(addr, val);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreStore, 1);
+        stats.add(Counter::CoreInstr, 1);
+        self.sys.data().write_f64(addr, val);
     }
 
     fn timed_store(&mut self, addr: Addr) {
@@ -333,26 +251,27 @@ impl<'a> CoreEnv<'a> {
         let _done = self
             .sys
             .timed_access(self.tile, AccessKind::Write, addr, issue);
-        self.sys.acct(Counter::CoreStore, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreStore, 1);
+        stats.add(Counter::CoreInstr, 1);
     }
 
     /// Store a `u64` (posted; does not block the core).
     pub fn store_u64(&mut self, addr: Addr, val: u64) {
         self.timed_store(addr);
-        self.sys.func_write_u64(addr, val);
+        self.sys.data().write_u64(addr, val);
     }
 
     /// Store an `f64` (posted).
     pub fn store_f64(&mut self, addr: Addr, val: f64) {
         self.timed_store(addr);
-        self.sys.func_write_f64(addr, val);
+        self.sys.data().write_f64(addr, val);
     }
 
     /// Store a `u32` (posted).
     pub fn store_u32(&mut self, addr: Addr, val: u32) {
         self.timed_store(addr);
-        self.sys.func_write_u32(addr, val);
+        self.sys.data().write_u32(addr, val);
     }
 
     /// Store raw bytes (one timed store per cache line touched).
@@ -360,7 +279,7 @@ impl<'a> CoreEnv<'a> {
         for line in AddrRange::new(addr, bytes.len() as u64).lines() {
             self.timed_store(line.max(addr));
         }
-        self.sys.func_write_bytes(addr, bytes);
+        self.sys.data().write_bytes(addr, bytes);
     }
 
     /// Remote atomic add on an `f64` (relaxed; executed at the cache
@@ -370,9 +289,10 @@ impl<'a> CoreEnv<'a> {
         let _done = self
             .sys
             .timed_access(self.tile, AccessKind::Rmo, addr, issue);
-        self.sys.acct(Counter::CoreRmo, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
-        self.sys.func_add_f64(addr, val);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreRmo, 1);
+        stats.add(Counter::CoreInstr, 1);
+        self.sys.data().add_f64(addr, val);
     }
 
     /// Remote atomic add on a `u64` (relaxed).
@@ -381,24 +301,26 @@ impl<'a> CoreEnv<'a> {
         let _done = self
             .sys
             .timed_access(self.tile, AccessKind::Rmo, addr, issue);
-        self.sys.acct(Counter::CoreRmo, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
-        self.sys.func_fetch_add_u64(addr, val);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreRmo, 1);
+        stats.add(Counter::CoreInstr, 1);
+        self.sys.data().fetch_add_u64(addr, val);
     }
 
     /// Atomic exchange of a `u64`, returning the old value (the LL/SC
     /// exchange HATS uses to mark edges processed). Times as a load.
     pub fn exchange_u64(&mut self, addr: Addr, val: u64) -> u64 {
         self.timed_load(addr, false);
-        let old = self.sys.func_read_u64(addr);
-        self.sys.func_write_u64(addr, val);
+        let mem = self.sys.data();
+        let old = mem.read_u64(addr);
+        mem.write_u64(addr, val);
         old
     }
 
     /// Retire `n` plain compute instructions.
     pub fn compute(&mut self, n: u64) {
         self.core.compute(n);
-        self.sys.acct(Counter::CoreInstr, n);
+        self.sys.stats().add(Counter::CoreInstr, n);
     }
 
     /// Execute a conditional branch at `pc` with outcome `taken`; the
@@ -406,10 +328,11 @@ impl<'a> CoreEnv<'a> {
     pub fn branch(&mut self, pc: u64, taken: bool) {
         let miss = self.predictor.mispredicts(pc, taken);
         self.core.branch(miss);
-        self.sys.acct(Counter::CoreBranch, 1);
-        self.sys.acct(Counter::CoreInstr, 1);
+        let stats = self.sys.stats();
+        stats.add(Counter::CoreBranch, 1);
+        stats.add(Counter::CoreInstr, 1);
         if miss {
-            self.sys.acct(Counter::BranchMispredict, 1);
+            stats.add(Counter::BranchMispredict, 1);
         }
     }
 
@@ -428,7 +351,7 @@ impl<'a> CoreEnv<'a> {
 
     /// Switch the statistics phase (edge/bin/vertex breakdowns).
     pub fn set_phase(&mut self, phase: usize) {
-        self.sys.set_phase(phase);
+        self.sys.stats().set_phase(phase);
     }
 
     /// Functional (untimed) view of memory, for setup and verification.

@@ -25,7 +25,7 @@ pub mod env;
 pub mod predictor;
 pub mod timing;
 
-pub use env::{AccessKind, CoreEnv, LaneProgram, MemSystem, StepResult, ThreadProgram};
+pub use env::{AccessKind, CoreEnv, MemSystem, StepResult, ThreadProgram};
 pub use predictor::BranchPredictor;
 pub use timing::CoreTiming;
 

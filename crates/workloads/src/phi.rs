@@ -18,10 +18,9 @@
 //! update batching \[14, 70\] (per-thread binning, then a bin phase),
 //! täkō/PHI, and PHI on an ideal engine.
 
-use tako_core::{run_multicore_lanes, EngineCtx, Morph, MorphHandle, MorphLevel, TakoSystem};
+use tako_core::{EngineCtx, Morph, MorphHandle, MorphLevel, TakoSystem};
 use tako_cpu::{
-    run_multicore, BranchPredictor, CoreEnv, CoreTiming, LaneProgram, MemSystem, StepResult,
-    ThreadProgram,
+    run_multicore, BranchPredictor, CoreEnv, CoreTiming, MemSystem, StepResult, ThreadProgram,
 };
 use tako_graph::Csr;
 use tako_mem::addr::Addr;
@@ -81,11 +80,6 @@ pub struct Params {
     pub threshold: u32,
     /// RNG seed.
     pub seed: u64,
-    /// Per-tile parallel lanes: 0 runs the plain serial interleaver
-    /// (the golden-digest schedule); `n >= 1` runs the deterministic
-    /// lane engine with a fork-join pool of width `n` and single-unit
-    /// steps. Results are byte-identical for every `n >= 1`.
-    pub lanes: usize,
 }
 
 impl Default for Params {
@@ -97,7 +91,6 @@ impl Default for Params {
             threads: 16,
             threshold: 3,
             seed: 0x9A1,
-            lanes: 0,
         }
     }
 }
@@ -151,9 +144,11 @@ impl Morph for PhiMorph {
             // Dense: apply in place. The 8 deltas map to one contiguous
             // line of `next`: one load, one SIMD add, one store.
             let dst = self.next + base_v * 8;
-            let (_, l) = ctx.load_f64(dst, &[cmp]);
+            let (old, l) = ctx.load_f64(dst, &[cmp]);
             let add = ctx.alu(&[l, read]);
-            let _st = ctx.store_u64(dst + 1, 0, &[add]); // timing-only store
+            // Timing-only store: writes back the value just loaded, so
+            // the functional adds below see `next` unchanged.
+            ctx.store_f64(dst, old, &[add]);
             for (i, &d) in vals.iter().enumerate() {
                 if d != 0.0 {
                     ctx.data().add_f64(dst + 8 * i as u64, d);
@@ -196,9 +191,7 @@ impl Morph for PhiMorph {
 // Thread programs
 // ----------------------------------------------------------------------
 
-/// Work units per serial step. The lane engine runs single-unit steps
-/// instead: speculation commits or aborts whole steps, and one unit is
-/// the granularity at which an L1-resident phase actually stays pure.
+/// Work units per program step.
 const CHUNK: usize = 16;
 
 #[derive(Clone, Copy)]
@@ -223,7 +216,6 @@ struct EdgeProgram {
     share: f64,
     sink: Sink,
     bin_cursors: Vec<u64>,
-    chunk: usize,
 }
 
 impl EdgeProgram {
@@ -256,7 +248,7 @@ impl ThreadProgram for EdgeProgram {
     fn step(&mut self, env: &mut CoreEnv<'_>) -> StepResult {
         env.set_phase(0);
         let l = self.layout;
-        for _ in 0..self.chunk {
+        for _ in 0..CHUNK {
             if !self.advance_vertex(env) {
                 return StepResult::Done;
             }
@@ -301,13 +293,12 @@ struct BinProgram {
     work: Vec<(Addr, u64)>,
     widx: usize,
     entry: u64,
-    chunk: usize,
 }
 
 impl ThreadProgram for BinProgram {
     fn step(&mut self, env: &mut CoreEnv<'_>) -> StepResult {
         env.set_phase(1);
-        for _ in 0..self.chunk {
+        for _ in 0..CHUNK {
             let Some(&(base, count)) = self.work.get(self.widx) else {
                 return StepResult::Done;
             };
@@ -341,13 +332,12 @@ struct VertexProgram {
     v: u64,
     v_hi: u64,
     base_term: f64,
-    chunk: usize,
 }
 
 impl ThreadProgram for VertexProgram {
     fn step(&mut self, env: &mut CoreEnv<'_>) -> StepResult {
         env.set_phase(2);
-        for _ in 0..self.chunk {
+        for _ in 0..CHUNK {
             if self.v >= self.v_hi {
                 return StepResult::Done;
             }
@@ -358,52 +348,6 @@ impl ThreadProgram for VertexProgram {
             env.store_f64(self.layout.ranks + v * 8, nx + self.base_term);
         }
         StepResult::Running
-    }
-}
-
-// Lane speculation snapshots: each program saves exactly the state its
-// `step` can mutate. All three tolerate poisoned (zeroed) loads after
-// an abort point — no assert depends on loaded data (the one `assert!`
-// in the LocalBins arm checks a cursor the rollback restores, against a
-// fixed capacity; a zeroed `dst` still indexes bin 0 in bounds).
-impl LaneProgram for EdgeProgram {
-    fn lane_save(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new((
-            self.v,
-            self.e,
-            self.e_end,
-            self.share,
-            self.bin_cursors.clone(),
-        ))
-    }
-    fn lane_restore(&mut self, saved: Box<dyn std::any::Any + Send>) {
-        let (v, e, e_end, share, cursors) =
-            *saved.downcast::<(u64, u64, u64, f64, Vec<u64>)>().unwrap();
-        self.v = v;
-        self.e = e;
-        self.e_end = e_end;
-        self.share = share;
-        self.bin_cursors = cursors;
-    }
-}
-
-impl LaneProgram for BinProgram {
-    fn lane_save(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new((self.widx, self.entry))
-    }
-    fn lane_restore(&mut self, saved: Box<dyn std::any::Any + Send>) {
-        let (widx, entry) = *saved.downcast::<(usize, u64)>().unwrap();
-        self.widx = widx;
-        self.entry = entry;
-    }
-}
-
-impl LaneProgram for VertexProgram {
-    fn lane_save(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.v)
-    }
-    fn lane_restore(&mut self, saved: Box<dyn std::any::Any + Send>) {
-        self.v = *saved.downcast::<u64>().unwrap();
     }
 }
 
@@ -455,11 +399,10 @@ fn partition(n: u64, parts: usize, i: usize) -> (u64, u64) {
 
 fn run_phase(
     sys: &mut TakoSystem,
-    mut programs: Vec<Box<dyn LaneProgram>>,
+    mut programs: Vec<Box<dyn ThreadProgram>>,
     cfg: &SystemConfig,
     start: Cycle,
     max_steps: u64,
-    lanes: usize,
 ) -> Cycle {
     let threads = programs.len();
     let mut cores: Vec<CoreTiming> = (0..threads)
@@ -470,21 +413,12 @@ fn run_phase(
         })
         .collect();
     let mut preds: Vec<BranchPredictor> = (0..threads).map(|_| BranchPredictor::new()).collect();
-    if lanes >= 1 {
-        let mut progs: Vec<(usize, &mut dyn LaneProgram)> = programs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| (i % cfg.tiles, p.as_mut() as &mut dyn LaneProgram))
-            .collect();
-        run_multicore_lanes(&mut progs, &mut cores, &mut preds, sys, max_steps, lanes)
-    } else {
-        let mut progs: Vec<(usize, &mut dyn ThreadProgram)> = programs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| (i % cfg.tiles, p.as_mut() as &mut dyn ThreadProgram))
-            .collect();
-        run_multicore(&mut progs, &mut cores, &mut preds, sys, max_steps)
-    }
+    let mut progs: Vec<(usize, &mut dyn ThreadProgram)> = programs
+        .iter_mut()
+        .enumerate()
+        .map(|(i, p)| (i % cfg.tiles, p.as_mut() as &mut dyn ThreadProgram))
+        .collect();
+    run_multicore(&mut progs, &mut cores, &mut preds, sys, max_steps)
 }
 
 /// Run one PageRank iteration with `variant` on `cfg`.
@@ -496,16 +430,6 @@ pub fn run(variant: Variant, params: &Params, cfg: &SystemConfig) -> PhiResult {
 
 /// Run on a pre-built graph (used by the scalability sweep, Fig 25).
 pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &Csr) -> PhiResult {
-    run_on_graph_inner(variant, params, cfg, g, None)
-}
-
-fn run_on_graph_inner(
-    variant: Variant,
-    params: &Params,
-    cfg: &SystemConfig,
-    g: &Csr,
-    chunk_override: Option<usize>,
-) -> PhiResult {
     let mut cfg = cfg.clone();
     if variant == Variant::Ideal {
         cfg.engine = EngineConfig::ideal();
@@ -516,9 +440,7 @@ fn run_on_graph_inner(
     let m = layout.m;
     let threads = params.threads.min(cfg.tiles).max(1);
     let nbins = num_bins(n);
-    let lanes = params.lanes;
-    let chunk = chunk_override.unwrap_or(if lanes >= 1 { 1 } else { CHUNK });
-    let max_steps = 40 * (m + n) * (CHUNK / chunk) as u64 + 100_000;
+    let max_steps = 40 * (m + n) + 100_000;
 
     let mut phi_handle: Option<MorphHandle> = None;
     let mut phi_bins = 0;
@@ -569,7 +491,7 @@ fn run_on_graph_inner(
     };
 
     // ---- edge phase ----
-    let mut edge_programs: Vec<Box<dyn LaneProgram>> = Vec::new();
+    let mut edge_programs: Vec<Box<dyn ThreadProgram>> = Vec::new();
     for (t, _) in (0..threads).enumerate() {
         let (lo, hi) = partition(n, threads, t);
         let s = match sink {
@@ -588,10 +510,9 @@ fn run_on_graph_inner(
             share: 0.0,
             sink: s,
             bin_cursors: vec![0; nbins as usize],
-            chunk,
         }));
     }
-    let mut t_edge = run_phase(&mut sys, edge_programs, &cfg, 0, max_steps, lanes);
+    let mut t_edge = run_phase(&mut sys, edge_programs, &cfg, 0, max_steps);
 
     // PHI: flushData pushes every buffered update out (Fig 12).
     if let Some(h) = phi_handle {
@@ -599,7 +520,7 @@ fn run_on_graph_inner(
     }
 
     // ---- bin phase ----
-    let mut bin_programs: Vec<Box<dyn LaneProgram>> = Vec::new();
+    let mut bin_programs: Vec<Box<dyn ThreadProgram>> = Vec::new();
     match variant {
         Variant::Software => {}
         Variant::UpdateBatching => {
@@ -619,7 +540,6 @@ fn run_on_graph_inner(
                     work,
                     widx: 0,
                     entry: 0,
-                    chunk,
                 }));
             }
         }
@@ -643,7 +563,6 @@ fn run_on_graph_inner(
                     work,
                     widx: 0,
                     entry: 0,
-                    chunk,
                 }));
             }
         }
@@ -654,14 +573,14 @@ fn run_on_graph_inner(
             Variant::UpdateBatching | Variant::Tako | Variant::Ideal
         );
     let t_bin = if has_bins {
-        run_phase(&mut sys, bin_programs, &cfg, t_edge, max_steps, lanes)
+        run_phase(&mut sys, bin_programs, &cfg, t_edge, max_steps)
     } else {
         t_edge
     };
 
     // ---- vertex phase ----
     let base_term = (1.0 - tako_graph::pagerank::DAMPING) / n as f64;
-    let mut vertex_programs: Vec<Box<dyn LaneProgram>> = Vec::new();
+    let mut vertex_programs: Vec<Box<dyn ThreadProgram>> = Vec::new();
     for t in 0..threads {
         let (lo, hi) = partition(n, threads, t);
         vertex_programs.push(Box::new(VertexProgram {
@@ -669,10 +588,9 @@ fn run_on_graph_inner(
             v: lo,
             v_hi: hi,
             base_term,
-            chunk,
         }));
     }
-    let t_vertex = run_phase(&mut sys, vertex_programs, &cfg, t_bin, max_steps, lanes);
+    let t_vertex = run_phase(&mut sys, vertex_programs, &cfg, t_bin, max_steps);
 
     let mem = sys.data();
     let ranks: Vec<f64> = (0..n).map(|v| mem.read_f64(layout.ranks + v * 8)).collect();
@@ -709,7 +627,6 @@ mod tests {
             threads: 4,
             threshold: 3,
             seed: 21,
-            lanes: 0,
         }
     }
 
@@ -728,55 +645,6 @@ mod tests {
             let r = run(v, &p, &SystemConfig::default_16core());
             let diff = pagerank::max_diff(&r.ranks, &expect);
             assert!(diff < 1e-9, "{}: rank mismatch {diff}", v.label());
-        }
-    }
-
-    /// Canonical byte encoding of a full run, for exact-equality checks.
-    fn result_bytes(r: &PhiResult) -> Vec<u8> {
-        use tako_sim::checkpoint::Record;
-        let mut w = tako_sim::checkpoint::SnapWriter::new();
-        r.record(&mut w);
-        w.into_bytes()
-    }
-
-    /// The lane engine must reproduce the serial laggard schedule
-    /// exactly: same program set, same step granularity (unit chunks),
-    /// byte-identical stats, ranks, and phase end cycles.
-    #[test]
-    fn lane_engine_matches_serial_at_unit_chunk() {
-        let cfg = SystemConfig::default_16core();
-        let serial = small();
-        let mut laned = small();
-        laned.lanes = 2;
-        for v in Variant::ALL {
-            let mut rng = Rng::new(serial.seed);
-            let g =
-                tako_graph::gen::power_law(serial.vertices, serial.edges, serial.theta, &mut rng);
-            let a = run_on_graph_inner(v, &serial, &cfg, &g, Some(1));
-            let b = run_on_graph(v, &laned, &cfg, &g);
-            assert_eq!(
-                result_bytes(&a),
-                result_bytes(&b),
-                "{}: lanes=2 diverged from serial unit-chunk run",
-                v.label()
-            );
-        }
-    }
-
-    /// Determinism across pool widths: any lane count produces the
-    /// same bytes (the merge order is canonical, not thread-timing).
-    #[test]
-    fn lane_count_does_not_change_results() {
-        let cfg = SystemConfig::default_16core();
-        let run_with = |lanes: usize, v: Variant| {
-            let mut p = small();
-            p.lanes = lanes;
-            result_bytes(&run(v, &p, &cfg))
-        };
-        for v in [Variant::Software, Variant::Tako] {
-            let one = run_with(1, v);
-            assert_eq!(one, run_with(2, v), "{}: lanes 1 vs 2", v.label());
-            assert_eq!(one, run_with(4, v), "{}: lanes 1 vs 4", v.label());
         }
     }
 
@@ -814,10 +682,15 @@ mod tests {
             threads: 4,
             threshold: 3,
             seed: 5,
-            lanes: 0,
         };
         let sw = run(Variant::Software, &p, &cfg);
         let tk = run(Variant::Tako, &p, &cfg);
+        // Under pressure many lines are written back dense enough to
+        // take the in-place branch of onWriteback; it must not perturb
+        // the functional result.
+        assert!(tk.run.get(Counter::PhiInPlace) > 0);
+        let diff = pagerank::max_diff(&tk.ranks, &reference(&p));
+        assert!(diff < 1e-9, "tako: rank mismatch {diff}");
         assert!(
             (tk.run.dram_accesses() as f64) < 0.8 * sw.run.dram_accesses() as f64,
             "tako {} vs software {} DRAM accesses",

@@ -18,7 +18,6 @@ fn main() {
         threads: 16,
         threshold: 3,
         seed: 42,
-        lanes: 0,
     };
     // Preserve the paper's vertex-data : LLC ratio at this scale.
     let mut cfg = SystemConfig::default_16core();

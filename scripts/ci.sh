@@ -13,19 +13,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The benchmark (perf/) is its own workspace, so the root test run
+# does not build it; test it here so a change under crates/ that
+# breaks it fails CI.
+echo "==> cargo test (perf)"
+cargo test --manifest-path perf/Cargo.toml -q
+
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
-
-# heavy-bench is outside the workspace (criterion comes from crates.io,
-# which the offline tier-1 build cannot reach). Lint it when the deps
-# are resolvable; otherwise say so and move on.
-echo "==> cargo clippy (heavy-bench)"
-if cargo clippy --manifest-path heavy-bench/Cargo.toml --benches \
-    -- -D warnings 2> /dev/null; then
-  echo "    heavy-bench clean"
-else
-  echo "    skipped: criterion unresolvable offline"
-fi
 
 echo "==> cargo doc"
 cargo doc --workspace --no-deps -q
@@ -115,27 +110,5 @@ assert all(e["ts"] >= 0 for e in inst), "negative timestamp"
 print(f"    trace JSON valid: {len(evs)} events ({len(inst)} instants)")
 EOF
 echo "    traced output matches clean run"
-
-# Throughput smoke: a short run must not fall more than 15% below the
-# committed BENCH_sim.json figure. The committed report carries this
-# machine's absolute accesses/s; on a different host, set REF_APS to a
-# locally captured reference instead.
-echo "==> throughput smoke"
-./target/release/all_experiments --scale 0.02 --jobs 1 \
-    --bench-json "$JDIR/bench.json" > /dev/null
-python3 - "$JDIR/bench.json" BENCH_sim.json <<'PYCHECK'
-import json, os, sys
-fresh = json.load(open(sys.argv[1]))
-aps = fresh["accesses_per_sec"]
-ref = float(os.environ.get("REF_APS", 0)) or None
-if ref is None:
-    committed = json.load(open(sys.argv[2]))
-    ref = committed["accesses_per_sec"]
-floor = 0.85 * ref
-status = "ok" if aps >= floor else "REGRESSED"
-print(f"    {aps:,.0f} accesses/s vs committed {ref:,.0f} (floor {floor:,.0f}): {status}")
-if aps < floor:
-    sys.exit(1)
-PYCHECK
 
 echo "ci: all green"

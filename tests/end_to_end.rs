@@ -68,7 +68,6 @@ fn all_pagerank_implementations_agree() {
         threads: 3,
         threshold: 3,
         seed: 99,
-        lanes: 0,
     };
     let mut rng = Rng::new(phi_params.seed);
     let g = tako::graph::gen::power_law(
