@@ -29,8 +29,9 @@
 //! ```
 //!
 //! A probe of an 8-way set reads exactly one 64-byte host cache line of
-//! tags; a victim scan touches the tag line plus the 8-byte rrpv/flags
-//! slivers, instead of striding across eight 64-byte-padded structs.
+//! tags; a victim scan touches the tag line plus its policy's plane
+//! (8 rrpv bytes or 8 LRU stamps; trrîp Morph inserts also read the
+//! flag bytes), instead of striding across eight 64-byte-padded structs.
 //! Validity is folded into the tag word: `TAG_INVALID` (`Addr::MAX`,
 //! never a line-aligned address) marks an empty way, so the hit scan is
 //! a single equality compare per way with no separate valid-bit load.
@@ -51,7 +52,7 @@
 //! property test exercises it.
 
 use tako_mem::addr::{Addr, AddrRange};
-use tako_sim::config::{CacheConfig, ReplPolicy, LINE_BYTES};
+use tako_sim::config::{CacheConfig, Interleave, ReplPolicy, LINE_BYTES};
 use tako_sim::Cycle;
 
 /// Maximum (most distant) re-reference prediction value for 2-bit RRIP.
@@ -159,10 +160,9 @@ pub struct CacheArray {
     /// Precomputed right-shift from an address to its set-index bits:
     /// the line-offset bits plus any bank-select bits (`index_shift`).
     set_shift: u32,
-    /// `sets - 1` when `sets` is a power of two (the common geometry);
-    /// set selection is then a single mask instead of a modulo.
-    set_mask: u64,
-    pow2_sets: bool,
+    /// Set selection: a single mask for the power-of-two set counts
+    /// `SystemConfig::validate` requires.
+    set_index: Interleave,
     /// Tag words, [`TAG_INVALID`] for empty ways. The hit scan touches
     /// only this vector: for 8 ways that is one host cache line.
     tags: Vec<Addr>,
@@ -200,8 +200,7 @@ impl CacheArray {
             sets,
             ways,
             set_shift: LINE_BYTES.trailing_zeros() + index_shift,
-            set_mask: sets as u64 - 1,
-            pow2_sets: sets.is_power_of_two(),
+            set_index: Interleave::new(sets as u64),
             tags: vec![TAG_INVALID; n],
             rrpv: vec![RRPV_MAX; n],
             lru: vec![0; n],
@@ -226,12 +225,7 @@ impl CacheArray {
 
     #[inline(always)]
     fn set_of(&self, line: Addr) -> usize {
-        let idx = line >> self.set_shift;
-        if self.pow2_sets {
-            (idx & self.set_mask) as usize
-        } else {
-            (idx % self.sets as u64) as usize
-        }
+        self.set_index.slot(line >> self.set_shift)
     }
 
     /// Slot index of `line` if present: one equality scan over the set's
@@ -318,78 +312,78 @@ impl CacheArray {
     }
 
     /// Choose a victim way in `set` for inserting a line with
-    /// `inserting_morph`. Prefers invalid ways; otherwise follows the
-    /// replacement policy; under trrîp, refuses to evict the set's last
-    /// callback-free line when the incoming line has a Morph.
+    /// `inserting_morph`, doing only the work the policy needs:
     ///
-    /// Runs as a single pass over the set that gathers every candidate
-    /// the policies need (first invalid way, LRU way, first max-RRPV
-    /// way, callback-free population, most-distant Morph line); only
-    /// RRIP aging revisits the set, and at most once.
+    /// 1. trrîp Morph inserts first take a callback-free census
+    ///    ([`CacheArray::morph_victim`]): a Morph line may never consume
+    ///    the set's last callback-free way (Sec 5.2).
+    /// 2. Otherwise the first invalid way.
+    /// 3. Otherwise LRU takes the first way with the minimum stamp, and
+    ///    (t)rrîp ages the set until some line reaches `RRPV_MAX` and
+    ///    takes the first such way.
     fn victim(&mut self, set: usize, inserting_morph: bool) -> usize {
         let repl = self.cfg.repl;
         let base = set * self.ways;
-        let mut invalid = None;
-        let mut lru_way = 0usize;
-        let mut lru_min = u64::MAX;
-        let mut rrpv_way = 0usize;
-        let mut rrpv_max = 0u8;
-        let mut callback_free = 0usize;
-        let mut morph_way = None;
-        let mut morph_key = (0u8, 0u64);
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.tags[i] == TAG_INVALID {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-                callback_free += 1;
-                continue;
-            }
-            if self.lru[i] < lru_min {
-                lru_min = self.lru[i];
-                lru_way = w;
-            }
-            if self.rrpv[i] > rrpv_max {
-                rrpv_max = self.rrpv[i];
-                rrpv_way = w;
-            }
-            if self.flags[i] & F_MORPH == 0 {
-                callback_free += 1;
-            } else {
-                let key = (self.rrpv[i], u64::MAX - self.lru[i]);
-                if morph_way.is_none() || key > morph_key {
-                    morph_way = Some(w);
-                    morph_key = key;
-                }
-            }
-        }
-        // trrîp deadlock avoidance (Sec 5.2): a Morph line may never
-        // consume the set's last callback-free way (invalid or plain).
-        if repl == ReplPolicy::Trrip && inserting_morph && callback_free <= 1 {
-            if let Some(w) = morph_way {
+        let end = base + self.ways;
+        if repl == ReplPolicy::Trrip && inserting_morph {
+            if let Some(w) = self.morph_victim(base) {
                 return w;
             }
         }
-        if let Some(w) = invalid {
+        if let Some(w) = self.tags[base..end].iter().position(|&t| t == TAG_INVALID) {
             return w;
         }
         match repl {
-            ReplPolicy::Lru => lru_way,
+            ReplPolicy::Lru => {
+                let lru = &self.lru[base..end];
+                let (mut way, mut min) = (0, lru[0]);
+                for (w, &stamp) in lru.iter().enumerate().skip(1) {
+                    if stamp < min {
+                        (way, min) = (w, stamp);
+                    }
+                }
+                way
+            }
             ReplPolicy::Rrip | ReplPolicy::Trrip => {
                 // SRRIP aging, batched: instead of repeated +1 sweeps
                 // until some line reaches RRPV_MAX, add the deficit once.
-                // (Only reached when every way is valid, so the sweep
-                // touches live rrpv bytes only.)
-                let age = RRPV_MAX - rrpv_max;
+                let rrpv = &mut self.rrpv[base..end];
+                let age = RRPV_MAX - rrpv.iter().fold(0, |m, &r| m.max(r));
                 if age > 0 {
-                    for r in &mut self.rrpv[base..base + self.ways] {
+                    for r in rrpv.iter_mut() {
                         *r += age;
                     }
                 }
-                rrpv_way
+                rrpv.iter().position(|&r| r == RRPV_MAX).unwrap_or(0)
             }
         }
+    }
+
+    /// trrîp's callback-free census for a Morph insert into the set at
+    /// `base`: when at most one way is callback-free (empty or holding a
+    /// plain line), the most distant Morph way — highest RRPV, then
+    /// oldest stamp, first in ties — so the insert leaves that way
+    /// alone. `None` as soon as a second callback-free way turns up.
+    fn morph_victim(&self, base: usize) -> Option<usize> {
+        let mut callback_free = 0;
+        let mut way = None;
+        let mut key = (0u8, 0u64);
+        for w in 0..self.ways {
+            let i = base + w;
+            if self.tags[i] == TAG_INVALID || self.flags[i] & F_MORPH == 0 {
+                callback_free += 1;
+                if callback_free > 1 {
+                    return None;
+                }
+                continue;
+            }
+            let k = (self.rrpv[i], u64::MAX - self.lru[i]);
+            if way.is_none() || k > key {
+                way = Some(w);
+                key = k;
+            }
+        }
+        way
     }
 
     /// Insert `line`, returning the evicted line if a valid one was
@@ -1052,6 +1046,22 @@ mod tests {
                     .find(|e| e.valid && e.line == line)
             }
 
+            pub fn probe_mut(&mut self, line: Addr) -> Option<&mut AosEntry> {
+                let s = self.set_of(line);
+                self.entries[s * self.ways..(s + 1) * self.ways]
+                    .iter_mut()
+                    .find(|e| e.valid && e.line == line)
+            }
+
+            /// Ways of `line`'s set whose eviction triggers no callback.
+            pub fn callback_free_in_set(&self, line: Addr) -> usize {
+                let s = self.set_of(line);
+                self.entries[s * self.ways..(s + 1) * self.ways]
+                    .iter()
+                    .filter(|e| !e.valid || !e.morph)
+                    .count()
+            }
+
             pub fn lookup(&mut self, line: Addr) -> Option<&mut AosEntry> {
                 self.stamp += 1;
                 let stamp = self.stamp;
@@ -1203,83 +1213,131 @@ mod tests {
     }
 
     /// Behavior identity: the SoA layout replays a long randomized mix of
-    /// probes, promoting lookups, inserts (all three kinds, all three
-    /// policies, morph and plain), and invalidates bit-for-bit like the
-    /// old array-of-structs layout — same hits, same victims, same
+    /// probes, promoting lookups, CLDEMOTE-style demotions, inserts (all
+    /// three kinds, morph and plain), and invalidates bit-for-bit like
+    /// the old array-of-structs layout, whose victim selection is the
+    /// original single-pass scan — same hits, same victims, same
     /// eviction records, same occupancy and replacement-state evolution.
+    /// Runs every policy at 2 ways and at the engine L1d (4), L1d/L2 (8)
+    /// and LLC bank (16) associativities, plus a Morph-heavy trrîp mix
+    /// that drives sets down to their last callback-free way.
     #[test]
     fn soa_matches_aos_reference_on_random_sequences() {
-        for (seed, repl) in [
-            (0x5071u64, ReplPolicy::Lru),
-            (0x5072, ReplPolicy::Rrip),
-            (0x5073, ReplPolicy::Trrip),
-            (0x5074, ReplPolicy::Trrip),
-        ] {
-            let mut rng = Rng::new(seed);
-            let cfg = CacheConfig {
-                size_bytes: 16 * LINE_BYTES, // 8 sets x 2 ways
-                ways: 2,
-                tag_latency: 1,
-                data_latency: 1,
-                repl,
-                mshrs: 4,
-            };
-            let mut soa = CacheArray::new(cfg);
-            let mut aos = aos_ref::AosArray::new(cfg);
-            for step in 0..4000u64 {
-                let addr = rng.below(96) * LINE_BYTES;
-                match rng.below(10) {
-                    0 => {
-                        let ev_s = soa.invalidate(addr);
-                        let ev_a = aos.invalidate(addr);
-                        assert_eq!(ev_s, ev_a, "invalidate diverged at step {step}");
+        let mut seed = 0x5071u64;
+        for ways in [2u32, 4, 8, 16] {
+            for (repl, morph_p) in [
+                (ReplPolicy::Lru, 0.3),
+                (ReplPolicy::Rrip, 0.3),
+                (ReplPolicy::Trrip, 0.3),
+                (ReplPolicy::Trrip, 0.9),
+            ] {
+                seed += 1;
+                replay_against_aos(seed, ways, repl, morph_p);
+            }
+        }
+    }
+
+    /// Drive one SoA array and its AoS reference (8 sets of `ways`) with
+    /// the same random sequence and demand identical outcomes. A
+    /// Morph-heavy trrîp mix must exercise both census outcomes: Morph
+    /// inserts into sets with at most one callback-free way and with more.
+    fn replay_against_aos(seed: u64, ways: u32, repl: ReplPolicy, morph_p: f64) {
+        let mut rng = Rng::new(seed);
+        let cfg = CacheConfig {
+            size_bytes: 8 * u64::from(ways) * LINE_BYTES,
+            ways,
+            tag_latency: 1,
+            data_latency: 1,
+            repl,
+            mshrs: 4,
+        };
+        let lines = 4 * 8 * u64::from(ways);
+        let mut soa = CacheArray::new(cfg);
+        let mut aos = aos_ref::AosArray::new(cfg);
+        let mut census = [0u64; 2]; // [declined, fired]
+        for step in 0..4000u64 {
+            let addr = rng.below(lines) * LINE_BYTES;
+            let ctx = format!("seed {seed:#x}, {ways} ways, {repl:?}, step {step}");
+            match rng.below(12) {
+                0 => {
+                    let ev_s = soa.invalidate(addr);
+                    let ev_a = aos.invalidate(addr);
+                    assert_eq!(ev_s, ev_a, "invalidate diverged: {ctx}");
+                }
+                1..=3 => {
+                    let hit_s = soa.touch(addr);
+                    let hit_a = aos.touch(addr);
+                    assert_eq!(hit_s, hit_a, "touch diverged: {ctx}");
+                }
+                4 => {
+                    // CLDEMOTE: push a resident line to the distant end
+                    // of both replacement orders (ties with other
+                    // demoted lines resolve to the first way).
+                    if let Some(mut e) = soa.probe_mut(addr) {
+                        e.set_rrpv(RRPV_MAX);
+                        e.set_lru_stamp(0);
                     }
-                    1..=3 => {
-                        let hit_s = soa.touch(addr);
-                        let hit_a = aos.touch(addr);
-                        assert_eq!(hit_s, hit_a, "touch diverged at step {step}");
-                    }
-                    _ => {
-                        let present_s = soa.probe(addr).is_some();
-                        assert_eq!(present_s, aos.probe(addr).is_some());
-                        if present_s {
-                            // Promoting hit that also flips payload bits.
-                            let mut e = soa.lookup(addr).expect("present");
-                            let dirty = rng.chance(0.5);
-                            e.set_dirty(dirty);
-                            let ea = aos.lookup(addr).expect("present");
-                            ea.dirty = dirty;
-                        } else {
-                            let dirty = rng.chance(0.3);
-                            let morph = rng.chance(0.3);
-                            let kind = match rng.below(3) {
-                                0 => InsertKind::Demand,
-                                1 => InsertKind::Prefetch,
-                                _ => InsertKind::Engine,
-                            };
-                            let ev_s = soa.insert(addr, dirty, morph, kind, step);
-                            let ev_a = aos.insert(addr, dirty, morph, kind, step);
-                            assert_eq!(ev_s, ev_a, "insert diverged at step {step}");
-                        }
+                    if let Some(e) = aos.probe_mut(addr) {
+                        e.rrpv = RRPV_MAX;
+                        e.lru_stamp = 0;
                     }
                 }
-                assert_eq!(soa.occupancy(), aos.occupancy());
-                // Spot-check assembled per-way state on a random probe.
-                let spot = rng.below(96) * LINE_BYTES;
-                match (soa.probe(spot), aos.probe(spot)) {
-                    (Some(s), Some(a)) => {
-                        assert_eq!(s.line(), a.line);
-                        assert_eq!(s.dirty(), a.dirty);
-                        assert_eq!(s.morph(), a.morph);
-                        assert_eq!(s.prefetched(), a.prefetched);
-                        assert_eq!(s.ready_at(), a.ready_at);
-                        let v = s.get();
-                        assert_eq!((v.rrpv, v.lru_stamp), (a.rrpv, a.lru_stamp));
+                _ => {
+                    let present_s = soa.probe(addr).is_some();
+                    assert_eq!(present_s, aos.probe(addr).is_some(), "{ctx}");
+                    if present_s {
+                        // Promoting hit that also flips payload bits.
+                        let mut e = soa.lookup(addr).expect("present");
+                        let dirty = rng.chance(0.5);
+                        e.set_dirty(dirty);
+                        let ea = aos.lookup(addr).expect("present");
+                        ea.dirty = dirty;
+                    } else {
+                        let dirty = rng.chance(0.3);
+                        let morph = rng.chance(morph_p);
+                        let kind = match rng.below(3) {
+                            0 => InsertKind::Demand,
+                            1 => InsertKind::Prefetch,
+                            _ => InsertKind::Engine,
+                        };
+                        if morph {
+                            census[usize::from(aos.callback_free_in_set(addr) <= 1)] += 1;
+                        }
+                        let ev_s = soa.insert(addr, dirty, morph, kind, step);
+                        let ev_a = aos.insert(addr, dirty, morph, kind, step);
+                        assert_eq!(ev_s, ev_a, "insert diverged: {ctx}");
                     }
-                    (None, None) => {}
-                    (s, a) => panic!("presence diverged: soa={} aos={}", s.is_some(), a.is_some()),
                 }
             }
+            assert_eq!(soa.occupancy(), aos.occupancy(), "{ctx}");
+            if repl == ReplPolicy::Trrip {
+                assert!(soa.morph_invariant_holds(), "{ctx}");
+            }
+            // Spot-check assembled per-way state on a random probe.
+            let spot = rng.below(lines) * LINE_BYTES;
+            match (soa.probe(spot), aos.probe(spot)) {
+                (Some(s), Some(a)) => {
+                    assert_eq!(s.line(), a.line);
+                    assert_eq!(s.dirty(), a.dirty);
+                    assert_eq!(s.morph(), a.morph);
+                    assert_eq!(s.prefetched(), a.prefetched);
+                    assert_eq!(s.ready_at(), a.ready_at);
+                    let v = s.get();
+                    assert_eq!((v.rrpv, v.lru_stamp), (a.rrpv, a.lru_stamp), "{ctx}");
+                }
+                (None, None) => {}
+                (s, a) => panic!(
+                    "presence diverged: soa={} aos={} ({ctx})",
+                    s.is_some(),
+                    a.is_some()
+                ),
+            }
+        }
+        if repl == ReplPolicy::Trrip && morph_p > 0.5 {
+            assert!(
+                census[0] > 0 && census[1] > 0,
+                "Morph-heavy mix missed a census outcome: {census:?} ({ways} ways)"
+            );
         }
     }
 }

@@ -156,8 +156,10 @@ impl tako_sim::checkpoint::Snapshot for MshrFile {
     fn save(&self, w: &mut tako_sim::checkpoint::SnapWriter) {
         w.section("mshr");
         w.put_usize(self.capacity);
-        // Canonical order: HashMap iteration order is not deterministic,
-        // so entries are written sorted by address.
+        // Canonical order: `drain`'s `swap_remove` reorders the entry
+        // vector, so its order records retirement history rather than
+        // the set of outstanding lines; entries are written sorted by
+        // address.
         let mut entries: Vec<(Addr, Entry)> = self.entries.clone();
         entries.sort_unstable_by_key(|(a, _)| *a);
         w.put_len(entries.len());

@@ -165,6 +165,22 @@ mod tests {
     }
 
     #[test]
+    fn sharer_tiles_ascend_over_set_bits() {
+        let collect = |m: u64| Hierarchy::sharer_tiles(m).collect::<Vec<_>>();
+        assert_eq!(collect(0), Vec::<usize>::new());
+        assert_eq!(collect(1), vec![0]);
+        assert_eq!(collect(1 << 63), vec![63]);
+        assert_eq!(collect(1 | 1 << 5 | 1 << 63), vec![0, 5, 63]);
+        assert_eq!(collect(u64::MAX), (0..64).collect::<Vec<_>>());
+        let mut rng = tako_sim::rng::Rng::new(0x5A5A);
+        for _ in 0..256 {
+            let m = rng.next_u64() | 1 | 1 << 63;
+            let want: Vec<usize> = (0..64).filter(|i| m & (1 << i) != 0).collect();
+            assert_eq!(collect(m), want, "mask {m:#x}");
+        }
+    }
+
+    #[test]
     fn l1_only_scope_leaves_l2_untouched() {
         let mut h = small();
         h.tiles[1]

@@ -285,8 +285,16 @@ impl Hierarchy {
         self.mem.write_bytes(line, &[0u8; LINE_BYTES as usize]);
     }
 
-    fn sharer_tiles(mask: u64) -> impl Iterator<Item = usize> {
-        (0..64).filter(move |i| mask & (1 << i) != 0)
+    /// The tiles named in a directory sharer mask, in ascending order:
+    /// one step per set bit (lowest set bit, then clear it).
+    fn sharer_tiles(mut mask: u64) -> impl Iterator<Item = usize> {
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let tile = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                tile
+            })
+        })
     }
 
     // ------------------------------------------------------------------

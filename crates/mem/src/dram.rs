@@ -8,7 +8,7 @@
 //! the controller is busy queue behind it. This captures the
 //! bandwidth-bound behaviour that PHI and update batching optimize for.
 
-use tako_sim::config::{MemConfig, LINE_BYTES};
+use tako_sim::config::{Interleave, MemConfig, LINE_BYTES};
 use tako_sim::event::{TxnEvent, TxnSink};
 use tako_sim::Cycle;
 
@@ -19,14 +19,21 @@ use crate::addr::Addr;
 pub struct Dram {
     cfg: MemConfig,
     next_free: Vec<Cycle>,
+    controllers: Interleave,
     occupancy: Cycle,
 }
 
 impl Dram {
     /// A memory system with `cfg.controllers` idle controllers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.controllers` is zero (`SystemConfig::validate`
+    /// rejects it).
     pub fn new(cfg: MemConfig) -> Self {
         Dram {
             next_free: vec![0; cfg.controllers],
+            controllers: Interleave::new(cfg.controllers as u64),
             occupancy: cfg.line_occupancy(),
             cfg,
         }
@@ -39,7 +46,7 @@ impl Dram {
 
     #[inline]
     fn controller_of(&self, line_addr: Addr) -> usize {
-        ((line_addr / LINE_BYTES) % self.next_free.len() as u64) as usize
+        self.controllers.slot(line_addr / LINE_BYTES)
     }
 
     /// Simulate a line read issued at `now`; returns the cycle the line
@@ -139,6 +146,19 @@ mod tests {
         let a = d.read_line(0, 0, &mut s);
         let b = d.read_line(LINE_BYTES, 0, &mut s); // next controller
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn controller_interleave_equals_modulo() {
+        for n in [4usize, 9] {
+            let d = Dram::new(MemConfig {
+                controllers: n,
+                ..MemConfig::default()
+            });
+            for line in (0..64 * n as u64).map(|k| k * LINE_BYTES) {
+                assert_eq!(d.controller_of(line), (line / LINE_BYTES) as usize % n);
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! assert_eq!(mesh.hops(0, 15), 6); // corner to corner on a 4x4 mesh
 //! ```
 
-use tako_sim::config::{NocConfig, LINE_BYTES};
+use tako_sim::config::{Interleave, NocConfig, LINE_BYTES, MAX_TILES};
 use tako_sim::event::{TxnEvent, TxnSink};
 use tako_sim::{Cycle, TileId};
 
@@ -34,10 +34,21 @@ pub enum Payload {
 }
 
 /// The mesh interconnect.
+///
+/// Everything a transfer needs is computed once here: the hop count of
+/// every tile pair (at most 64 × 64 one-byte entries, 4 KB), the line
+/// payload's flit count and the bank interleave, so the per-message path
+/// does no division.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     dims: (usize, usize),
     cfg: NocConfig,
+    tiles: usize,
+    /// `hop_table[from * tiles + to]`: Manhattan distance under
+    /// dimension-ordered routing.
+    hop_table: Box<[u8]>,
+    line_flits: u64,
+    banks: Interleave,
 }
 
 impl Mesh {
@@ -45,34 +56,49 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, if the mesh has more than
+    /// [`MAX_TILES`] tiles, or if `cfg.flit_bytes` is zero
+    /// (`SystemConfig::validate` rejects all three).
     pub fn new(dims: (usize, usize), cfg: NocConfig) -> Self {
         assert!(dims.0 > 0 && dims.1 > 0, "mesh dimensions must be positive");
-        Mesh { dims, cfg }
+        let tiles = dims.0 * dims.1;
+        assert!(tiles <= MAX_TILES, "mesh has more than {MAX_TILES} tiles");
+        let hop_table = (0..tiles * tiles)
+            .map(|i| {
+                let (from, to) = (i / tiles, i % tiles);
+                let (r0, c0) = (from / dims.1, from % dims.1);
+                let (r1, c1) = (to / dims.1, to % dims.1);
+                (r0.abs_diff(r1) + c0.abs_diff(c1)) as u8
+            })
+            .collect();
+        Mesh {
+            dims,
+            cfg,
+            tiles,
+            hop_table,
+            line_flits: 1 + LINE_BYTES.div_ceil(cfg.flit_bytes),
+            banks: Interleave::new(tiles as u64),
+        }
     }
 
     /// Number of tiles in the mesh.
     pub fn tiles(&self) -> usize {
-        self.dims.0 * self.dims.1
-    }
-
-    /// (row, col) of a tile.
-    fn coords(&self, t: TileId) -> (usize, usize) {
-        (t / self.dims.1, t % self.dims.1)
+        self.tiles
     }
 
     /// Manhattan hop count between two tiles (dimension-ordered routing).
+    #[inline]
     pub fn hops(&self, from: TileId, to: TileId) -> u64 {
-        let (r0, c0) = self.coords(from);
-        let (r1, c1) = self.coords(to);
-        (r0.abs_diff(r1) + c0.abs_diff(c1)) as u64
+        debug_assert!(from < self.tiles && to < self.tiles, "tile off the mesh");
+        u64::from(self.hop_table[from * self.tiles + to])
     }
 
     /// Flits needed to carry `payload`.
+    #[inline]
     pub fn flits(&self, payload: Payload) -> u64 {
         match payload {
             Payload::Control => 1,
-            Payload::Line => 1 + LINE_BYTES.div_ceil(self.cfg.flit_bytes),
+            Payload::Line => self.line_flits,
         }
     }
 
@@ -98,15 +124,16 @@ impl Mesh {
     }
 
     /// The LLC bank (tile) holding `line_addr`, by line interleaving.
+    #[inline]
     pub fn bank_of_line(&self, line_addr: u64) -> TileId {
-        ((line_addr / LINE_BYTES) % self.tiles() as u64) as usize
+        self.banks.slot(line_addr / LINE_BYTES)
     }
 
     /// Average hop distance from `from` to all tiles (useful for modeling
     /// traffic to the "average" bank).
     pub fn mean_hops_from(&self, from: TileId) -> f64 {
-        let total: u64 = (0..self.tiles()).map(|t| self.hops(from, t)).sum();
-        total as f64 / self.tiles() as f64
+        let total: u64 = (0..self.tiles).map(|t| self.hops(from, t)).sum();
+        total as f64 / self.tiles as f64
     }
 }
 
@@ -185,6 +212,37 @@ mod tests {
         assert_eq!(m.bank_of_line(0), 0);
         assert_eq!(m.bank_of_line(64), 1);
         assert_eq!(m.bank_of_line(64 * 16), 0);
+    }
+
+    #[test]
+    fn hop_table_matches_manhattan_formula() {
+        for dims in [(1, 1), (2, 4), (3, 3), (4, 4), (6, 6)] {
+            let m = Mesh::new(dims, NocConfig::default());
+            let coords = |t: usize| (t / dims.1, t % dims.1);
+            for from in 0..m.tiles() {
+                for to in 0..m.tiles() {
+                    let ((r0, c0), (r1, c1)) = (coords(from), coords(to));
+                    let want = (r0.abs_diff(r1) + c0.abs_diff(c1)) as u64;
+                    assert_eq!(m.hops(from, to), want, "{dims:?}: {from} -> {to}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bank_interleave_equals_modulo() {
+        for (dims, tiles) in [((4, 4), 16u64), ((6, 6), 36)] {
+            let m = Mesh::new(dims, NocConfig::default());
+            for line in (0..4 * 64 * tiles).map(|k| k * LINE_BYTES) {
+                assert_eq!(m.bank_of_line(line) as u64, (line / LINE_BYTES) % tiles);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 tiles")]
+    fn oversized_mesh_panics() {
+        Mesh::new((5, 13), NocConfig::default());
     }
 
     #[test]

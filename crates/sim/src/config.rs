@@ -17,6 +17,46 @@ use crate::fault::FaultPlan;
 /// Cache line size used throughout the hierarchy, in bytes.
 pub const LINE_BYTES: u64 = 64;
 
+/// Most tiles a system may have: the LLC directory keeps each line's
+/// sharers as a `u64` bit mask and its owner as a `u8`.
+pub const MAX_TILES: usize = 64;
+
+/// `x % n` for a divisor fixed when a component is built: a mask when
+/// `n` is a power of two (every cache's set count, 4- and 16-tile
+/// meshes, 4 DRAM controllers), a division otherwise (fig25's 36 tiles
+/// and 9 controllers). Cache sets, LLC banks and DRAM controllers all
+/// interleave lines through one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Interleave {
+    n: u64,
+    pow2: bool,
+}
+
+impl Interleave {
+    /// Interleave over `n` slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn new(n: u64) -> Self {
+        assert!(n > 0, "interleave over zero slots");
+        Interleave {
+            n,
+            pow2: n.is_power_of_two(),
+        }
+    }
+
+    /// The slot `x` maps to: `x % n`.
+    #[inline(always)]
+    pub fn slot(self, x: u64) -> usize {
+        if self.pow2 {
+            (x & (self.n - 1)) as usize
+        } else {
+            (x % self.n) as usize
+        }
+    }
+}
+
 /// Replacement policy selector for a cache array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplPolicy {
@@ -416,6 +456,15 @@ pub enum ConfigError {
         /// Configured tile count.
         tiles: usize,
     },
+    /// More tiles than the LLC directory's sharer mask can name.
+    TooManyTiles {
+        /// Configured tile count.
+        tiles: usize,
+        /// Largest supported tile count ([`MAX_TILES`]).
+        max: usize,
+    },
+    /// `noc.flit_bytes` is zero.
+    ZeroFlitWidth,
     /// A cache level has zero ways.
     ZeroWays(&'static str),
     /// A cache level is smaller than one line per way.
@@ -472,6 +521,13 @@ impl std::fmt::Display for ConfigError {
             ConfigError::MeshMismatch { mesh, tiles } => {
                 write!(f, "mesh {}x{} does not cover {tiles} tiles", mesh.0, mesh.1)
             }
+            ConfigError::TooManyTiles { tiles, max } => {
+                write!(
+                    f,
+                    "system has {tiles} tiles; the LLC directory tracks at most {max}"
+                )
+            }
+            ConfigError::ZeroFlitWidth => write!(f, "NoC flit width is zero bytes"),
             ConfigError::ZeroWays(level) => {
                 write!(f, "{level} cache has zero ways")
             }
@@ -612,6 +668,15 @@ impl SystemConfig {
                 mesh: self.mesh,
                 tiles: self.tiles,
             });
+        }
+        if self.tiles > MAX_TILES {
+            return Err(ConfigError::TooManyTiles {
+                tiles: self.tiles,
+                max: MAX_TILES,
+            });
+        }
+        if self.noc.flit_bytes == 0 {
+            return Err(ConfigError::ZeroFlitWidth);
         }
         for (level, c) in [
             ("L1d", &self.l1d),
@@ -765,6 +830,17 @@ mod tests {
             })
         );
 
+        // One tile past the directory's u64 sharer mask: tile 64 would
+        // alias tile 0.
+        assert_eq!(
+            SystemConfig::with_tiles(65).validate(),
+            Err(ConfigError::TooManyTiles { tiles: 65, max: 64 })
+        );
+
+        let mut cfg = base();
+        cfg.noc.flit_bytes = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroFlitWidth));
+
         let mut cfg = base();
         cfg.l2.ways = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroWays("L2")));
@@ -907,6 +983,10 @@ mod tests {
             "LLC bank cache has 3 sets (must be a power of two)"
         );
         assert_eq!(
+            ConfigError::TooManyTiles { tiles: 65, max: 64 }.to_string(),
+            "system has 65 tiles; the LLC directory tracks at most 64"
+        );
+        assert_eq!(
             ConfigError::NoDramControllers.to_string(),
             "memory system has zero DRAM controllers"
         );
@@ -922,6 +1002,16 @@ mod tests {
             .to_string(),
             "fault event addressed to site 99, but the mesh has only 16 tiles"
         );
+    }
+
+    #[test]
+    fn interleave_equals_modulo() {
+        for n in [1u64, 4, 9, 16, 36, 64] {
+            let il = Interleave::new(n);
+            for x in (0..4096).chain([u64::MAX - 1, u64::MAX]) {
+                assert_eq!(il.slot(x) as u64, x % n, "x={x} n={n}");
+            }
+        }
     }
 
     #[test]

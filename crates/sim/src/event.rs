@@ -121,7 +121,7 @@ pub enum TxnEvent {
         /// Cycles past the stall bound.
         latency: Cycle,
     },
-    /// The watchdog's epoch sweep found `0` new invariant violations.
+    /// The watchdog's epoch sweep found `.0` new invariant violations.
     InvariantViolations(u64),
 }
 

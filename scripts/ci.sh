@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+# The benchmark (perf/) is its own workspace, out of reach of the root
+# workspace's fmt and clippy, yet it links against crate internals.
+cargo fmt --manifest-path perf/Cargo.toml -- --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -21,6 +24,7 @@ cargo test --manifest-path perf/Cargo.toml -q
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc"
 cargo doc --workspace --no-deps -q
