@@ -1,6 +1,6 @@
 //! Differential pin: observability is *strictly observational*.
 //!
-//! Runs the decompress, soa-ablation, and nvm harnesses with tracing
+//! Runs the decompress, soa-ablation, nvm, and PHI harnesses with tracing
 //! OFF and then ON (observer taps attached to every hierarchy, spans
 //! recorded, epochs sampled) and requires the outputs byte-identical —
 //! the SHA-256 of the concatenated outputs must not move by a single
@@ -17,15 +17,25 @@ use tako_sim::trace::Stage;
 
 type Harness = fn(Opts) -> String;
 
-const HARNESSES: &[(&str, Harness)] = &[
-    ("decompress", experiments::fig06_decompress),
-    ("soa", experiments::ablations),
-    ("nvm", experiments::fig19_nvm),
+/// Each harness with the scale it runs at. PHI, the only harness with
+/// RMOs and cross-tile write upgrades, simulates 16 tiles, so it runs at
+/// a quarter of the others' scale to keep the test fast.
+const HARNESSES: &[(&str, Harness, f64)] = &[
+    ("decompress", experiments::fig06_decompress, 0.02),
+    ("soa", experiments::ablations, 0.02),
+    ("nvm", experiments::fig19_nvm, 0.02),
+    ("phi", experiments::fig13_phi, 0.005),
 ];
 
-fn digest_all(opts: Opts) -> String {
+fn digest_all() -> String {
     let mut h = Sha256::new();
-    for (name, f) in HARNESSES {
+    for &(name, f, scale) in HARNESSES {
+        let opts = Opts {
+            scale,
+            paper: false,
+            seed: 0x7AC0,
+            jobs: 1,
+        };
         h.update(name.as_bytes());
         h.update(b"\n");
         h.update(f(opts).as_bytes());
@@ -36,17 +46,10 @@ fn digest_all(opts: Opts) -> String {
 
 #[test]
 fn tracing_on_and_off_produce_identical_output() {
-    let opts = Opts {
-        scale: 0.02,
-        paper: false,
-        seed: 0x7AC0,
-        jobs: 1,
-    };
-
-    let off = digest_all(opts);
+    let off = digest_all();
 
     tako_sim::trace::arm();
-    let on = digest_all(opts);
+    let on = digest_all();
     tako_sim::trace::disarm();
     let report = tako_sim::trace::drain();
 

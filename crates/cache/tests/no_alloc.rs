@@ -82,12 +82,12 @@ fn hot_path_is_allocation_free() {
 }
 
 /// The staged-pipeline vocabulary on top of the arrays — building a
-/// [`MemTxn`], serving it through [`CachePort`]/[`DramEdge`], and
-/// emitting accounting on the [`AccountingBus`] — must be as
-/// allocation-free as the raw tag walks it wraps.
+/// [`MemTxn`], walking the tags through a [`CachePort`], reading a line
+/// from DRAM, and emitting accounting on the [`AccountingBus`] — must be
+/// as allocation-free as the raw tag walks it wraps.
 #[test]
 fn txn_pipeline_hot_path_is_allocation_free() {
-    use tako_core::hierarchy::{CachePort, DramEdge, LevelPort, MemTxn};
+    use tako_core::hierarchy::{CachePort, MemTxn};
     use tako_mem::dram::Dram;
     use tako_sim::config::SystemConfig;
     use tako_sim::event::{AccountingBus, LevelId, TxnEvent, TxnSink};
@@ -111,13 +111,14 @@ fn txn_pipeline_hot_path_is_allocation_free() {
             txn.stamps.l2 = Some(k);
             let mut port = CachePort::new(&mut a, LevelId::Llc);
             if port.lookup_counted(line, &mut bus).is_none() {
-                txn.stamps.fill = DramEdge::new(&mut dram).serve(line, k, &mut bus);
+                txn.stamps.fill = Some(dram.read_line(line, k, &mut bus));
                 a.insert(line, txn.is_write(), false, txn.fill_kind, k);
             }
             let t1 = txn.stamps.fill.or(txn.stamps.l2).unwrap_or(k);
             let mut port = CachePort::new(&mut a, LevelId::Llc);
-            port.serve(line, t1, &mut bus);
-            let done = txn.retire(t1);
+            let done = port
+                .probe_counted(line, &mut bus)
+                .map_or(t1, |e| t1.max(e.ready_at()));
             bus.emit(TxnEvent::Hit(LevelId::L1d));
             bus.emit(TxnEvent::CoherenceInval);
             bus.emit(TxnEvent::NocHops { flits: 9, hops: 2 });
@@ -130,6 +131,51 @@ fn txn_pipeline_hot_path_is_allocation_free() {
     });
     assert_eq!(n, 0, "MemTxn/TxnSink pipeline hot path allocated");
     assert!(bus.stats.get(tako_sim::stats::Counter::DramRead) > 0);
+}
+
+/// A core access that hits the L1d completes in the walk's hit arm and
+/// allocates nothing — reads and writes alike, with the bus disarmed
+/// and with an observer attached (the hit arm then also records the
+/// transaction). The watchdog epoch lies beyond the loop, so the epoch
+/// sweep never runs inside it.
+#[test]
+fn core_access_l1d_hits_are_allocation_free() {
+    use tako_core::TakoSystem;
+    use tako_cpu::{AccessKind, MemSystem};
+    use tako_sim::config::SystemConfig;
+    use tako_sim::event::SinkTap;
+    use tako_sim::stats::Counter;
+    use tako_sim::trace::Observer;
+
+    for observed in [false, true] {
+        let mut cfg = SystemConfig::default_16core();
+        cfg.watchdog.enabled = true;
+        cfg.watchdog.epoch_cycles = 1 << 40;
+        let mut sys = TakoSystem::new(cfg);
+        if observed {
+            sys.hierarchy_mut().bus.tap = SinkTap::Observer(Box::new(Observer::new()));
+        }
+        let base = sys.alloc_real(1 << 12).base;
+        let mut t = 0u64;
+        // Warm: bring 8 lines into tile 0's L1d with write permission.
+        for i in 0..8u64 {
+            t = sys.timed_access(0, AccessKind::Write, base + i * LINE_BYTES, t);
+        }
+        let hits = sys.stats_view().get(Counter::L1dHit);
+        let n = allocs_in(|| {
+            for k in 0..4096u64 {
+                let kind = if k % 2 == 0 {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                t = sys.timed_access(0, kind, base + (k % 8) * LINE_BYTES, t);
+            }
+        });
+        assert_eq!(n, 0, "L1d hit arm allocated (observer: {observed})");
+        assert_eq!(sys.stats_view().get(Counter::L1dHit) - hits, 4096);
+        assert_eq!(sys.observer().is_some(), observed);
+    }
 }
 
 /// Checkpoint cadence armed but not firing must cost nothing on the

@@ -326,13 +326,13 @@ impl<'a> EngineCtx<'a> {
         }
         let line = line_of(addr);
         let fire = self.trace.mem_fire(deps);
-        if let Some(mut e) = self.l1d.probe_mut(line) {
+        if let Some(mut e) = self.l1d.lookup(line) {
             let done = (fire + 1).max(e.ready_at());
+            e.set_prefetched(false);
             if write {
                 e.set_dirty(true);
             }
             self.hier.bus.stats.bump(Counter::EngineL1Hit);
-            self.l1d.touch(line);
             return self.trace.mem_complete(done);
         }
         self.hier.bus.stats.bump(Counter::EngineL1Miss);
@@ -363,10 +363,10 @@ impl<'a> EngineCtx<'a> {
         }
         let line = line_of(addr);
         let fire = self.trace.mem_fire(deps);
-        if let Some(e) = self.l1d.probe_mut(line) {
+        if let Some(mut e) = self.l1d.lookup(line) {
             let done = (fire + 1).max(e.ready_at());
+            e.set_prefetched(false);
             self.hier.bus.stats.bump(Counter::EngineL1Hit);
-            self.l1d.touch(line);
             return self.trace.mem_complete(done);
         }
         self.hier.bus.stats.bump(Counter::EngineL1Miss);

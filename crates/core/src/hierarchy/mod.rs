@@ -34,8 +34,8 @@
 //! ```
 //!
 //! * [`txn`] — the transaction vocabulary: [`MemTxn`], [`TxnKind`],
-//!   [`StageStamps`], and the [`LevelPort`] trait ([`CachePort`],
-//!   [`DramEdge`]) that charges per-level accounting at the port.
+//!   [`StageStamps`], and the [`CachePort`] that charges per-level
+//!   accounting at the tag array.
 //! * `private.rs` — the core-side walk: L1d/L2 stages, non-temporal
 //!   stores, the watchdog epoch hook.
 //! * `llc.rs` — the shared level: bank arbitration, `fetch_shared`,
@@ -68,7 +68,7 @@ mod prefetch;
 mod private;
 pub mod txn;
 
-pub use txn::{CachePort, DramEdge, LevelPort, MemTxn, StageStamps, TxnKind};
+pub use txn::{CachePort, MemTxn, StageStamps, TxnKind};
 
 use tako_cache::array::CacheArray;
 use tako_cache::mshr::MshrFile;

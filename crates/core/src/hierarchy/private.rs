@@ -1,21 +1,23 @@
 //! Private-level stages: the core-side L1d/L2 walk.
 //!
-//! [`Hierarchy::core_access`] is the pipeline's front end: it mints a
-//! [`MemTxn`] for the request and advances it stage by stage — L1d port,
-//! L2 port, then one of the shared-level stages (`fetch_shared`,
-//! `fetch_stream`, `rmo_shared` in `llc.rs`) — stamping the transaction
-//! as it goes. The watchdog observes every completed walk here, off the
-//! walk body, and the epoch sweep reads its counters through the bus.
+//! [`Hierarchy::core_access`] is the pipeline's front end. One walk
+//! serves every core access: an L1d hit completes at the L1d port
+//! before any transaction exists; a miss mints a [`MemTxn`] and
+//! advances it stage by stage — L2 port, then one of the shared-level
+//! stages (`fetch_shared`, `fetch_stream`, `rmo_shared` in `llc.rs`) —
+//! stamping the transaction as it goes. The watchdog observes every
+//! completed walk here, off the walk body, and the epoch sweep reads its
+//! counters through the bus.
 
 use tako_cache::array::InsertKind;
 use tako_cpu::AccessKind;
 use tako_mem::addr::{is_phantom, line_of, Addr};
 use tako_sim::energy::EnergyModel;
-use tako_sim::event::{LevelId, SinkTap, TxnEvent, TxnSink};
+use tako_sim::event::{LevelId, TxnEvent, TxnSink};
 use tako_sim::{Cycle, TileId};
 
 use super::coherence::PrivateScope;
-use super::txn::{CachePort, MemTxn};
+use super::txn::{CachePort, MemTxn, TxnKind};
 use super::Hierarchy;
 use crate::morph::{CallbackKind, MorphLevel};
 use crate::watchdog::{DiagnosticSnapshot, MshrSnapshot};
@@ -25,32 +27,18 @@ impl Hierarchy {
     /// Morph interposition, observed by the watchdog. Returns the
     /// completion cycle.
     pub fn core_access(&mut self, tile: TileId, kind: AccessKind, addr: Addr, t: Cycle) -> Cycle {
-        // Hot-walk gate: with no tap attached, the observe/stamp
-        // superstructure around the walk only feeds counters, so the
-        // tap discriminant is tested once per access here — not per
-        // emit — and an L1d hit (the overwhelming majority of
-        // accesses) completes on a lean path that mints no MemTxn.
-        // Anything else falls through to the full staged walk. The
-        // watchdog (on by default) observes both paths identically.
-        let done = if matches!(self.bus.tap, SinkTap::None) {
-            match self.hot_l1_hit(tile, kind, addr, t) {
-                Some(done) => done,
-                None => self.core_access_inner(tile, kind, addr, t),
-            }
-        } else {
-            self.bus.observe_at(t, tile);
-            self.core_access_inner(tile, kind, addr, t)
-        };
+        self.bus.observe_at(t, tile);
+        let done = self.core_walk(tile, kind, addr, t);
         if self.watchdog.enabled() {
             self.watchdog_observe(line_of(addr), t, done);
         }
         done
     }
 
-    /// The watchdog tail every completed core access runs, on the hot
-    /// path and the staged walk alike: stall detection plus the epoch
-    /// sweep. `line` is the accessed cache line; on the first stall the
-    /// snapshot names it (and its LLC bank/set) as the blocked line.
+    /// The watchdog tail every completed core access runs: stall
+    /// detection plus the epoch sweep. `line` is the accessed cache
+    /// line; on the first stall the snapshot names it (and its LLC
+    /// bank/set) as the blocked line.
     fn watchdog_observe(&mut self, line: Addr, t: Cycle, done: Cycle) {
         if let Some(latency) = self.watchdog.observe_access(t, done) {
             self.bus.emit(TxnEvent::StallDetected { latency });
@@ -225,66 +213,19 @@ impl Hierarchy {
     }
 
     /// Retire `txn`, first feeding its observational stage stamps to an
-    /// attached observer (stage profile + miss latency). A no-op wrapper
-    /// around [`MemTxn::retire`] when tracing is off.
+    /// attached observer (stage profile + miss latency). Returns `done`.
     fn retire_profiled(&mut self, txn: MemTxn, done: Cycle) -> Cycle {
         if let Some(obs) = self.bus.observer_mut() {
             let s = &txn.stamps;
             obs.record_txn(txn.issued, s.l1, s.l2, s.llc, s.fill, done);
         }
-        txn.retire(done)
+        done
     }
 
-    /// The lean L1d-hit walk taken behind the hot-walk gate: same
-    /// timing, promotion, and accounting as the full walk's hit arm,
-    /// minus the transaction stamps and observer hooks that are inert
-    /// without a tap. Returns `None` — having changed nothing and
-    /// emitted nothing — for misses and for the kinds with their own
-    /// front-end (RMO, write-streams), which re-enter the full walk.
-    #[inline]
-    fn hot_l1_hit(
-        &mut self,
-        tile: TileId,
-        kind: AccessKind,
-        addr: Addr,
-        t: Cycle,
-    ) -> Option<Cycle> {
-        if matches!(kind, AccessKind::Rmo | AccessKind::WriteStream) {
-            return None;
-        }
-        let line = line_of(addr);
-        let l1_cfg = self.cfg.l1d;
-        let write = kind == AccessKind::Write;
-        let ready = {
-            let mut e = self.tiles[tile].l1d.lookup(line)?;
-            e.set_prefetched(false);
-            if write {
-                e.set_dirty(true);
-            }
-            e.ready_at()
-        };
-        self.bus.emit(TxnEvent::Hit(LevelId::L1d));
-        let mut done = (t + l1_cfg.tag_latency + l1_cfg.data_latency).max(ready);
-        if write {
-            let needs_upgrade = self.tiles[tile]
-                .l2
-                .probe(line)
-                .map(|le| !le.exclusive())
-                .unwrap_or(false);
-            if needs_upgrade {
-                done = self.upgrade(tile, line, done);
-                if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
-                    le.set_exclusive(true);
-                    le.set_dirty(true);
-                }
-            } else if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
-                le.set_dirty(true);
-            }
-        }
-        Some(done)
-    }
-
-    fn core_access_inner(&mut self, tile: TileId, kind: AccessKind, addr: Addr, t: Cycle) -> Cycle {
+    /// The core-side walk. An L1d hit completes in the hit arm before
+    /// any [`MemTxn`] is minted; a miss mints one and carries on from
+    /// the L2 without walking the L1d tags again.
+    fn core_walk(&mut self, tile: TileId, kind: AccessKind, addr: Addr, t: Cycle) -> Cycle {
         let line = line_of(addr);
         if kind == AccessKind::Rmo {
             if let Some((id, MorphLevel::Shared)) = self.registry.lookup(addr) {
@@ -294,24 +235,19 @@ impl Hierarchy {
         if kind == AccessKind::WriteStream {
             return self.core_write_stream(tile, line, t);
         }
-        let mut txn = MemTxn::core(kind, tile, line, t);
-        let stream = txn.kind.is_stream();
-        let write = txn.is_write();
+        let write = TxnKind::from_access(kind).is_write();
         let l1_cfg = self.cfg.l1d;
         let l2_cfg = self.cfg.l2;
 
         // ---- L1d ----
         // Single-pass hit: the port's lookup promotes and returns the
         // entry, so the dirty update needs no second tag walk.
-        txn.stamps.l1 = Some(t);
         let mut l1 = CachePort::new(&mut self.tiles[tile].l1d, LevelId::L1d);
         if let Some(mut e) = l1.lookup_counted(line, &mut self.bus) {
             let mut done = (t + l1_cfg.tag_latency + l1_cfg.data_latency).max(e.ready_at());
             e.set_prefetched(false);
             if write {
                 e.set_dirty(true);
-            }
-            if write {
                 let needs_upgrade = self.tiles[tile]
                     .l2
                     .probe(line)
@@ -327,8 +263,14 @@ impl Hierarchy {
                     le.set_dirty(true);
                 }
             }
-            return self.retire_profiled(txn, done);
+            if let Some(obs) = self.bus.observer_mut() {
+                obs.record_txn(t, Some(t), None, None, None, done);
+            }
+            return done;
         }
+        let mut txn = MemTxn::core(kind, tile, line, t);
+        txn.stamps.l1 = Some(t);
+        let stream = txn.kind.is_stream();
         let t1 = t + l1_cfg.tag_latency;
         // Morph interposition only matters below the L1: deferring the
         // registry scan here keeps it off the L1-hit path entirely.

@@ -619,3 +619,66 @@ fn stall_snapshot_names_the_blocked_set_and_line() {
         "dump must name the blocked set: {text}"
     );
 }
+
+// ---------------------------------------------------------------------
+// The core access walk: one L1d tag walk per access, hit or miss.
+// ---------------------------------------------------------------------
+
+#[test]
+fn l1d_write_hit_on_a_shared_line_charges_one_upgrade() {
+    let mut s = sys();
+    let line = s.alloc_real(4096).base;
+    let t = s.timed_access(0, AccessKind::Read, line, 0);
+    let t = s.timed_access(1, AccessKind::Read, line, t);
+    let st = s.stats_view();
+    let (hits, invals) = (st.get(Counter::L1dHit), st.get(Counter::CoherenceInval));
+    s.timed_access(0, AccessKind::Write, line, t);
+    let st = s.stats_view();
+    assert_eq!(
+        st.get(Counter::L1dHit),
+        hits + 1,
+        "the write must hit the L1d"
+    );
+    assert_eq!(st.get(Counter::CoherenceInval), invals + 1);
+    let h = s.hierarchy();
+    assert!(
+        h.tiles[1].l1d.probe(line).is_none(),
+        "tile 1 L1d kept a copy"
+    );
+    assert!(h.tiles[1].l2.probe(line).is_none(), "tile 1 L2 kept a copy");
+    let l2 = h.tiles[0].l2.probe(line).expect("tile 0 L2 holds the line");
+    assert!(
+        l2.dirty() && l2.exclusive(),
+        "L2 entry must be dirty and exclusive"
+    );
+}
+
+#[test]
+fn rmo_without_a_shared_morph_takes_the_l1d_hit_arm() {
+    let mut s = sys();
+    let line = s.alloc_real(4096).base;
+    let t = s.timed_access(2, AccessKind::Read, line, 0);
+    let st = s.stats_view();
+    let (hits, llc) = (
+        st.get(Counter::L1dHit),
+        st.get(Counter::LlcHit) + st.get(Counter::LlcMiss),
+    );
+    s.timed_access(2, AccessKind::Rmo, line, t);
+    let st = s.stats_view();
+    assert_eq!(st.get(Counter::L1dHit), hits + 1);
+    assert_eq!(st.get(Counter::LlcHit) + st.get(Counter::LlcMiss), llc);
+    // The RMO wants write permission, like a store hit.
+    let h = s.hierarchy();
+    assert!(h.tiles[2].l1d.probe(line).expect("L1d copy").dirty());
+}
+
+#[test]
+fn a_read_miss_charges_exactly_one_l1d_miss() {
+    let mut s = sys();
+    let line = s.alloc_real(4096).base;
+    s.timed_access(0, AccessKind::Read, line, 0);
+    let st = s.stats_view();
+    assert_eq!(st.get(Counter::L1dMiss), 1);
+    assert_eq!(st.get(Counter::L1dHit), 0);
+    assert_eq!(st.get(Counter::L2Miss), 1);
+}

@@ -26,8 +26,10 @@ echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 
+# Warnings are errors, so a stale intra-doc link to a deleted item
+# fails here instead of scrolling past.
 echo "==> cargo doc"
-cargo doc --workspace --no-deps -q
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Smoke the robustness contract: a small seeded campaign (6 scenarios
 # per case study) must complete with zero invariant violations, every
