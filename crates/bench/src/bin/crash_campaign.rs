@@ -167,7 +167,7 @@ fn sweep_kind(
         let _ = std::fs::remove_dir_all(&dir);
         let plan = IoFaultPlan {
             seed,
-            faults: vec![IoFault { at_op: k, kind }],
+            events: vec![IoFault { at_op: k, kind }],
         };
         let faulty: Arc<dyn Storage> =
             Arc::new(FaultStorage::new(Arc::new(DiskStorage::new()), plan));
@@ -275,7 +275,7 @@ fn main() {
                 kinds = spec
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| match IoFaultKind::from_name(s) {
+                    .map(|s| match IoFaultPlan::kind_named(s) {
                         Some(k) => k,
                         None => {
                             eprintln!("crash_campaign: unknown fault kind `{s}`");

@@ -24,7 +24,7 @@
 //! * `<name>.triage.txt` — written when an attempt dies (panic or
 //!   deadline kill): the panic payload — which for a deadline kill is
 //!   the hierarchy's triage bundle (diagnostic snapshot, fault-plan
-//!   cursor, event-trace tail, last checkpoint id) — plus the unit
+//!   cursor, observer event tail, last checkpoint id) — plus the unit
 //!   cursor and the exact command line that resumes the campaign.
 //! * `attempts.log` — one line per attempt with its outcome and the
 //!   deterministic backoff that preceded it.

@@ -164,13 +164,15 @@ fn deadline_kill_leaves_triage_bundle_and_deterministic_backoff() {
     let err = out.results[0].1.as_ref().expect_err("deadline must kill");
     assert!(err.contains("deadline exceeded"), "error: {err}");
 
-    // The triage bundle carries the hierarchy's diagnostics and the
-    // exact command line that resumes the campaign.
+    // The triage bundle carries the hierarchy's diagnostics (with the
+    // observer ring's event tail, which supervision alone attaches)
+    // and the exact command line that resumes the campaign.
     let triage = std::fs::read_to_string(dir.join("slowpoke.triage.txt")).expect("triage");
     for needle in [
         "deadline exceeded",
         "machine state",
         "fault plan",
+        "event tail",
         "--resume",
     ] {
         assert!(
@@ -258,19 +260,19 @@ fn transient_faults_are_retried_in_place_and_tallied() {
     // place (the retry lands on the next, clean op), the campaign
     // completes with exact output, and the health tally reports every
     // hit without a single permanent failure.
-    let faults: Vec<IoFault> = (0..sites)
+    let events: Vec<IoFault> = (0..sites)
         .step_by(5)
         .map(|at_op| IoFault {
             at_op,
             kind: IoFaultKind::TransientError,
         })
         .collect();
-    let injected = faults.len() as u64;
+    let injected = events.len() as u64;
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = CampaignOpts::fresh(&dir);
     c.storage = Arc::new(FaultStorage::new(
         Arc::new(DiskStorage::new()),
-        IoFaultPlan { seed: 1, faults },
+        IoFaultPlan { seed: 1, events },
     ));
     let outcome =
         run_campaign(opts(), &c, FAULT_EXPS).expect("campaign rides out transient faults");
@@ -309,7 +311,7 @@ fn permanent_fault_mid_experiment_fails_fast_without_retries() {
             Arc::new(DiskStorage::new()),
             IoFaultPlan {
                 seed: 1,
-                faults: vec![IoFault {
+                events: vec![IoFault {
                     at_op,
                     kind: IoFaultKind::PermanentError,
                 }],

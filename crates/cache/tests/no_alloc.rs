@@ -143,7 +143,6 @@ fn core_access_l1d_hits_are_allocation_free() {
     use tako_core::TakoSystem;
     use tako_cpu::{AccessKind, MemSystem};
     use tako_sim::config::SystemConfig;
-    use tako_sim::event::SinkTap;
     use tako_sim::stats::Counter;
     use tako_sim::trace::Observer;
 
@@ -153,7 +152,7 @@ fn core_access_l1d_hits_are_allocation_free() {
         cfg.watchdog.epoch_cycles = 1 << 40;
         let mut sys = TakoSystem::new(cfg);
         if observed {
-            sys.hierarchy_mut().bus.tap = SinkTap::Observer(Box::new(Observer::new()));
+            sys.hierarchy_mut().bus.tap = Some(Box::new(Observer::new()));
         }
         let base = sys.alloc_real(1 << 12).base;
         let mut t = 0u64;
@@ -220,7 +219,7 @@ fn checkpoint_cadence_armed_but_idle_is_allocation_free() {
 
 /// With tracing disarmed (the default), the observability layer's bus
 /// hooks — the cursor update, the span recorder, the event tap — must
-/// all reduce to one `SinkTap::None` discriminant test and allocate
+/// all reduce to one null test of the observer slot and allocate
 /// nothing.
 #[test]
 fn tracing_off_hot_path_is_allocation_free() {
@@ -248,13 +247,13 @@ fn tracing_off_hot_path_is_allocation_free() {
 /// preallocates at construction, and each record is a slot write.
 #[test]
 fn armed_observer_recording_is_allocation_free() {
-    use tako_sim::event::{AccountingBus, LevelId, SinkTap, TxnEvent, TxnSink};
+    use tako_sim::event::{AccountingBus, LevelId, TxnEvent, TxnSink};
     use tako_sim::fault::FaultInjector;
     use tako_sim::stats::Counter;
     use tako_sim::trace::{Observer, Stage};
 
     let mut bus = AccountingBus::new(FaultInjector::new(None));
-    bus.tap = SinkTap::Observer(Box::new(Observer::new()));
+    bus.tap = Some(Box::new(Observer::new()));
     let mut stats = tako_sim::stats::Stats::new();
     let n = allocs_in(|| {
         for k in 0..4096u64 {

@@ -79,7 +79,7 @@ use tako_mem::dram::Dram;
 use tako_noc::Mesh;
 use tako_sim::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::config::{SystemConfig, LINE_BYTES};
-use tako_sim::event::{AccountingBus, CbPhase, SinkTap, TxnEvent, TxnSink};
+use tako_sim::event::{AccountingBus, CbPhase, TxnEvent, TxnSink};
 use tako_sim::fault::{FaultInjector, FaultKind};
 use tako_sim::{Cycle, TileId};
 
@@ -211,19 +211,12 @@ impl Hierarchy {
             .map(|_| MshrFile::new(cfg.llc_bank.mshrs.max(2) as usize))
             .collect();
         let mut bus = AccountingBus::new(FaultInjector::new(cfg.faults.as_ref()));
-        // Observability and supervision taps are diagnostic-only:
-        // simulation observables never read them, so attaching one
-        // cannot perturb timing. The full observer (armed via
-        // `tako_sim::trace::arm`) subsumes the supervision ring — it
-        // carries its own stamped event tail — so it wins when both are
-        // armed.
-        if tako_sim::trace::armed() {
-            bus.tap = SinkTap::Observer(Box::default());
-        } else if tako_sim::supervise::armed() {
-            // Under campaign supervision, keep a ring of recent pipeline
-            // events so a deadline kill or panic can show what the
-            // machine was doing.
-            bus.tap = SinkTap::Trace(Box::default());
+        // The observer is diagnostic-only: simulation observables never
+        // read it, so attaching one cannot perturb timing. Tracing
+        // collects it; campaign supervision reads its event ring so a
+        // deadline kill can show what the machine was doing.
+        if tako_sim::trace::armed() || tako_sim::supervise::armed() {
+            bus.tap = Some(Box::default());
         }
         Hierarchy {
             bus,
@@ -468,12 +461,15 @@ impl Hierarchy {
 }
 
 impl Drop for Hierarchy {
-    /// Flush an attached observability observer into the process-wide
+    /// While tracing is armed, flush the observer into the process-wide
     /// trace collector so `tako_sim::trace::drain` sees every system
-    /// that ran while tracing was armed.
+    /// that ran. A supervised-only or resumed-untraced system leaves the
+    /// collector alone.
     fn drop(&mut self) {
-        if let Some(obs) = self.bus.take_observer() {
-            tako_sim::trace::collect(*obs);
+        if tako_sim::trace::armed() {
+            if let Some(obs) = self.bus.take_observer() {
+                tako_sim::trace::collect(*obs);
+            }
         }
     }
 }
@@ -485,10 +481,9 @@ impl Snapshot for Hierarchy {
     /// zero. Structure (tile count, geometries, capacities) is rebuilt
     /// from config by [`Hierarchy::new`] and *verified* by each
     /// component's `load`, never restored, so resuming into a mismatched
-    /// config fails loudly. The supervision trace tap is diagnostic-only
-    /// and re-armed by the driver rather than serialized; an attached
-    /// observability observer *is* serialized (v2) so traces, interval
-    /// metrics, and stage profiles survive checkpoint/resume.
+    /// config fails loudly. An attached observer is serialized (v2) so
+    /// traces, interval metrics, and stage profiles survive
+    /// checkpoint/resume.
     fn save(&self, w: &mut SnapWriter) {
         w.section("hierarchy");
         self.bus.stats.save(w);
@@ -628,11 +623,11 @@ impl Snapshot for Hierarchy {
             // resuming process didn't arm tracing itself.
             let mut obs = self.bus.take_observer().unwrap_or_default();
             obs.load(r)?;
-            self.bus.tap = SinkTap::Observer(obs);
+            self.bus.tap = Some(obs);
         } else {
-            // The snapshot ran untraced; drop any locally armed
+            // The snapshot ran unobserved; drop any locally armed
             // observer so resumed accounting matches the original run.
-            self.bus.take_observer();
+            self.bus.tap = None;
         }
         Ok(())
     }

@@ -103,15 +103,12 @@ impl Hierarchy {
         // point: close the epoch's interval with counter deltas plus the
         // energy and DRAM-backlog gauges. Disjoint field borrows: the
         // observer lives in `bus.tap`, the counters in `bus.stats`.
-        if self.bus.observer().is_some() {
+        if let Some(obs) = self.bus.tap.as_deref_mut() {
             let epoch = self.watchdog.epochs_run();
             let backlog = self.dram.backlog(now);
             let energy = EnergyModel::default_params()
                 .tally(&self.bus.stats)
                 .total_pj();
-            let tako_sim::event::SinkTap::Observer(obs) = &mut self.bus.tap else {
-                unreachable!()
-            };
             obs.sample_epoch(epoch, now, &self.bus.stats, energy, backlog);
         }
         // Checkpoint cadence piggybacks on the epoch sweep: the epoch
@@ -136,8 +133,8 @@ impl Hierarchy {
     }
 
     /// The crash-triage bundle for a deadline kill: where the machine
-    /// was, what it was doing (event-trace tail), how far the fault plan
-    /// had advanced, and the last checkpoint to resume from.
+    /// was, what it was doing (the observer ring's tail), how far the
+    /// fault plan had advanced, and the last checkpoint to resume from.
     fn deadline_triage(
         &self,
         now: Cycle,
@@ -159,9 +156,6 @@ impl Hierarchy {
             .unwrap_or_else(|| self.diagnostic_snapshot(now, 0, None));
         let _ = writeln!(s, "machine state: {snap:?}");
         let _ = writeln!(s, "fault plan: {}", self.bus.faults.cursor());
-        if let Some(trace) = self.bus.trace() {
-            let _ = writeln!(s, "event tail: {}", trace.render());
-        }
         if let Some(obs) = self.bus.observer() {
             let _ = writeln!(s, "event tail: {}", obs.ring.render());
         }

@@ -307,8 +307,9 @@ impl TakoSystem {
     }
 
     /// The observability observer attached to the accounting bus, when
-    /// tracing was armed (`tako_sim::trace::arm`) before this system was
-    /// built or a traced snapshot was restored. `None` otherwise.
+    /// tracing (`tako_sim::trace::arm`) or supervision on this thread
+    /// (`tako_sim::supervise::arm`) was armed before this system was
+    /// built, or an observed snapshot was restored. `None` otherwise.
     pub fn observer(&self) -> Option<&tako_sim::trace::Observer> {
         self.hier.bus.observer()
     }

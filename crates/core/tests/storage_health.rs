@@ -24,7 +24,7 @@ fn faulty(kind: IoFaultKind) -> FaultStorage {
         Arc::new(DiskStorage::new()),
         IoFaultPlan {
             seed: 1,
-            faults: vec![IoFault { at_op: 0, kind }],
+            events: vec![IoFault { at_op: 0, kind }],
         },
     )
 }

@@ -9,9 +9,11 @@
 //! operation (the fetch/decode/rename overhead the dataflow fabric avoids).
 //!
 //! Energy is computed post-hoc from the [`Stats`] counters, which keeps
-//! the simulator's hot path free of floating-point work.
+//! the simulator's hot path free of floating-point work. Per-interval
+//! energy comes from the same tally: the observer's
+//! [`MetricsRecorder`](crate::trace::MetricsRecorder) diffs it at every
+//! watchdog epoch.
 
-use crate::event::{LevelId, TxnEvent, TxnSink};
 use crate::stats::{Counter, Stats};
 
 /// Per-event dynamic energies in picojoules.
@@ -121,69 +123,6 @@ impl EnergyBreakdown {
     }
 }
 
-/// A live energy meter: a [`TxnSink`] that charges picojoules per event
-/// as the transaction pipeline emits it, instead of post-hoc from the
-/// counters.
-///
-/// For the events that flow over the bus, the accumulated total matches
-/// [`EnergyModel::tally`] of the counters those events produce (a test
-/// asserts this), so a bus tap can report rolling per-interval energy —
-/// the per-phase accounting that "Improving the Representativeness of
-/// Simulation Intervals" motivates — without touching the walk code.
-/// Core-side instruction energy is not on the bus (cores charge it in
-/// bulk per simulated thread), so a tap reports *hierarchy* energy.
-#[derive(Debug, Clone)]
-pub struct EnergyAccumulator {
-    model: EnergyModel,
-    total_pj: f64,
-}
-
-impl EnergyAccumulator {
-    /// An empty meter using `model`'s parameters.
-    pub fn new(model: EnergyModel) -> Self {
-        EnergyAccumulator {
-            model,
-            total_pj: 0.0,
-        }
-    }
-
-    /// Energy charged so far, in picojoules.
-    pub fn total_pj(&self) -> f64 {
-        self.total_pj
-    }
-
-    /// Reset the running total (e.g., at an interval boundary).
-    pub fn reset(&mut self) {
-        self.total_pj = 0.0;
-    }
-}
-
-impl Default for EnergyAccumulator {
-    fn default() -> Self {
-        Self::new(EnergyModel::default_params())
-    }
-}
-
-impl TxnSink for EnergyAccumulator {
-    #[inline]
-    fn emit(&mut self, ev: TxnEvent) {
-        let m = &self.model;
-        self.total_pj += match ev {
-            TxnEvent::Hit(l) | TxnEvent::Miss(l) => match l {
-                LevelId::L1d => m.l1_access_pj,
-                LevelId::L2 => m.l2_access_pj,
-                LevelId::Llc => m.llc_access_pj,
-            },
-            TxnEvent::Writeback(LevelId::L2) => m.l2_access_pj,
-            TxnEvent::Writeback(LevelId::Llc) => m.llc_access_pj,
-            TxnEvent::NocHops { flits, hops } => (flits * hops) as f64 * m.noc_flit_hop_pj,
-            TxnEvent::DramRead | TxnEvent::DramWrite => m.dram_access_pj,
-            TxnEvent::EngineWork { instrs, .. } => instrs as f64 * m.engine_op_pj,
-            _ => 0.0,
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,49 +162,5 @@ mod tests {
         let mut s = Stats::new();
         s.add(Counter::L2Writeback, 4);
         assert_eq!(e.tally(&s).l2_pj, 4.0 * e.l2_access_pj);
-    }
-
-    /// For every walk event, the live accumulator and the post-hoc
-    /// counter tally charge the same picojoules.
-    #[test]
-    fn live_meter_matches_post_hoc_tally() {
-        use crate::event::CbPhase;
-        let events = [
-            TxnEvent::Hit(LevelId::L1d),
-            TxnEvent::Miss(LevelId::L1d),
-            TxnEvent::Hit(LevelId::L2),
-            TxnEvent::Miss(LevelId::L2),
-            TxnEvent::Hit(LevelId::Llc),
-            TxnEvent::Miss(LevelId::Llc),
-            TxnEvent::Writeback(LevelId::L2),
-            TxnEvent::Writeback(LevelId::Llc),
-            TxnEvent::Eviction(LevelId::L2),
-            TxnEvent::Eviction(LevelId::Llc),
-            TxnEvent::CoherenceInval,
-            TxnEvent::NocHops { flits: 5, hops: 6 },
-            TxnEvent::DramRead,
-            TxnEvent::DramWrite,
-            TxnEvent::MshrStall,
-            TxnEvent::FlushedLine,
-            TxnEvent::PrefetchIssued,
-            TxnEvent::PrefetchUseful,
-            TxnEvent::CallbackRun(CbPhase::OnMiss),
-            TxnEvent::EngineWork {
-                instrs: 11,
-                mem_ops: 3,
-            },
-        ];
-        let mut acc = EnergyAccumulator::default();
-        let mut s = Stats::new();
-        for ev in events {
-            acc.emit(ev);
-            s.emit(ev);
-        }
-        // The tally also charges engine-L1 and core-instr energy, but
-        // none of those counters moved, so totals must agree exactly.
-        let posthoc = EnergyModel::default_params().tally(&s).total_pj();
-        assert!((acc.total_pj() - posthoc).abs() < 1e-9);
-        acc.reset();
-        assert_eq!(acc.total_pj(), 0.0);
     }
 }

@@ -8,19 +8,20 @@
 //! describe *what happened* and the subscribers decide *what to count*.
 //!
 //! ```text
-//!   pipeline stage ──emit(TxnEvent)──▶ AccountingBus ──▶ Stats   (counters)
-//!                  ◀─poll_fault()────        │      └──▶ SinkTap (optional:
-//!                                     FaultInjector           energy meter,
-//!                                                             future tracer)
+//!   pipeline stage ──emit(TxnEvent)──▶ AccountingBus ──▶ Stats    (counters)
+//!                  ◀─poll_fault()────        │      └──▶ Observer (optional:
+//!                                     FaultInjector            event ring,
+//!                                                              interval metrics,
+//!                                                              stage profile)
 //! ```
 //!
 //! [`AccountingBus`] is the assembled bus: it owns the [`Stats`]
 //! registry and the [`FaultInjector`] and forwards every event to an
-//! optional extra subscriber ([`SinkTap`], an enum so dispatch is static
-//! and the hot path stays allocation- and vtable-free). Consumers that
-//! only need counting can use a bare [`Stats`] as the sink — it
-//! implements [`TxnSink`] directly, which is what `tako-noc` and
-//! `tako-mem` unit tests do.
+//! optional [`Observer`] (a boxed concrete type, so dispatch is static
+//! and the disarmed hot path costs one null test). Tracing and campaign
+//! supervision both attach it. Consumers that only need counting can
+//! use a bare [`Stats`] as the sink — it implements [`TxnSink`]
+//! directly, which is what `tako-noc` and `tako-mem` unit tests do.
 //!
 //! Events are small `Copy` values; emitting one compiles down to the
 //! same flat-array increment the old inline bumps performed, so routing
@@ -30,9 +31,9 @@
 //! Invisible" — a single attach point instead of ~45 scattered call
 //! sites.
 
-use crate::energy::EnergyAccumulator;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::stats::{Counter, Stats};
+use crate::trace::Observer;
 use crate::Cycle;
 
 /// A level of the cache hierarchy, as tagged on [`TxnEvent`]s.
@@ -65,9 +66,8 @@ pub enum CbPhase {
 /// One accounting event emitted by a pipeline stage.
 ///
 /// Variants are semantic ("an L2 eviction happened"), not counter names;
-/// the mapping to [`Counter`]s lives in the [`Stats`] sink so other
-/// subscribers (energy meters, tracers) can interpret the same stream
-/// differently.
+/// the mapping to [`Counter`]s lives in the [`Stats`] sink so the
+/// [`Observer`] can record the same stream verbatim.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TxnEvent {
     /// A tag lookup hit at `LevelId`.
@@ -189,106 +189,8 @@ impl TxnSink for Stats {
     }
 }
 
-/// Capacity of the [`EventTrace`] ring buffer.
-pub const TRACE_CAPACITY: usize = 64;
-
-/// A fixed-capacity ring buffer over the last [`TRACE_CAPACITY`]
-/// [`TxnEvent`]s, for crash triage: when a supervised experiment is
-/// killed (panic, deadline, watchdog stall), the tail of the event
-/// stream shows what the pipeline was doing per stage right before
-/// death. Recording is allocation-free (a slot write and two adds);
-/// rendering only happens on the triage path.
-#[derive(Debug, Clone)]
-pub struct EventTrace {
-    ring: [Option<TxnEvent>; TRACE_CAPACITY],
-    total: u64,
-}
-
-impl Default for EventTrace {
-    fn default() -> Self {
-        EventTrace {
-            ring: [None; TRACE_CAPACITY],
-            total: 0,
-        }
-    }
-}
-
-impl EventTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total events observed (not just the retained tail).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The retained tail, oldest first.
-    pub fn tail(&self) -> impl Iterator<Item = TxnEvent> + '_ {
-        let n = (self.total as usize).min(TRACE_CAPACITY);
-        let start = self.total as usize - n;
-        (start..self.total as usize).filter_map(move |i| self.ring[i % TRACE_CAPACITY])
-    }
-
-    /// Render the tail for a triage bundle, one event per line with its
-    /// stream position.
-    pub fn render(&self) -> String {
-        let n = (self.total as usize).min(TRACE_CAPACITY);
-        let start = self.total as usize - n;
-        let mut out = format!("event tail ({n} of {} total):\n", self.total);
-        for (pos, ev) in (start..).zip(self.tail()) {
-            out.push_str(&format!("  [{pos}] {ev:?}\n"));
-        }
-        out
-    }
-}
-
-impl TxnSink for EventTrace {
-    #[inline(always)]
-    fn emit(&mut self, ev: TxnEvent) {
-        self.ring[self.total as usize % TRACE_CAPACITY] = Some(ev);
-        self.total += 1;
-    }
-}
-
-/// An optional extra subscriber slot on the bus.
-///
-/// An enum (not a `Box<dyn TxnSink>`) so the common case — no tap —
-/// costs one discriminant test and the bus stays `Clone`-free of heap
-/// indirection. New subscriber kinds (a per-interval metrics
-/// aggregator) are added as variants.
-#[derive(Debug, Clone, Default)]
-pub enum SinkTap {
-    /// No extra subscriber (the default; the hot path's only cost is
-    /// the discriminant test).
-    #[default]
-    None,
-    /// Live energy metering (see [`EnergyAccumulator`]).
-    Energy(EnergyAccumulator),
-    /// Ring-buffer event tracer for crash triage (see [`EventTrace`]);
-    /// attached while a supervised campaign runs.
-    Trace(Box<EventTrace>),
-    /// Full observability recorder (see [`crate::trace::Observer`]):
-    /// stamped event trace, interval metrics, and stage profile;
-    /// attached while `trace::armed()` experiments run.
-    Observer(Box<crate::trace::Observer>),
-}
-
-impl TxnSink for SinkTap {
-    #[inline(always)]
-    fn emit(&mut self, ev: TxnEvent) {
-        match self {
-            SinkTap::None => {}
-            SinkTap::Energy(acc) => acc.emit(ev),
-            SinkTap::Trace(trace) => trace.emit(ev),
-            SinkTap::Observer(obs) => obs.emit(ev),
-        }
-    }
-}
-
 /// The assembled accounting bus: the [`Stats`] subscriber, the
-/// [`FaultInjector`], and an optional [`SinkTap`].
+/// [`FaultInjector`], and an optional [`Observer`] tap.
 ///
 /// The hierarchy owns one bus and passes `&mut self.bus` (a disjoint
 /// field borrow) into components like the mesh and DRAM model, so a
@@ -300,8 +202,8 @@ pub struct AccountingBus {
     pub stats: Stats,
     /// Deterministic fault injector (inert unless armed).
     pub faults: FaultInjector,
-    /// Optional extra subscriber.
-    pub tap: SinkTap,
+    /// The observer, attached while tracing or supervision is armed.
+    pub tap: Option<Box<Observer>>,
 }
 
 impl AccountingBus {
@@ -310,7 +212,7 @@ impl AccountingBus {
         AccountingBus {
             stats: Stats::new(),
             faults,
-            tap: SinkTap::None,
+            tap: None,
         }
     }
 
@@ -334,64 +236,40 @@ impl AccountingBus {
         hit
     }
 
-    /// The triage tail of the event stream, when a [`SinkTap::Trace`]
-    /// is attached.
-    pub fn trace(&self) -> Option<&EventTrace> {
-        match &self.tap {
-            SinkTap::Trace(t) => Some(t.as_ref()),
-            _ => None,
-        }
-    }
-
     /// Advance the observer's cycle/tile stamp cursor (no-op without an
-    /// observer tap): subsequent events are attributed to `tile` at
-    /// `cycle`.
+    /// observer): subsequent events are attributed to `tile` at `cycle`.
     #[inline(always)]
     pub fn observe_at(&mut self, cycle: Cycle, tile: usize) {
-        if let SinkTap::Observer(obs) = &mut self.tap {
+        if let Some(obs) = &mut self.tap {
             obs.observe_at(cycle, tile as u32);
         }
     }
 
     /// Attribute a pipeline-stage span to the observer's profile (no-op
-    /// without an observer tap); call sites use the
-    /// [`span!`](crate::span!) macro.
+    /// without an observer); call sites use the [`span!`](crate::span!)
+    /// macro.
     #[inline(always)]
     pub fn span_record(&mut self, stage: crate::trace::Stage, start: Cycle, done: Cycle) {
-        if let SinkTap::Observer(obs) = &mut self.tap {
+        if let Some(obs) = &mut self.tap {
             obs.record_span(stage, start, done);
         }
     }
 
     /// The attached observer, if any.
     #[inline]
-    pub fn observer(&self) -> Option<&crate::trace::Observer> {
-        match &self.tap {
-            SinkTap::Observer(obs) => Some(obs.as_ref()),
-            _ => None,
-        }
+    pub fn observer(&self) -> Option<&Observer> {
+        self.tap.as_deref()
     }
 
     /// The attached observer, mutably, if any.
     #[inline(always)]
-    pub fn observer_mut(&mut self) -> Option<&mut crate::trace::Observer> {
-        match &mut self.tap {
-            SinkTap::Observer(obs) => Some(obs.as_mut()),
-            _ => None,
-        }
+    pub fn observer_mut(&mut self) -> Option<&mut Observer> {
+        self.tap.as_deref_mut()
     }
 
-    /// Detach and return the observer tap, leaving [`SinkTap::None`];
-    /// `None` (tap untouched) when no observer is attached.
-    pub fn take_observer(&mut self) -> Option<Box<crate::trace::Observer>> {
-        if matches!(self.tap, SinkTap::Observer(_)) {
-            match std::mem::take(&mut self.tap) {
-                SinkTap::Observer(obs) => Some(obs),
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        }
+    /// Detach and return the observer, if any.
+    pub fn take_observer(&mut self) -> Option<Box<Observer>> {
+        self.tap.take()
     }
 }
 
@@ -399,7 +277,9 @@ impl TxnSink for AccountingBus {
     #[inline(always)]
     fn emit(&mut self, ev: TxnEvent) {
         self.stats.emit(ev);
-        self.tap.emit(ev);
+        if let Some(obs) = &mut self.tap {
+            obs.emit(ev);
+        }
     }
 
     /// Polls the injector; a fired fault is counted as
@@ -470,24 +350,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_tap_keeps_a_bounded_tail() {
+    fn observer_tap_keeps_a_bounded_tail() {
         let mut bus = AccountingBus::new(FaultInjector::new(None));
-        bus.tap = SinkTap::Trace(Box::new(EventTrace::new()));
-        for i in 0..(TRACE_CAPACITY as u64 + 10) {
+        bus.tap = Some(Box::new(Observer::new()));
+        let cap = bus.observer().unwrap().ring.capacity() as u64;
+        for i in 0..(cap + 10) {
             bus.emit(TxnEvent::NocHops { flits: i, hops: 1 });
         }
-        let trace = bus.trace().expect("trace tap attached");
-        assert_eq!(trace.total(), TRACE_CAPACITY as u64 + 10);
-        let tail: Vec<TxnEvent> = trace.tail().collect();
-        assert_eq!(tail.len(), TRACE_CAPACITY);
+        let ring = &bus.observer().expect("observer attached").ring;
+        assert_eq!(ring.total(), cap + 10);
+        let tail: Vec<TxnEvent> = ring.tail().map(|r| r.event).collect();
+        assert_eq!(tail.len(), cap as usize);
         assert_eq!(tail[0], TxnEvent::NocHops { flits: 10, hops: 1 });
-        let rendered = trace.render();
-        assert!(rendered.contains("event tail"));
+        let rendered = ring.render();
+        assert!(rendered.contains("trace tail"));
         assert!(rendered.contains("NocHops"));
-        // Tracing must not perturb counting.
+        // Observing must not perturb counting.
         assert_eq!(
             bus.stats.get(Counter::NocFlitHops),
-            (0..(TRACE_CAPACITY as u64 + 10)).sum::<u64>()
+            (0..(cap + 10)).sum::<u64>()
         );
     }
 
@@ -503,16 +384,5 @@ mod tests {
             Some(5)
         );
         assert_eq!(bus.stats.get(Counter::FaultInjected), 1);
-    }
-
-    #[test]
-    fn energy_tap_sees_events() {
-        let mut bus = AccountingBus::new(FaultInjector::new(None));
-        bus.tap = SinkTap::Energy(EnergyAccumulator::default());
-        bus.emit(TxnEvent::DramRead);
-        let SinkTap::Energy(acc) = &bus.tap else {
-            panic!("tap replaced");
-        };
-        assert!(acc.total_pj() > 0.0);
     }
 }

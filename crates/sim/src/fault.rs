@@ -15,7 +15,15 @@
 //! injector built from `None`/an empty plan is a branch on an empty
 //! vector — the hot path is unchanged and disabled runs stay
 //! byte-identical.
+//!
+//! The generator, the `seed:kind[:count]` parser ([`Schedule`]) and the
+//! taken-bits cursor ([`FaultCursor`]) are shared with the I/O fault
+//! backend, [`FaultStorage`](crate::storage::FaultStorage).
 
+use std::fmt;
+use std::ops::Range;
+
+use crate::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::rng::Rng;
 use crate::Cycle;
 
@@ -60,10 +68,6 @@ impl FaultKind {
         }
     }
 
-    fn from_name(s: &str) -> Option<FaultKind> {
-        FaultKind::ALL.iter().copied().find(|k| k.name() == s)
-    }
-
     /// The default magnitude for this kind: extra instructions for
     /// overruns, phantom entries for MSHR pressure, extra cycles for
     /// DRAM delays, unused otherwise.
@@ -96,22 +100,129 @@ pub struct FaultEvent {
     pub site: Option<usize>,
 }
 
+/// An entry of a [`Schedule`]: one fault of a kind drawn from a fixed
+/// kind set, placed at a point on its schedule's axis — a cycle for a
+/// [`FaultPlan`], an I/O site for an
+/// [`IoFaultPlan`](crate::storage::IoFaultPlan).
+pub trait Scheduled {
+    /// The kind set.
+    type Kind: Copy + 'static;
+    /// Every kind, in the order `mix` plans cycle through.
+    const ALL: &'static [Self::Kind];
+    /// What the flag schedules: the flag is `--{NOUN}s`, and parse
+    /// errors name the `NOUN`.
+    const NOUN: &'static str;
+    /// The points [`Schedule::parse`] spreads events over.
+    const WINDOW: Range<u64>;
+    /// Short name of `kind` in the flag syntax.
+    fn name(kind: Self::Kind) -> &'static str;
+    /// An event of `kind` at point `at`, with the kind's default payload.
+    fn at(at: u64, kind: Self::Kind) -> Self;
+}
+
+impl Scheduled for FaultEvent {
+    type Kind = FaultKind;
+    const ALL: &'static [FaultKind] = &FaultKind::ALL;
+    const NOUN: &'static str = "fault";
+    const WINDOW: Range<u64> = 1_000..1_000_000;
+    fn name(kind: FaultKind) -> &'static str {
+        kind.name()
+    }
+    fn at(at: Cycle, kind: FaultKind) -> Self {
+        FaultEvent {
+            at,
+            kind,
+            magnitude: kind.default_magnitude(),
+            site: None,
+        }
+    }
+}
+
 /// A seeded, deterministic schedule of faults.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultPlan {
-    /// The seed the plan was derived from (0 for hand-built plans).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule<E> {
+    /// The seed the schedule was derived from (0 for hand-built ones).
     pub seed: u64,
-    /// Scheduled faults, in no particular order.
-    pub events: Vec<FaultEvent>,
+    /// Scheduled faults, in no particular order. At most one fires per
+    /// poll; the first match in vector order wins.
+    pub events: Vec<E>,
+}
+
+/// The hierarchy's schedule: faults injected at cycle points.
+pub type FaultPlan = Schedule<FaultEvent>;
+
+impl<E: Scheduled> Schedule<E> {
+    /// A schedule that injects nothing (useful to prove the
+    /// armed-but-empty path is inert).
+    pub fn empty() -> Self {
+        Schedule {
+            seed: 0,
+            events: Vec::new(),
+        }
+    }
+
+    /// A seeded schedule of `count` faults drawn from `kinds`
+    /// (round-robin) at points uniform in `[lo, hi)`, with default
+    /// payloads. Identical arguments always produce an identical
+    /// schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kinds` is empty or `lo >= hi`.
+    pub fn seeded(seed: u64, kinds: &[E::Kind], count: usize, lo: u64, hi: u64) -> Self {
+        assert!(!kinds.is_empty(), "kinds must be non-empty");
+        assert!(lo < hi, "window must be non-empty");
+        let mut rng = Rng::new(seed);
+        let events = (0..count)
+            .map(|i| E::at(lo + rng.below(hi - lo), kinds[i % kinds.len()]))
+            .collect();
+        Schedule { seed, events }
+    }
+
+    /// The kind whose flag name is `name`.
+    pub fn kind_named(name: &str) -> Option<E::Kind> {
+        E::ALL.iter().copied().find(|&k| E::name(k) == name)
+    }
+
+    /// Parse the `--faults`/`--io-faults` flag syntax `seed:kind[:count]`,
+    /// e.g. `7:dram`, `3:torn:4`, or `11:mix:10` (`mix`/`all` cycles
+    /// through every kind). Points are spread over [`Scheduled::WINDOW`]
+    /// (the first million cycles, or the first 64 I/O sites); callers
+    /// that know the run horizon should use [`Schedule::seeded`].
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let noun = E::NOUN;
+        let parts: Vec<&str> = s.split(':').collect();
+        if parts.len() < 2 || parts.len() > 3 {
+            return Err(format!("--{noun}s wants seed:kind[:count], got `{s}`"));
+        }
+        let seed: u64 = parts[0]
+            .parse()
+            .map_err(|_| format!("bad {noun} seed `{}`", parts[0]))?;
+        let kinds: Vec<E::Kind> = match parts[1] {
+            "mix" | "all" => E::ALL.to_vec(),
+            other => vec![Self::kind_named(other).ok_or_else(|| {
+                let names: Vec<&str> = E::ALL.iter().map(|&k| E::name(k)).collect();
+                format!(
+                    "unknown {noun} kind `{other}` (want {}, or mix)",
+                    names.join(", ")
+                )
+            })?],
+        };
+        let count: usize = match parts.get(2) {
+            Some(c) => c.parse().map_err(|_| format!("bad {noun} count `{c}`"))?,
+            None => kinds.len(),
+        };
+        Ok(Self::seeded(
+            seed,
+            &kinds,
+            count,
+            E::WINDOW.start,
+            E::WINDOW.end,
+        ))
+    }
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (useful to prove the armed-but-empty
-    /// path is inert).
-    pub fn empty() -> Self {
-        FaultPlan::default()
-    }
-
     /// A plan with a single hand-placed fault.
     pub fn single(at: Cycle, kind: FaultKind, magnitude: u64) -> Self {
         FaultPlan {
@@ -124,62 +235,85 @@ impl FaultPlan {
             }],
         }
     }
+}
 
-    /// A seeded plan of `count` faults drawn from `kinds` (round-robin)
-    /// with injection cycles uniform in `[lo, hi)` and default
-    /// magnitudes. Identical arguments always produce an identical
-    /// plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or `lo >= hi`.
-    pub fn seeded(seed: u64, kinds: &[FaultKind], count: usize, lo: Cycle, hi: Cycle) -> Self {
-        assert!(!kinds.is_empty(), "kinds must be non-empty");
-        assert!(lo < hi, "cycle window must be non-empty");
-        let mut rng = Rng::new(seed);
-        let events = (0..count)
-            .map(|i| {
-                let kind = kinds[i % kinds.len()];
-                FaultEvent {
-                    at: lo + rng.below(hi - lo),
-                    kind,
-                    magnitude: kind.default_magnitude(),
-                    site: None,
-                }
-            })
-            .collect();
-        FaultPlan { seed, events }
+/// Which events of a [`Schedule`] have fired: one taken bit per event
+/// plus the fired count. [`FaultInjector`] and
+/// [`FaultStorage`](crate::storage::FaultStorage) each step one.
+#[derive(Debug, Clone, Default)]
+pub struct FaultCursor {
+    taken: Vec<bool>,
+    fired: u64,
+}
+
+impl FaultCursor {
+    /// A cursor over `scheduled` events, none fired.
+    pub fn new(scheduled: usize) -> Self {
+        FaultCursor {
+            taken: vec![false; scheduled],
+            fired: 0,
+        }
     }
 
-    /// Parse the `--faults seed:kind[:count]` flag syntax, e.g.
-    /// `7:dram`, `3:overrun:4`, or `11:mix:10` (`mix`/`all` cycles
-    /// through every kind). Injection cycles are spread over the first
-    /// million cycles; campaigns that know the run horizon should use
-    /// [`FaultPlan::seeded`] directly.
-    pub fn parse(s: &str) -> Result<FaultPlan, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() < 2 || parts.len() > 3 {
-            return Err(format!("--faults wants seed:kind[:count], got `{s}`"));
-        }
-        let seed: u64 = parts[0]
-            .parse()
-            .map_err(|_| format!("bad fault seed `{}`", parts[0]))?;
-        let kinds: Vec<FaultKind> = match parts[1] {
-            "mix" | "all" => FaultKind::ALL.to_vec(),
-            other => vec![FaultKind::from_name(other).ok_or(format!(
-                "unknown fault kind `{other}` (want overrun, illegal, \
-                 fabric, mshr, dram, or mix)"
-            ))?],
-        };
-        let count: usize = match parts.get(2) {
-            Some(c) => c.parse().map_err(|_| format!("bad fault count `{c}`"))?,
-            None => kinds.len(),
-        };
-        Ok(FaultPlan::seeded(seed, &kinds, count, 1_000, 1_000_000))
+    /// Fire the first untaken event of `events` (the schedule this
+    /// cursor was built for) that `due` accepts, and return it.
+    #[inline]
+    pub fn fire<'a, E>(&mut self, events: &'a [E], due: impl Fn(&E) -> bool) -> Option<&'a E> {
+        let i = (0..events.len()).find(|&i| !self.taken[i] && due(&events[i]))?;
+        self.taken[i] = true;
+        self.fired += 1;
+        Some(&events[i])
+    }
+
+    /// How many events have fired so far.
+    pub fn fired(&self) -> u64 {
+        self.fired
+    }
+
+    /// How many scheduled events have not fired yet.
+    pub fn pending(&self) -> usize {
+        self.taken.iter().filter(|t| !**t).count()
     }
 }
 
-/// Runtime state for one run: which scheduled faults have fired.
+/// The one-line cursor summary (`fired/pending/scheduled`) for triage
+/// bundles.
+impl fmt::Display for FaultCursor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} fired, {} pending of {}",
+            self.fired,
+            self.pending(),
+            self.taken.len()
+        )
+    }
+}
+
+/// The cursor is a fault source's only mutable state: the events are
+/// rebuilt from the schedule, and `load` verifies the count matches.
+impl Snapshot for FaultCursor {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("fault");
+        w.put_len(self.taken.len());
+        for t in &self.taken {
+            w.put_bool(*t);
+        }
+        w.put_u64(self.fired);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.section("fault")?;
+        let n = r.get_len_expect("fault.taken", self.taken.len())?;
+        for i in 0..n {
+            self.taken[i] = r.get_bool()?;
+        }
+        self.fired = r.get_u64()?;
+        Ok(())
+    }
+}
+
+/// Runtime state for one run: the plan's events and which have fired.
 ///
 /// The hierarchy polls the injector at each site where a fault kind is
 /// meaningful; a poll fires the first due, untaken event of that kind
@@ -188,20 +322,15 @@ impl FaultPlan {
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     events: Vec<FaultEvent>,
-    taken: Vec<bool>,
-    fired: u64,
+    cursor: FaultCursor,
 }
 
 impl FaultInjector {
     /// An injector for a plan (or an inert one for `None`).
     pub fn new(plan: Option<&FaultPlan>) -> Self {
         let events = plan.map(|p| p.events.clone()).unwrap_or_default();
-        let taken = vec![false; events.len()];
-        FaultInjector {
-            events,
-            taken,
-            fired: 0,
-        }
+        let cursor = FaultCursor::new(events.len());
+        FaultInjector { events, cursor }
     }
 
     /// True if this injector can never fire.
@@ -227,66 +356,27 @@ impl FaultInjector {
         if self.events.is_empty() {
             return None;
         }
-        for (i, ev) in self.events.iter().enumerate() {
-            let addressed_here = match ev.site {
-                None => true,
-                Some(s) => site == Some(s),
-            };
-            if !self.taken[i] && ev.kind == kind && ev.at <= now && addressed_here {
-                self.taken[i] = true;
-                self.fired += 1;
-                return Some(ev.magnitude);
-            }
-        }
-        None
+        self.cursor
+            .fire(&self.events, |ev| {
+                ev.kind == kind && ev.at <= now && ev.site.is_none_or(|s| site == Some(s))
+            })
+            .map(|ev| ev.magnitude)
     }
 
-    /// How many faults have fired so far.
-    pub fn fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// How many scheduled faults have not fired yet.
-    pub fn pending(&self) -> usize {
-        self.taken.iter().filter(|t| !**t).count()
-    }
-
-    /// One-line cursor summary (`fired/scheduled`) for triage bundles.
-    pub fn cursor(&self) -> String {
-        format!(
-            "{} fired, {} pending of {}",
-            self.fired,
-            self.pending(),
-            self.events.len()
-        )
+    /// Which scheduled faults have fired (its `Display` is the triage
+    /// summary).
+    pub fn cursor(&self) -> &FaultCursor {
+        &self.cursor
     }
 }
 
-impl crate::checkpoint::Snapshot for FaultInjector {
-    /// The injector's *cursor* — which scheduled events have fired — is
-    /// the mutable state; the events themselves are rebuilt from the
-    /// plan in `SystemConfig::faults`, and `load` verifies the count
-    /// matches.
-    fn save(&self, w: &mut crate::checkpoint::SnapWriter) {
-        w.section("fault");
-        w.put_len(self.taken.len());
-        for t in &self.taken {
-            w.put_bool(*t);
-        }
-        w.put_u64(self.fired);
+impl Snapshot for FaultInjector {
+    fn save(&self, w: &mut SnapWriter) {
+        self.cursor.save(w);
     }
 
-    fn load(
-        &mut self,
-        r: &mut crate::checkpoint::SnapReader<'_>,
-    ) -> Result<(), crate::checkpoint::SnapError> {
-        r.section("fault")?;
-        let n = r.get_len_expect("fault.taken", self.taken.len())?;
-        for i in 0..n {
-            self.taken[i] = r.get_bool()?;
-        }
-        self.fired = r.get_u64()?;
-        Ok(())
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.cursor.load(r)
     }
 }
 
@@ -312,8 +402,8 @@ mod tests {
         assert_eq!(inj.poll(50, FaultKind::MshrPressure), None);
         assert_eq!(inj.poll(100, FaultKind::DelayedDram), Some(7));
         assert_eq!(inj.poll(200, FaultKind::DelayedDram), None);
-        assert_eq!(inj.fired(), 1);
-        assert_eq!(inj.pending(), 0);
+        assert_eq!(inj.cursor().fired(), 1);
+        assert_eq!(inj.cursor().pending(), 0);
     }
 
     #[test]
@@ -396,20 +486,100 @@ mod tests {
         let env = crate::checkpoint::encode(&inj);
         let mut fresh = FaultInjector::new(Some(&plan));
         crate::checkpoint::decode(&env, &mut fresh).unwrap();
-        assert_eq!(fresh.fired(), inj.fired());
-        assert_eq!(fresh.pending(), inj.pending());
-        assert_eq!(fresh.taken, inj.taken);
+        assert_eq!(fresh.cursor().fired(), inj.cursor().fired());
+        assert_eq!(fresh.cursor().pending(), inj.cursor().pending());
+        assert_eq!(fresh.cursor.taken, inj.cursor.taken);
         // A cursor from a differently sized plan is rejected.
         let other = FaultPlan::seeded(4, &FaultKind::ALL, 3, 1, 1_000);
         let mut wrong = FaultInjector::new(Some(&other));
         assert!(crate::checkpoint::decode(&env, &mut wrong).is_err());
     }
 
+    /// The `fault` snapshot section is part of the checkpoint format:
+    /// section name, taken-bit count, one byte per taken bit, fired
+    /// count. These bytes were written by the injector before it shared
+    /// its cursor with the I/O fault backend.
     #[test]
-    fn round_trip_kind_names() {
-        for k in FaultKind::ALL {
-            assert_eq!(FaultKind::from_name(k.name()), Some(k));
+    fn cursor_bytes_are_pinned() {
+        let plan = FaultPlan::seeded(4, &FaultKind::ALL, 10, 1, 1_000);
+        let mut inj = FaultInjector::new(Some(&plan));
+        assert_eq!(inj.poll(2_000, FaultKind::DelayedDram), Some(400_000));
+        assert_eq!(inj.poll(2_000, FaultKind::MshrPressure), Some(12));
+        let mut w = SnapWriter::new();
+        inj.save(&mut w);
+        #[rustfmt::skip]
+        let expect: [u8; 33] = [
+            5, 0, b'f', b'a', b'u', b'l', b't',
+            10, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 1, 1, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(w.into_bytes(), expect);
+        assert_eq!(inj.cursor().to_string(), "2 fired, 8 pending of 10");
+    }
+
+    /// Both kind sets behind [`Schedule`]: every name parses back to its
+    /// kind, `mix`/`all` expand to `ALL` in order, parse errors name the
+    /// set's own flag, and seeded points stay inside the default window.
+    #[test]
+    fn kind_sets_round_trip_through_parse() {
+        use crate::storage::{IoFault, IoFaultKind, IoFaultPlan};
+        use std::fmt::Debug;
+
+        fn check<E: Scheduled + Debug + PartialEq>(
+            kind_of: impl Fn(&E) -> E::Kind,
+            point: impl Fn(&E) -> u64,
+            errors: [&str; 5],
+        ) where
+            E::Kind: PartialEq + Debug,
+        {
+            for &k in E::ALL {
+                assert_eq!(Schedule::<E>::kind_named(E::name(k)), Some(k));
+                let p = Schedule::<E>::parse(&format!("5:{}:3", E::name(k))).unwrap();
+                assert_eq!(p.events.len(), 3);
+                assert!(p.events.iter().all(|e| kind_of(e) == k));
+            }
+            assert_eq!(Schedule::<E>::kind_named("nope"), None);
+            let mix = Schedule::<E>::parse("9:mix").unwrap();
+            assert_eq!(mix.seed, 9);
+            assert_eq!(mix.events.iter().map(&kind_of).collect::<Vec<_>>(), E::ALL);
+            assert_eq!(Schedule::<E>::parse("9:all").unwrap(), mix);
+            let wide = Schedule::<E>::parse("11:mix:500").unwrap();
+            assert!(wide.events.iter().all(|e| E::WINDOW.contains(&point(e))));
+            let bad = ["1", "1:mix:2:3", "x:mix", "1:bogus", "1:mix:zzz"];
+            for (input, want) in bad.into_iter().zip(errors) {
+                assert_eq!(Schedule::<E>::parse(input).unwrap_err(), want);
+            }
         }
-        assert_eq!(FaultKind::from_name("nope"), None);
+
+        check::<FaultEvent>(
+            |e| e.kind,
+            |e| e.at,
+            [
+                "--faults wants seed:kind[:count], got `1`",
+                "--faults wants seed:kind[:count], got `1:mix:2:3`",
+                "bad fault seed `x`",
+                "unknown fault kind `bogus` (want overrun, illegal, fabric, mshr, dram, or mix)",
+                "bad fault count `zzz`",
+            ],
+        );
+        assert_eq!(FaultEvent::WINDOW, 1_000..1_000_000);
+        check::<IoFault>(
+            |e| e.kind,
+            |e| e.at_op,
+            [
+                "--io-faults wants seed:kind[:count], got `1`",
+                "--io-faults wants seed:kind[:count], got `1:mix:2:3`",
+                "bad io-fault seed `x`",
+                "unknown io-fault kind `bogus` (want crash, crash-after, torn, drop-rename, \
+                 dup-append, flip, transient, permanent, or mix)",
+                "bad io-fault count `zzz`",
+            ],
+        );
+        assert_eq!(IoFault::WINDOW, 0..64);
+        assert_eq!(
+            IoFaultPlan::kind_named("torn"),
+            Some(IoFaultKind::TornWrite { keep: 7 })
+        );
     }
 }

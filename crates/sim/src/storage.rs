@@ -14,10 +14,11 @@
 //!   at the N-th site: crash before or after the operation, tear a
 //!   write at byte k, drop the rename of an atomic write (leaving only
 //!   temp debris), duplicate an append, flip a bit in the written
-//!   bytes, or surface a transient/permanent I/O error. The plan is a
-//!   seeded, pre-computed cursor exactly like
-//!   [`FaultPlan`](crate::fault::FaultPlan), so a crash-point sweep can
-//!   enumerate *every* site of a campaign and prove recovery from each.
+//!   bytes, or surface a transient/permanent I/O error. The plan is the
+//!   same seeded [`Schedule`] and [`FaultCursor`] the hierarchy's
+//!   [`FaultPlan`](crate::fault::FaultPlan) uses, so a crash-point sweep
+//!   can enumerate *every* site of a campaign and prove recovery from
+//!   each.
 //!
 //! Injected crashes are modeled as panics carrying the
 //! [`CRASH_MARKER`] prefix; the sweep harness catches them with
@@ -37,10 +38,12 @@ use std::cell::RefCell;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::rng::Rng;
+use crate::fault::{FaultCursor, Schedule, Scheduled};
 
 /// Panic-payload prefix for injected storage crashes; sweep harnesses
 /// and the campaign runner recognize interrupted attempts by it.
@@ -370,12 +373,6 @@ impl IoFaultKind {
             IoFaultKind::PermanentError => "permanent",
         }
     }
-
-    /// Inverse of [`name`](IoFaultKind::name), with default payloads
-    /// for the parameterized kinds.
-    pub fn from_name(s: &str) -> Option<IoFaultKind> {
-        IoFaultKind::ALL.iter().copied().find(|k| k.name() == s)
-    }
 }
 
 /// One scheduled I/O fault: at the `at_op`-th durable operation the
@@ -388,89 +385,38 @@ pub struct IoFault {
     pub kind: IoFaultKind,
 }
 
-/// A seeded, deterministic schedule of I/O faults — the persistence
-/// sibling of [`FaultPlan`](crate::fault::FaultPlan).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IoFaultPlan {
-    /// The seed the plan was derived from (0 for hand-built plans).
-    pub seed: u64,
-    /// Scheduled faults. At most one fires per operation; the first
-    /// match in vector order wins.
-    pub faults: Vec<IoFault>,
+impl Scheduled for IoFault {
+    type Kind = IoFaultKind;
+    const ALL: &'static [IoFaultKind] = &IoFaultKind::ALL;
+    const NOUN: &'static str = "io-fault";
+    const WINDOW: Range<u64> = 0..64;
+    fn name(kind: IoFaultKind) -> &'static str {
+        kind.name()
+    }
+    fn at(at_op: u64, kind: IoFaultKind) -> Self {
+        IoFault { at_op, kind }
+    }
 }
 
-impl IoFaultPlan {
-    /// A plan that injects nothing (pure I/O-site counting).
-    pub fn empty() -> Self {
-        IoFaultPlan::default()
-    }
+/// A seeded, deterministic schedule of I/O faults — the persistence
+/// sibling of [`FaultPlan`](crate::fault::FaultPlan). Sweeps that know
+/// the site count place one fault per site with
+/// [`IoFaultPlan::single`].
+pub type IoFaultPlan = Schedule<IoFault>;
 
+impl IoFaultPlan {
     /// A plan with a single hand-placed fault.
     pub fn single(at_op: u64, kind: IoFaultKind) -> Self {
         IoFaultPlan {
             seed: 0,
-            faults: vec![IoFault { at_op, kind }],
+            events: vec![IoFault { at_op, kind }],
         }
-    }
-
-    /// A seeded plan of `count` faults drawn from `kinds` (round-robin)
-    /// at operation indices uniform in `[lo, hi)`. Identical arguments
-    /// always produce an identical plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or `lo >= hi`.
-    pub fn seeded(seed: u64, kinds: &[IoFaultKind], count: usize, lo: u64, hi: u64) -> Self {
-        assert!(!kinds.is_empty(), "kinds must be non-empty");
-        assert!(lo < hi, "op window must be non-empty");
-        let mut rng = Rng::new(seed);
-        let faults = (0..count)
-            .map(|i| IoFault {
-                at_op: lo + rng.below(hi - lo),
-                kind: kinds[i % kinds.len()],
-            })
-            .collect();
-        IoFaultPlan { seed, faults }
-    }
-
-    /// Parse the `--io-faults seed:kind[:count]` flag syntax, e.g.
-    /// `7:torn`, `3:flip:4`, or `11:mix:10` (`mix`/`all` cycles through
-    /// every kind). Operation indices are spread over the first 64
-    /// sites; sweeps that know the site count should use
-    /// [`IoFaultPlan::single`] per site instead.
-    pub fn parse(s: &str) -> Result<IoFaultPlan, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() < 2 || parts.len() > 3 {
-            return Err(format!("--io-faults wants seed:kind[:count], got `{s}`"));
-        }
-        let seed: u64 = parts[0]
-            .parse()
-            .map_err(|_| format!("bad io-fault seed `{}`", parts[0]))?;
-        let kinds: Vec<IoFaultKind> = match parts[1] {
-            "mix" | "all" => IoFaultKind::ALL.to_vec(),
-            other => vec![IoFaultKind::from_name(other).ok_or(format!(
-                "unknown io-fault kind `{other}` (want crash, crash-after, torn, \
-                 drop-rename, dup-append, flip, transient, permanent, or mix)"
-            ))?],
-        };
-        let count: usize = match parts.get(2) {
-            Some(c) => c.parse().map_err(|_| format!("bad io-fault count `{c}`"))?,
-            None => kinds.len(),
-        };
-        Ok(IoFaultPlan::seeded(seed, &kinds, count, 0, 64))
     }
 }
 
 // ---------------------------------------------------------------------
 // FaultStorage
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct FaultCursor {
-    ops: u64,
-    taken: Vec<bool>,
-    fired: u64,
-}
 
 /// Deterministic fault-injecting wrapper around another [`Storage`].
 ///
@@ -481,6 +427,7 @@ struct FaultCursor {
 pub struct FaultStorage {
     inner: Arc<dyn Storage>,
     plan: IoFaultPlan,
+    ops: AtomicU64,
     cursor: Mutex<FaultCursor>,
     health: Mutex<IoHealth>,
 }
@@ -497,15 +444,12 @@ impl fmt::Debug for FaultStorage {
 impl FaultStorage {
     /// Wrap `inner` with `plan`.
     pub fn new(inner: Arc<dyn Storage>, plan: IoFaultPlan) -> Self {
-        let taken = vec![false; plan.faults.len()];
+        let cursor = Mutex::new(FaultCursor::new(plan.events.len()));
         FaultStorage {
             inner,
             plan,
-            cursor: Mutex::new(FaultCursor {
-                ops: 0,
-                taken,
-                fired: 0,
-            }),
+            ops: AtomicU64::new(0),
+            cursor,
             health: Mutex::new(IoHealth::default()),
         }
     }
@@ -519,42 +463,36 @@ impl FaultStorage {
 
     /// Total durable operations performed (the I/O-site count).
     pub fn ops_performed(&self) -> u64 {
-        self.cursor.lock().map(|c| c.ops).unwrap_or(0)
+        self.ops.load(Ordering::SeqCst)
     }
 
     /// How many scheduled faults have fired.
     pub fn faults_fired(&self) -> u64 {
-        self.cursor.lock().map(|c| c.fired).unwrap_or(0)
+        self.cursor.lock().map(|c| c.fired()).unwrap_or(0)
     }
 
     /// Advance the op cursor and return the fault due at this site, if
     /// any.
     fn step(&self, op: &str, path: &Path) -> Option<IoFaultKind> {
-        let mut c = self.cursor.lock().ok()?;
-        let site = c.ops;
-        c.ops += 1;
-        for (i, f) in self.plan.faults.iter().enumerate() {
-            if !c.taken[i] && f.at_op == site {
-                c.taken[i] = true;
-                c.fired += 1;
-                drop(c);
-                if matches!(
-                    f.kind,
-                    IoFaultKind::TransientError | IoFaultKind::PermanentError
-                ) {
-                    // Error kinds are reported through note_failure when
-                    // the synthesized error is returned, not here.
-                } else if let Ok(mut h) = self.health.lock() {
-                    h.last = Some(format!(
-                        "injected {} at io site {site} ({op} {})",
-                        f.kind.name(),
-                        path.display()
-                    ));
-                }
-                return Some(f.kind);
+        let site = self.ops.fetch_add(1, Ordering::SeqCst);
+        let kind = (self.cursor.lock().ok()?)
+            .fire(&self.plan.events, |f| f.at_op == site)?
+            .kind;
+        // Error kinds are reported through note_failure when the
+        // synthesized error is returned, not here.
+        if !matches!(
+            kind,
+            IoFaultKind::TransientError | IoFaultKind::PermanentError
+        ) {
+            if let Ok(mut h) = self.health.lock() {
+                h.last = Some(format!(
+                    "injected {} at io site {site} ({op} {})",
+                    kind.name(),
+                    path.display()
+                ));
             }
         }
-        None
+        Some(kind)
     }
 
     fn crash(&self, op: &str, path: &Path, when: &str) -> ! {
@@ -867,7 +805,7 @@ mod tests {
         let d = tmpdir("errs");
         let plan = IoFaultPlan {
             seed: 0,
-            faults: vec![
+            events: vec![
                 IoFault {
                     at_op: 0,
                     kind: IoFaultKind::TransientError,
@@ -916,24 +854,16 @@ mod tests {
         let b = IoFaultPlan::seeded(9, &IoFaultKind::ALL, 12, 0, 100);
         assert_eq!(a, b);
         assert_ne!(a, IoFaultPlan::seeded(10, &IoFaultKind::ALL, 12, 0, 100));
-        for (i, f) in a.faults.iter().enumerate() {
+        for (i, f) in a.events.iter().enumerate() {
             assert!(f.at_op < 100);
             assert_eq!(f.kind, IoFaultKind::ALL[i % IoFaultKind::ALL.len()]);
         }
         let p = IoFaultPlan::parse("7:torn").unwrap();
-        assert_eq!(p.faults.len(), 1);
-        assert!(matches!(p.faults[0].kind, IoFaultKind::TornWrite { .. }));
-        assert_eq!(IoFaultPlan::parse("3:mix:5").unwrap().faults.len(), 5);
+        assert_eq!(p.events.len(), 1);
+        assert!(matches!(p.events[0].kind, IoFaultKind::TornWrite { .. }));
+        assert_eq!(IoFaultPlan::parse("3:mix:5").unwrap().events.len(), 5);
         assert!(IoFaultPlan::parse("x:torn").is_err());
         assert!(IoFaultPlan::parse("1:bogus").is_err());
         assert!(IoFaultPlan::parse("1").is_err());
-    }
-
-    #[test]
-    fn kind_names_roundtrip() {
-        for k in IoFaultKind::ALL {
-            assert_eq!(IoFaultKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(IoFaultKind::from_name("nope"), None);
     }
 }

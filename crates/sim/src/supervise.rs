@@ -31,8 +31,9 @@ thread_local! {
 }
 
 /// Arm supervision on this thread with an optional wall-clock deadline.
-/// Newly built hierarchies on this thread attach an event-trace tap for
-/// triage while armed.
+/// Hierarchies built on this thread while armed attach a
+/// [`trace::Observer`](crate::trace::Observer); a deadline kill's
+/// triage bundle prints the tail of its event ring.
 pub fn arm(deadline: Option<Duration>) {
     ARMED.with(|a| a.set(true));
     DEADLINE.with(|d| d.set(deadline.map(|t| (Instant::now(), t))));

@@ -18,10 +18,10 @@
 //! ```text
 //!   pipeline ──TxnEvent──▶ AccountingBus ──▶ Stats
 //!                                │
-//!                         SinkTap::Observer ──▶ TraceRing   (events)
+//!                          bus.tap: Observer ──▶ TraceRing   (events) ──▶ triage tail
 //!                                │          ├─▶ MetricsRecorder (epochs)
 //!                                │          └─▶ StageProfile    (spans)
-//!                                ▼ drop/flush
+//!                                ▼ drop, while armed
 //!                         trace::collect ──▶ trace::drain ──▶ TraceReport
 //!                                                    │   ├─ chrome_trace_json
 //!                                                    │   ├─ profile_table
@@ -30,18 +30,19 @@
 //!
 //! # Zero overhead when off
 //!
-//! Nothing here runs unless [`arm`] has been called: the hierarchy only
-//! attaches a [`SinkTap::Observer`] when [`armed`] is true, so the
-//! disarmed hot path pays exactly what it paid before this module
-//! existed — one `SinkTap` discriminant test per event (pinned by the
-//! `no_alloc` test suite, and by the golden-digest differential test
-//! which proves tracing is strictly observational).
+//! Nothing here runs unless tracing ([`arm`]) or campaign supervision
+//! ([`crate::supervise::arm`]) is armed: the hierarchy only attaches an
+//! [`Observer`] then, so the disarmed hot path pays one null test of
+//! `AccountingBus::tap` per event (pinned by the `no_alloc` test suite,
+//! and by the golden-digest differential test which proves tracing is
+//! strictly observational). Supervision reads the ring for its triage
+//! tail; only tracing flushes observers into the process-wide
+//! collector.
 //!
 //! When armed, recording stays allocation-free: every structure below
 //! preallocates at construction and records by overwriting fixed slots.
 //!
 //! [`TxnEvent`]: crate::event::TxnEvent
-//! [`SinkTap::Observer`]: crate::event::SinkTap
 
 use crate::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::event::{CbPhase, LevelId, TxnEvent, TxnSink};
@@ -686,7 +687,7 @@ impl Snapshot for MetricsRecorder {
 }
 
 // ----------------------------------------------------------------------
-// Observer: the SinkTap-attached recorder
+// Observer: the bus-attached recorder
 // ----------------------------------------------------------------------
 
 /// The bus-attached observability recorder: an event [`TraceRing`], a
@@ -961,11 +962,9 @@ impl Snapshot for Observer {
 // ----------------------------------------------------------------------
 
 /// Process-global arming flag: when set, every newly constructed
-/// hierarchy attaches a [`SinkTap::Observer`] and flushes it into the
-/// collector on drop. Process-global (not thread-local) because
-/// experiments fan out across worker threads.
-///
-/// [`SinkTap::Observer`]: crate::event::SinkTap
+/// hierarchy attaches an [`Observer`], and a hierarchy dropped while it
+/// is set flushes its observer into the collector. Process-global (not
+/// thread-local) because experiments fan out across worker threads.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 #[derive(Debug, Default)]
@@ -1004,7 +1003,7 @@ pub fn armed() -> bool {
 
 /// Flush one finished system's observer into the process-wide
 /// collector, assigning it the next system id. Called by the hierarchy
-/// on drop (and explicitly by tests).
+/// on drop while tracing is armed (and explicitly by tests).
 pub fn collect(obs: Observer) {
     let mut guard = COLLECTOR.lock().unwrap();
     let c = guard.get_or_insert_with(Collector::default);
@@ -1293,7 +1292,7 @@ mod tests {
         use crate::event::AccountingBus;
         use crate::fault::FaultInjector;
         let mut bus = AccountingBus::new(FaultInjector::new(None));
-        bus.tap = crate::event::SinkTap::Observer(Box::default());
+        bus.tap = Some(Box::default());
         let done = crate::span!(bus, Stage::Callback, 100, 100 + 40);
         assert_eq!(done, 140);
         let obs = bus.observer().unwrap();

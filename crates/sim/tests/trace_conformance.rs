@@ -9,7 +9,7 @@
 //! an index — and the index-coverage assertion then forces it into
 //! [`all_variants`], the list actually driven through the bus.
 
-use tako_sim::event::{AccountingBus, CbPhase, LevelId, SinkTap, TxnEvent, TxnSink};
+use tako_sim::event::{AccountingBus, CbPhase, LevelId, TxnEvent, TxnSink};
 use tako_sim::fault::FaultInjector;
 use tako_sim::stats::Counter;
 use tako_sim::trace::Observer;
@@ -77,7 +77,7 @@ fn all_variants() -> [TxnEvent; VARIANT_COUNT] {
 
 fn observed_bus() -> AccountingBus {
     let mut bus = AccountingBus::new(FaultInjector::new(None));
-    bus.tap = SinkTap::Observer(Box::new(Observer::new()));
+    bus.tap = Some(Box::new(Observer::new()));
     bus
 }
 

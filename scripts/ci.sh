@@ -116,5 +116,13 @@ assert all(e["ts"] >= 0 for e in inst), "negative timestamp"
 print(f"    trace JSON valid: {len(evs)} events ({len(inst)} instants)")
 EOF
 echo "    traced output matches clean run"
+# Tracing and supervision arm the same observer; a traced, journaled
+# (supervised) run must still print the clean run's output.
+./target/release/all_experiments --scale 0.01 --jobs 2 \
+    --journal "$JDIR/traced-journal" --profile > "$JDIR/traced-journaled.txt"
+grep -q '^PROFILE:' "$JDIR/traced-journaled.txt"
+diff <(grep -v 'took' "$JDIR/clean.txt") \
+     <(grep -v 'took' "$JDIR/traced-journaled.txt" | sed '/^PROFILE:/,$d')
+echo "    traced, journaled output matches clean run"
 
 echo "ci: all green"
