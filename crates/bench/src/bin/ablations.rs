@@ -1,5 +1,4 @@
 //! Ablations of täkō's design choices (trrîp, prefetch decoupling).
 fn main() {
-    let opts = tako_bench::Opts::from_args();
-    print!("{}", tako_bench::experiments::ablations(opts));
+    tako_bench::run_figure(tako_bench::experiments::ablations);
 }

@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig07 decompress count experiment. See DESIGN.md §4.
 fn main() {
-    let opts = tako_bench::Opts::from_args();
-    print!("{}", tako_bench::experiments::fig07_decompress_count(opts));
+    tako_bench::run_figure(tako_bench::experiments::fig07_decompress_count);
 }

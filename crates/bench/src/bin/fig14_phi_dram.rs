@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig14 phi dram experiment. See DESIGN.md §4.
 fn main() {
-    let opts = tako_bench::Opts::from_args();
-    print!("{}", tako_bench::experiments::fig14_phi_dram(opts));
+    tako_bench::run_figure(tako_bench::experiments::fig14_phi_dram);
 }

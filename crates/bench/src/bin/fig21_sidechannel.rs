@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig21 sidechannel experiment. See DESIGN.md §4.
 fn main() {
-    let opts = tako_bench::Opts::from_args();
-    print!("{}", tako_bench::experiments::fig21_sidechannel(opts));
+    tako_bench::run_figure(tako_bench::experiments::fig21_sidechannel);
 }

@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig23 pe latency experiment. See DESIGN.md §4.
 fn main() {
-    let opts = tako_bench::Opts::from_args();
-    print!("{}", tako_bench::experiments::fig23_pe_latency(opts));
+    tako_bench::run_figure(tako_bench::experiments::fig23_pe_latency);
 }

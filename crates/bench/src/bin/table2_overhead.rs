@@ -1,5 +1,4 @@
 //! Regenerates the paper's table2 overhead experiment. See DESIGN.md §4.
 fn main() {
-    let opts = tako_bench::Opts::from_args();
-    print!("{}", tako_bench::experiments::table2_overhead(opts));
+    tako_bench::run_figure(tako_bench::experiments::table2_overhead);
 }

@@ -60,7 +60,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tako_sim::checkpoint::{decode, encode, Record, SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::digest::Sha256;
@@ -71,7 +71,7 @@ use tako_sim::storage::{
 };
 use tako_sim::supervise;
 
-use crate::{Experiment, ExperimentResult, Opts};
+use crate::{run_experiment, start_order, Experiment, ExperimentResult, Opts, RunList};
 
 // ---------------------------------------------------------------------
 // In-experiment unit journal
@@ -709,7 +709,11 @@ pub fn run_campaign(
         }
     }
 
+    let mut todo = start_order(&todo);
     let inner = opts.serial();
+    // One run list for the whole call: retries and views reuse what
+    // earlier attempts and producers simulated.
+    let runs = Arc::new(RunList::default());
     let log = c.dir.join("attempts.log");
     let mut attempts = 0u64;
     for attempt in 1..=(1 + c.retries) {
@@ -742,6 +746,7 @@ pub fn run_campaign(
         let deadline = c.deadline;
         let every = c.checkpoint_every;
         let storage = Arc::clone(&c.storage);
+        let runs = Arc::clone(&runs);
         let crash = if attempt == 1 {
             c.crash_after_units
         } else {
@@ -767,16 +772,7 @@ pub fn run_campaign(
                 crash_after_units(n);
             }
             let _sup = SuperviseScope::arm(deadline);
-            if Some(name) == force.as_deref() {
-                panic!("forced panic in {name} (--force-panic)");
-            }
-            let t0 = Instant::now();
-            let output = f(inner);
-            ExperimentResult {
-                name,
-                output,
-                wall: t0.elapsed(),
-            }
+            run_experiment(name, f, inner, &runs, Some(name) == force.as_deref())
         });
 
         let mut still_failing = Vec::new();

@@ -9,27 +9,30 @@
 //! [`run_variants`]: every simulation is an independent, seeded,
 //! single-threaded `TakoSystem`, and results are collected in input
 //! order, so the printed output does not depend on the job count.
+//!
+//! Decompression, PHI and HATS simulations go through the runner
+//! invocation's run list (`run_once`), because several harnesses ask
+//! for the same ones: Fig 7, Fig 14 and Fig 17 are views over the run
+//! lists of Fig 6, Fig 13 and Fig 16; Fig 22 and Fig 23 share one
+//! vertex-ordered baseline; Fig 22's 5x5 point, Fig 23's 1-cycle
+//! point, the 256-entry rTLB point and the with-prefetch ablation are
+//! one HATS run; and Fig 24's 3-wide point is Fig 25's 16-core,
+//! larger-graph point.
 
 use tako_sim::config::{CoreConfig, EngineConfig, SystemConfig};
 use tako_sim::stats::Counter;
-use tako_workloads::{decompress, hats, nvm, phi, sidechannel, soa};
+use tako_workloads::{decompress, hats, nvm, phi, sidechannel, soa, RunResult};
 
-use crate::{fx, pct, row, run_variants, Opts};
+use crate::{fx, pct, row, run_once, run_variants, Opts};
 
-fn baseline_relative(
-    out: &mut String,
-    label: &str,
-    cycles: u64,
-    energy: f64,
-    base_cycles: u64,
-    base_energy: f64,
-) {
+/// One row of a speedup & energy figure: `run` relative to `base`.
+fn baseline_relative(out: &mut String, label: &str, run: &RunResult, base: &RunResult) {
     out.push_str(&row(
         label,
         &[
-            ("speedup", fx(base_cycles as f64 / cycles as f64)),
-            ("energy", pct(energy / base_energy)),
-            ("cycles", cycles.to_string()),
+            ("speedup", fx(run.speedup_over(base))),
+            ("energy", pct(run.energy_ratio_to(base))),
+            ("cycles", run.cycles.to_string()),
         ],
     ));
 }
@@ -38,9 +41,7 @@ fn baseline_relative(
 // Fig 6 / Fig 7 — decompression
 // ----------------------------------------------------------------------
 
-/// Workload sizes shared by the two decompression figures, so Fig 7
-/// counts decompressions on exactly the run Fig 6 times (`--paper`
-/// included — Fig 7 used to ignore it).
+/// Workload sizes of the decompression run list.
 fn decompress_params(opts: Opts) -> decompress::Params {
     decompress::Params {
         values: if opts.paper {
@@ -58,40 +59,33 @@ fn decompress_params(opts: Opts) -> decompress::Params {
     }
 }
 
+/// The decompression run list: every variant, in `Variant::ALL` order.
+/// Fig 6 times it and Fig 7 counts its decompressions.
+fn decompress_runs(opts: Opts) -> Vec<decompress::DecompressResult> {
+    let params = decompress_params(opts);
+    let cfg = SystemConfig::default_16core();
+    run_variants(opts, &decompress::Variant::ALL, |v| {
+        run_once((v, params, &cfg), || decompress::run(v, params, &cfg))
+    })
+}
+
 /// Fig 6: speedup and relative dynamic energy for the decompression
 /// example, per variant. The paper reports täkō at 2.2x speedup / 61%
 /// energy savings vs software, with NDC *hurting*.
 pub fn fig06_decompress(opts: Opts) -> String {
-    let params = decompress_params(opts);
-    let cfg = SystemConfig::default_16core();
     let mut out = String::from("# Fig 6: decompression — speedup & energy vs software baseline\n");
-    let results = run_variants(opts, &decompress::Variant::ALL, |v| {
-        decompress::run(v, params, &cfg)
-    });
-    let (base_cycles, base_energy) = (results[0].run.cycles, results[0].run.energy_uj); // ALL[0] = Software
+    let results = decompress_runs(opts);
     for (v, r) in decompress::Variant::ALL.iter().zip(&results) {
         assert!((r.average - r.expected).abs() < 1e-9, "functional check");
-        baseline_relative(
-            &mut out,
-            v.label(),
-            r.run.cycles,
-            r.run.energy_uj,
-            base_cycles,
-            base_energy,
-        );
+        baseline_relative(&mut out, v.label(), &r.run, &results[0].run); // ALL[0] = Software
     }
     out
 }
 
-/// Fig 7: number of decompressions per variant (same sizes as Fig 6).
+/// Fig 7: number of decompressions per variant (a view over Fig 6's runs).
 pub fn fig07_decompress_count(opts: Opts) -> String {
-    let params = decompress_params(opts);
-    let cfg = SystemConfig::default_16core();
     let mut out = String::from("# Fig 7: number of decompressions\n");
-    let results = run_variants(opts, &decompress::Variant::ALL, |v| {
-        decompress::run(v, params, &cfg)
-    });
-    for (v, r) in decompress::Variant::ALL.iter().zip(&results) {
+    for (v, r) in decompress::Variant::ALL.iter().zip(decompress_runs(opts)) {
         out.push_str(&row(
             v.label(),
             &[("decompressions", r.decompressions.to_string())],
@@ -142,37 +136,38 @@ fn phi_cfg_for(opts: Opts, vertices: usize, tiles: usize) -> SystemConfig {
     cfg
 }
 
-fn phi_cfg(opts: Opts) -> SystemConfig {
-    phi_cfg_for(opts, phi_params(opts).vertices, 16)
+/// One PHI simulation through the run list, kept without its rank
+/// vector.
+fn phi_run(v: phi::Variant, params: &phi::Params, cfg: &SystemConfig) -> phi::PhiResult {
+    run_once((v, params, cfg), || phi::PhiResult {
+        ranks: Vec::new(),
+        ..phi::run(v, params, cfg)
+    })
+}
+
+/// The PHI run list: every variant, in `Variant::ALL` order. Fig 13
+/// times it and Fig 14 breaks down its DRAM accesses.
+fn phi_runs(opts: Opts) -> Vec<phi::PhiResult> {
+    let params = phi_params(opts);
+    let cfg = phi_cfg_for(opts, params.vertices, 16);
+    run_variants(opts, &phi::Variant::ALL, |v| phi_run(v, &params, &cfg))
 }
 
 /// Fig 13: PHI PageRank speedup & energy (paper: täkō 4.2x, UB 3.2x).
 pub fn fig13_phi(opts: Opts) -> String {
-    let params = phi_params(opts);
-    let cfg = phi_cfg(opts);
     let mut out = String::from("# Fig 13: PHI PageRank — speedup & energy vs software baseline\n");
-    let results = run_variants(opts, &phi::Variant::ALL, |v| phi::run(v, &params, &cfg));
-    let (base_cycles, base_energy) = (results[0].run.cycles, results[0].run.energy_uj); // ALL[0] = Software
+    let results = phi_runs(opts);
     for (v, r) in phi::Variant::ALL.iter().zip(&results) {
-        baseline_relative(
-            &mut out,
-            v.label(),
-            r.run.cycles,
-            r.run.energy_uj,
-            base_cycles,
-            base_energy,
-        );
+        baseline_relative(&mut out, v.label(), &r.run, &results[0].run); // ALL[0] = Software
     }
     out
 }
 
-/// Fig 14: DRAM accesses per PageRank phase (edge/bin/vertex).
+/// Fig 14: DRAM accesses per PageRank phase (edge/bin/vertex), a view
+/// over Fig 13's runs.
 pub fn fig14_phi_dram(opts: Opts) -> String {
-    let params = phi_params(opts);
-    let cfg = phi_cfg(opts);
     let mut out = String::from("# Fig 14: DRAM accesses per phase (edge/bin/vertex)\n");
-    let results = run_variants(opts, &phi::Variant::ALL, |v| phi::run(v, &params, &cfg));
-    for (v, r) in phi::Variant::ALL.iter().zip(&results) {
+    for (v, r) in phi::Variant::ALL.iter().zip(phi_runs(opts)) {
         let ph = r.run.stats.phases();
         out.push_str(&row(
             v.label(),
@@ -226,36 +221,51 @@ fn hats_cfg() -> SystemConfig {
     cfg
 }
 
+/// The small HATS input of the engine sweeps (Figs 22–23, the rTLB
+/// sweep and the prefetch ablation).
+fn hats_small_params(opts: Opts) -> hats::Params {
+    hats::Params {
+        vertices: opts.sized(128 * 1024),
+        edges: opts.sized(1 << 20),
+        communities: opts.sized(512),
+        ..hats_params(opts)
+    }
+}
+
+/// One HATS simulation through the run list, kept without its `next`
+/// vector.
+fn hats_run(v: hats::Variant, params: &hats::Params, cfg: &SystemConfig) -> hats::HatsResult {
+    run_once((v, params, cfg), || hats::HatsResult {
+        next: Vec::new(),
+        ..hats::run(v, params, cfg)
+    })
+}
+
+/// The HATS run list: every variant, in `Variant::ALL` order. Fig 16
+/// times it and Fig 17 breaks it down.
+fn hats_runs(opts: Opts) -> Vec<hats::HatsResult> {
+    let params = hats_params(opts);
+    let cfg = hats_cfg();
+    run_variants(opts, &hats::Variant::ALL, |v| hats_run(v, &params, &cfg))
+}
+
 /// Fig 16: HATS speedup & energy (paper: täkō +43%, ideal +46%,
 /// software BDFS ≈ baseline).
 pub fn fig16_hats(opts: Opts) -> String {
-    let params = hats_params(opts);
-    let cfg = hats_cfg();
     let mut out = String::from("# Fig 16: HATS PageRank — speedup & energy vs vertex-ordered\n");
-    let results = run_variants(opts, &hats::Variant::ALL, |v| hats::run(v, &params, &cfg));
-    let (base_cycles, base_energy) = (results[0].run.cycles, results[0].run.energy_uj); // ALL[0] = VertexOrdered
+    let results = hats_runs(opts);
     for (v, r) in hats::Variant::ALL.iter().zip(&results) {
-        baseline_relative(
-            &mut out,
-            v.label(),
-            r.run.cycles,
-            r.run.energy_uj,
-            base_cycles,
-            base_energy,
-        );
+        baseline_relative(&mut out, v.label(), &r.run, &results[0].run); // ALL[0] = VertexOrdered
     }
     out
 }
 
 /// Fig 17: HATS breakdown — DRAM accesses, branch mispredictions per
-/// edge, mean load latency.
+/// edge, mean load latency — a view over Fig 16's runs.
 pub fn fig17_hats_breakdown(opts: Opts) -> String {
-    let params = hats_params(opts);
-    let cfg = hats_cfg();
     let mut out =
         String::from("# Fig 17: HATS breakdown (DRAM / mispredicts per edge / load latency)\n");
-    let results = run_variants(opts, &hats::Variant::ALL, |v| hats::run(v, &params, &cfg));
-    for (v, r) in hats::Variant::ALL.iter().zip(&results) {
+    for (v, r) in hats::Variant::ALL.iter().zip(hats_runs(opts)) {
         out.push_str(&row(
             v.label(),
             &[
@@ -390,15 +400,15 @@ pub fn fig21_sidechannel(opts: Opts) -> String {
 // Fig 22 / Fig 23 — engine microarchitecture sensitivity
 // ----------------------------------------------------------------------
 
+/// Cycles of the vertex-ordered baseline and of täkō with `engine` on
+/// the small HATS input. The baseline does not depend on the engine, so
+/// every Fig 22 and Fig 23 point shares one run of it.
 fn hats_speedup_with_engine(opts: Opts, engine: EngineConfig) -> (u64, u64) {
-    let mut params = hats_params(opts);
-    params.vertices = opts.sized(128 * 1024);
-    params.edges = opts.sized(1 << 20);
-    params.communities = opts.sized(512);
+    let params = hats_small_params(opts);
     let mut cfg = hats_cfg();
-    let base = hats::run(hats::Variant::VertexOrdered, &params, &cfg);
+    let base = hats_run(hats::Variant::VertexOrdered, &params, &cfg);
     cfg.engine = engine;
-    let tako = hats::run(hats::Variant::Tako, &params, &cfg);
+    let tako = hats_run(hats::Variant::Tako, &params, &cfg);
     (base.run.cycles, tako.run.cycles)
 }
 
@@ -460,8 +470,8 @@ pub fn fig24_core_uarch(opts: Opts) -> String {
     let results = run_variants(opts, &uarchs, |(_, core)| {
         let mut cfg = SystemConfig::default_16core();
         cfg.core = core;
-        let base = phi::run(phi::Variant::Software, &params, &cfg);
-        let tako = phi::run(phi::Variant::Tako, &params, &cfg);
+        let base = phi_run(phi::Variant::Software, &params, &cfg);
+        let tako = phi_run(phi::Variant::Tako, &params, &cfg);
         (base.run.cycles, tako.run.cycles)
     });
     for ((label, _), (base, tako)) in uarchs.iter().zip(&results) {
@@ -498,9 +508,9 @@ pub fn fig25_scalability(opts: Opts) -> String {
             seed: opts.seed,
         };
         let cfg = SystemConfig::with_tiles(tiles);
-        let sw = phi::run(phi::Variant::Software, &params, &cfg);
-        let ub = phi::run(phi::Variant::UpdateBatching, &params, &cfg);
-        let tako = phi::run(phi::Variant::Tako, &params, &cfg);
+        let sw = phi_run(phi::Variant::Software, &params, &cfg);
+        let ub = phi_run(phi::Variant::UpdateBatching, &params, &cfg);
+        let tako = phi_run(phi::Variant::Tako, &params, &cfg);
         (
             params.edges,
             sw.run.cycles as f64 / tako.run.cycles as f64,
@@ -561,15 +571,12 @@ pub fn sens_callback_buffer(opts: Opts) -> String {
 /// Sec 9: rTLB size sweep on HATS (paper: ≤2.1% variation).
 pub fn sens_rtlb(opts: Opts) -> String {
     let mut out = String::from("# Sec 9: HATS cycles vs rTLB entries\n");
-    let mut params = hats_params(opts);
-    params.vertices = opts.sized(128 * 1024);
-    params.edges = opts.sized(1 << 20);
-    params.communities = opts.sized(512);
+    let params = hats_small_params(opts);
     let entries: [u32; 3] = [64, 256, 1024];
     let results = run_variants(opts, &entries, |n| {
         let mut cfg = hats_cfg();
         cfg.engine.rtlb_entries = n;
-        hats::run(hats::Variant::Tako, &params, &cfg)
+        hats_run(hats::Variant::Tako, &params, &cfg)
     });
     let reference = results[0].run.cycles;
     for (n, r) in entries.iter().zip(&results) {
@@ -635,10 +642,7 @@ pub fn ablations(opts: Opts) -> String {
 
     // --- HATS decoupling via the prefetcher ---
     out.push_str("## HATS decoupling (prefetch-triggered onMiss)\n");
-    let mut hp = hats_params(opts);
-    hp.vertices = opts.sized(128 * 1024);
-    hp.edges = opts.sized(1 << 20);
-    hp.communities = opts.sized(512);
+    let hp = hats_small_params(opts);
     let cfg = hats_cfg();
     let coupled_cfg = {
         let mut c = cfg.clone();
@@ -647,7 +651,7 @@ pub fn ablations(opts: Opts) -> String {
     };
     let hats_results = run_variants(opts, &[false, true], |coupled| {
         let c = if coupled { &coupled_cfg } else { &cfg };
-        hats::run(hats::Variant::Tako, &hp, c)
+        hats_run(hats::Variant::Tako, &hp, c)
     });
     let (tako, coupled) = (&hats_results[0], &hats_results[1]);
     out.push_str(&row(

@@ -25,9 +25,13 @@
 //! EXPERIMENTS.md); the *shape* — who wins, by roughly what factor —
 //! is what these harnesses regenerate.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::fmt::Debug;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use tako_sim::checkpoint::Record;
+use tako_sim::checkpoint::{Record, SnapReader, SnapWriter};
 use tako_sim::config::SystemConfig;
 use tako_sim::parallel::{default_jobs, parallel_map, parallel_map_catch};
 
@@ -140,9 +144,77 @@ pub fn warn_unknown(unknown: &[String]) {
     }
 }
 
+/// The run list of one runner invocation: the kept record of every
+/// distinct simulation the invocation has run, by key. A runner
+/// invocation is one [`run_all`], [`run_all_catch`] or
+/// [`campaign::run_campaign`] call, or one per-figure binary
+/// ([`run_figure`]); its run list lives exactly as long as the call.
+#[derive(Default)]
+pub(crate) struct RunList(Mutex<HashMap<String, Arc<OnceLock<Vec<u8>>>>>);
+
+thread_local! {
+    static RUN_LIST: RefCell<Option<Arc<RunList>>> = const { RefCell::new(None) };
+}
+
+/// RAII scope making a run list this thread's; dropping (including
+/// during a panic unwind) restores the one it replaced.
+pub(crate) struct RunListScope(Option<Arc<RunList>>);
+
+impl RunListScope {
+    pub(crate) fn enter(list: Option<Arc<RunList>>) -> Self {
+        RunListScope(RUN_LIST.with(|l| l.replace(list)))
+    }
+}
+
+impl Drop for RunListScope {
+    fn drop(&mut self) {
+        RUN_LIST.with(|l| *l.borrow_mut() = self.0.take());
+    }
+}
+
+fn current_run_list() -> Option<Arc<RunList>> {
+    RUN_LIST.with(|l| l.borrow().clone())
+}
+
+/// The kept record of the simulation `key` names: `run` simulates it
+/// only if this runner invocation has not yet done so, and a caller
+/// that asks while another worker is simulating it waits for that
+/// result. `key` must name everything the simulation depends on
+/// (variant, params, config); the kept record's type, which names the
+/// workload, is part of the key. Outside a runner invocation (a harness
+/// called directly) every call simulates.
+///
+/// Every caller gets the record's [`Record`] round trip, so a fresh and
+/// a shared result are bit-identical, as a journal replay is.
+pub(crate) fn run_once<R: Record>(key: impl Debug, run: impl FnOnce() -> R) -> R {
+    let Some(list) = current_run_list() else {
+        return run();
+    };
+    let key = format!("{}:{key:?}", std::any::type_name::<R>());
+    let slot = {
+        let mut slots = list.0.lock().expect("run list poisoned");
+        Arc::clone(slots.entry(key).or_default())
+    };
+    let bytes = slot.get_or_init(|| {
+        let mut w = SnapWriter::new();
+        run().record(&mut w);
+        w.into_bytes()
+    });
+    R::replay(&mut SnapReader::new(bytes)).expect("run list record round-trips")
+}
+
+/// Run one harness as its own runner invocation on the command-line
+/// options and print its output: the body of every per-figure binary.
+pub fn run_figure(f: Experiment) {
+    let opts = Opts::from_args();
+    let _runs = RunListScope::enter(Some(Arc::default()));
+    print!("{}", f(opts));
+}
+
 /// Run `f` over each variant on `opts.jobs` workers, returning results
 /// in `variants` order. Each simulation owns its `TakoSystem`, so runs
 /// are independent and the output is identical to the serial loop.
+/// Workers share the caller's run list.
 ///
 /// Under a supervised campaign (a [`campaign`] unit journal armed on
 /// this thread), every completed variant is journaled as a checkpoint
@@ -171,7 +243,11 @@ where
             })
             .collect();
     }
-    parallel_map(opts.jobs, variants.to_vec(), |_, v| f(v))
+    let runs = current_run_list();
+    parallel_map(opts.jobs, variants.to_vec(), |_, v| {
+        let _runs = RunListScope::enter(runs.clone());
+        f(v)
+    })
 }
 
 /// One experiment harness: regenerates a figure/table as printable text.
@@ -209,20 +285,55 @@ pub struct ExperimentResult {
     pub wall: Duration,
 }
 
+/// The harnesses that only render other harnesses' run lists. Runners
+/// start them after every other harness, so at `--jobs > 1` they find
+/// their runs done instead of holding a worker while they wait.
+const VIEWS: [&str; 3] = ["fig07", "fig14", "fig17"];
+
+/// `experiments` in the order runners start them: table order, views
+/// last.
+pub(crate) fn start_order(
+    experiments: &[(&'static str, Experiment)],
+) -> Vec<(&'static str, Experiment)> {
+    let mut order = experiments.to_vec();
+    order.sort_by_key(|(name, _)| VIEWS.contains(name));
+    order
+}
+
+/// Run harness `name` on `runs`, timed; `force_panic` makes it panic on
+/// entry instead (the `--force-panic` hook).
+pub(crate) fn run_experiment(
+    name: &'static str,
+    f: Experiment,
+    opts: Opts,
+    runs: &Arc<RunList>,
+    force_panic: bool,
+) -> ExperimentResult {
+    if force_panic {
+        panic!("forced panic in {name} (--force-panic)");
+    }
+    let _runs = RunListScope::enter(Some(Arc::clone(runs)));
+    let t0 = Instant::now();
+    let output = f(opts);
+    ExperimentResult {
+        name,
+        output,
+        wall: t0.elapsed(),
+    }
+}
+
 /// Run every harness in [`EXPERIMENTS`] across `opts.jobs` workers and
 /// return the results in table order. The machine is reserved for the
 /// experiment-level fan-out: each harness runs with `jobs = 1` inside.
+///
+/// # Panics
+///
+/// Once every harness has finished, if any of them panicked.
 pub fn run_all(opts: Opts) -> Vec<ExperimentResult> {
-    let inner = opts.serial();
-    parallel_map(opts.jobs, EXPERIMENTS.to_vec(), move |_, (name, f)| {
-        let t0 = Instant::now();
-        let output = f(inner);
-        ExperimentResult {
-            name,
-            output,
-            wall: t0.elapsed(),
-        }
-    })
+    run_all_catch(opts, None)
+        .into_iter()
+        .map(|(name, r)| r.unwrap_or_else(|e| panic!("{name} panicked: {e}")))
+        .collect()
 }
 
 /// Like [`run_all`], but each harness runs behind a panic guard: a
@@ -235,23 +346,14 @@ pub fn run_all_catch(
     force_panic: Option<&str>,
 ) -> Vec<(&'static str, Result<ExperimentResult, String>)> {
     let inner = opts.serial();
-    let results = parallel_map_catch(opts.jobs, EXPERIMENTS.to_vec(), move |_, (name, f)| {
-        if Some(name) == force_panic {
-            panic!("forced panic in {name} (--force-panic)");
-        }
-        let t0 = Instant::now();
-        let output = f(inner);
-        ExperimentResult {
-            name,
-            output,
-            wall: t0.elapsed(),
-        }
+    let runs = Arc::new(RunList::default());
+    let order = start_order(EXPERIMENTS);
+    let results = parallel_map_catch(opts.jobs, order.clone(), move |_, (name, f)| {
+        run_experiment(name, f, inner, &runs, Some(name) == force_panic)
     });
-    EXPERIMENTS
-        .iter()
-        .zip(results)
-        .map(|((name, _), r)| (*name, r))
-        .collect()
+    let mut results: Vec<_> = order.iter().map(|(name, _)| *name).zip(results).collect();
+    results.sort_by_key(|(name, _)| EXPERIMENTS.iter().position(|(n, _)| n == name));
+    results
 }
 
 /// Render one labelled row of `(label, value)` pairs.

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tako_bench::campaign::{backoff_ms, run_campaign, CampaignOpts};
-use tako_bench::{run_variants, Experiment, Opts};
+use tako_bench::campaign::{backoff_ms, run_campaign, CampaignOpts, CampaignOutcome};
+use tako_bench::{experiments, run_variants, Experiment, Opts};
 use tako_core::TakoSystem;
 use tako_cpu::{AccessKind, MemSystem};
 use tako_sim::config::SystemConfig;
@@ -339,4 +339,78 @@ fn permanent_fault_mid_experiment_fails_fast_without_retries() {
         classified,
         "no site landed a permanent fault inside an attempt ({sites} sites swept)"
     );
+}
+
+// --- a run list's producer and its view -----------------------------
+
+/// Fig 7 is a view over Fig 6's run list.
+const VIEW_EXPS: &[(&str, Experiment)] = &[
+    ("fig06", experiments::fig06_decompress as Experiment),
+    ("fig07", experiments::fig07_decompress_count as Experiment),
+];
+
+fn outputs(outcome: &CampaignOutcome) -> Vec<String> {
+    outcome
+        .results
+        .iter()
+        .map(|(name, r)| {
+            r.as_ref()
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .output
+                .clone()
+        })
+        .collect()
+}
+
+#[test]
+fn crash_between_producer_and_view_resumes_byte_identical() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+    use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultKind, IoFaultPlan};
+
+    let o = Opts {
+        scale: 0.01,
+        jobs: 1,
+        ..opts()
+    };
+    let dir = tmp("view");
+    let counting = Arc::new(FaultStorage::counting());
+    let mut c = CampaignOpts::fresh(&dir);
+    c.storage = counting.clone();
+    let clean = outputs(&run_campaign(o, &c, VIEW_EXPS).expect("clean campaign"));
+    assert_eq!(
+        clean,
+        [
+            experiments::fig06_decompress(o),
+            experiments::fig07_decompress_count(o)
+        ]
+    );
+
+    // Crash at every I/O site, then resume. The resumed invocation's run
+    // list starts empty: a producer resumed from its journal replays its
+    // runs without simulating, so its view must simulate them itself.
+    let mut between = 0;
+    for at_op in 0..counting.ops_performed() {
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = CampaignOpts::fresh(&dir);
+        c.storage = Arc::new(FaultStorage::new(
+            Arc::new(DiskStorage::new()),
+            IoFaultPlan::single(at_op, IoFaultKind::Crash),
+        ));
+        let crashed = catch_unwind(AssertUnwindSafe(|| run_campaign(o, &c, VIEW_EXPS)));
+        assert!(crashed.is_err(), "site {at_op} did not crash");
+        if dir.join("fig06.units").exists() && !dir.join("fig07.units").exists() {
+            between += 1;
+        }
+        let mut c = CampaignOpts::fresh(&dir);
+        c.resume = true;
+        let resumed = run_campaign(o, &c, VIEW_EXPS).expect("resume");
+        assert_eq!(
+            outputs(&resumed),
+            clean,
+            "resume after a crash at site {at_op}"
+        );
+    }
+    assert!(between > 0, "no crash fell between producer and view");
+    let _ = std::fs::remove_dir_all(&dir);
 }

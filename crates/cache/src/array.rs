@@ -974,6 +974,53 @@ mod tests {
         }
     }
 
+    /// Stack-distance oracle: a one-set LRU array of `w` ways is a fully
+    /// associative LRU cache, so an access misses exactly when its LRU
+    /// stack distance (distinct lines touched since its previous access)
+    /// is at least `w`; a first access has infinite distance. The oracle
+    /// is a plain MRU-first list, independent of the array's stamps.
+    #[test]
+    fn one_set_lru_misses_match_stack_distances() {
+        for ways in [2u32, 4, 8, 16] {
+            let lines = 4 * u64::from(ways);
+            let zipf = tako_sim::rng::Zipfian::new(lines, 0.99);
+            for skewed in [false, true] {
+                let mut a = CacheArray::new(CacheConfig {
+                    size_bytes: u64::from(ways) * LINE_BYTES,
+                    ways,
+                    tag_latency: 1,
+                    data_latency: 1,
+                    repl: ReplPolicy::Lru,
+                    mshrs: 4,
+                });
+                let mut rng = Rng::new(0x57AC + u64::from(ways));
+                let mut stack: Vec<Addr> = Vec::new();
+                let (mut misses, mut far) = (0u64, 0u64);
+                for _ in 0..4096 {
+                    let k = if skewed {
+                        zipf.sample(&mut rng)
+                    } else {
+                        rng.below(lines)
+                    };
+                    let line = k * LINE_BYTES;
+                    match stack.iter().position(|&l| l == line) {
+                        Some(d) => {
+                            far += u64::from(d >= ways as usize);
+                            stack.remove(d);
+                        }
+                        None => far += 1,
+                    }
+                    stack.insert(0, line);
+                    if a.lookup(line).is_none() {
+                        misses += 1;
+                        a.insert(line, false, false, InsertKind::Demand, 0);
+                    }
+                }
+                assert_eq!(misses, far, "{ways} ways, skewed={skewed}");
+            }
+        }
+    }
+
     /// The pre-SoA array-of-structs layout, kept verbatim as a reference
     /// model: every operation below mirrors the old `CacheArray` logic
     /// field for field, so the equivalence test can drive both layouts

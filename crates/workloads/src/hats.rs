@@ -22,7 +22,7 @@
 //! and täkō with an ideal engine.
 
 use tako_core::{EngineCtx, Morph, MorphLevel, TakoSystem};
-use tako_cpu::{run_single, CoreEnv, CoreTiming, MemSystem, StepResult, ThreadProgram};
+use tako_cpu::{run_single, CoreEnv, CoreTiming, StepResult, ThreadProgram};
 use tako_dataflow::Val;
 use tako_graph::Csr;
 use tako_mem::addr::Addr;
@@ -32,7 +32,9 @@ use tako_sim::stats::Counter;
 
 use crate::common::{GraphLayout, RunResult};
 
-/// Sentinel marking a consumed or never-filled edge slot.
+/// Sentinel marking a consumed or empty edge slot: the only slot value
+/// that is not an edge. Every edge of a graph with fewer than
+/// `u32::MAX` vertices packs to another value, edge 0 → 0 to 0.
 pub const INVALID_EDGE: u64 = u64::MAX;
 
 /// Which implementation to run.
@@ -101,6 +103,7 @@ impl Default for Params {
     }
 }
 
+/// Stream-slot encoding of edge `src → dst`.
 fn pack(src: u32, dst: u32) -> u64 {
     (u64::from(src) << 32) | u64::from(dst)
 }
@@ -197,7 +200,7 @@ impl HatsMorph {
         let mut dep = ctx.alu(&[read]);
         let mut logged = 0u64;
         for &e in &vals {
-            if e == INVALID_EDGE || e == 0 {
+            if e == INVALID_EDGE {
                 continue;
             }
             dep = ctx.store_stream_u64(self.log + (self.log_cursor + logged) * 8, e, &[dep]);
@@ -418,9 +421,6 @@ impl ThreadProgram for TakoHatsProgram {
                     if self.pos.is_multiple_of(8) {
                         env.demote_line(addr);
                     }
-                    if e == 0 {
-                        continue; // slot beyond the last emitted edge
-                    }
                     let (src, dst) = unpack(e);
                     env.compute(2);
                     process_edge(env, &self.layout, src, dst);
@@ -448,11 +448,9 @@ impl ThreadProgram for TakoHatsProgram {
                     if self.log_pos.is_multiple_of(4) {
                         env.prefetch_stream(self.log + (self.log_pos + 8) * 8);
                     }
+                    // The log holds only edges: onEviction skips empty slots.
                     let e = env.load_stream_u64(self.log + self.log_pos * 8);
                     self.log_pos += 1;
-                    if e == INVALID_EDGE || e == 0 {
-                        continue;
-                    }
                     let (src, dst) = unpack(e);
                     env.compute(2);
                     process_edge(env, &self.layout, src, dst);
@@ -556,6 +554,10 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
             (c, m)
         }
         Variant::Tako | Variant::Ideal => {
+            assert!(
+                layout.n < u64::from(u32::MAX),
+                "vertex ids must not pack to INVALID_EDGE"
+            );
             let ctrl = sys.alloc_real(64).base;
             let log = sys.alloc_real(m * 8 + 4096).base;
             let stream_bytes = m * 8 + 64 * 64;
@@ -592,18 +594,13 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
                 handle,
             };
             let c = run_single(0, &mut prog, core, &mut sys, max_steps);
-            // Audit: no emitted edge may be stranded in the stream.
-            if cfg!(debug_assertions) {
-                let mem = sys.data();
-                let mut stranded = 0u64;
-                for off in (0..stream_bytes).step_by(8) {
-                    let e = mem.read_u64(handle.range().base + off);
-                    if e != INVALID_EDGE && e != 0 {
-                        stranded += 1;
-                    }
-                }
-                debug_assert_eq!(stranded, 0, "edges stranded in the phantom stream");
-            }
+            // Audit: every emitted edge was processed exactly once, none
+            // stranded in the phantom stream.
+            debug_assert_eq!(
+                prog.processed,
+                sys.stats_view().get(Counter::HatsEdgeEmitted),
+                "edges stranded in or duplicated from the phantom stream"
+            );
             (c, prog.processed)
         }
     };
@@ -668,6 +665,37 @@ mod tests {
                 v.label(),
                 r.processed
             );
+        }
+    }
+
+    #[test]
+    fn edge_zero_to_zero_is_an_edge_not_an_empty_slot() {
+        // Edge 0 -> 0 packs to 0 and is the first edge the traversal
+        // emits, so it lands in slot 0 of the first stream line.
+        let p = small();
+        let mut rng = Rng::new(p.seed);
+        let g = tako_graph::gen::community_blocked(
+            p.vertices,
+            p.edges,
+            p.communities,
+            p.p_intra,
+            p.block,
+            &mut rng,
+        );
+        let edges: Vec<(u32, u32)> = std::iter::once((0, 0)).chain(g.edges()).collect();
+        let g = Csr::from_edges(p.vertices, &edges);
+        assert_eq!(g.neighbors(0)[0], 0);
+        let init = vec![1.0 / p.vertices as f64; p.vertices];
+        let base = (1.0 - pagerank::DAMPING) / p.vertices as f64;
+        let expect: Vec<f64> = pagerank::iteration(&g, &init)
+            .into_iter()
+            .map(|x| x - base)
+            .collect();
+        for v in Variant::ALL {
+            let r = run_on_graph(v, &p, &SystemConfig::default_16core(), &g);
+            let diff = pagerank::max_diff(&r.next, &expect);
+            assert!(diff < 1e-9, "{}: next mismatch {diff}", v.label());
+            assert_eq!(r.processed, edges.len() as u64, "{}", v.label());
         }
     }
 

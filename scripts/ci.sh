@@ -70,10 +70,24 @@ if ./target/release/all_experiments --scale 0.01 --jobs 2 \
 fi
 ./target/release/all_experiments --scale 0.01 --jobs 2 \
     --journal "$JDIR/journal" --resume > "$JDIR/resumed.txt"
-./target/release/all_experiments --scale 0.01 --jobs 2 > "$JDIR/clean.txt"
+./target/release/all_experiments --scale 0.01 --jobs 2 > "$JDIR/clean.txt" \
+    2> "$JDIR/clean.log"
 diff <(grep -v 'took' "$JDIR/clean.txt") \
      <(grep -v 'took' "$JDIR/resumed.txt")
 echo "    resumed campaign output matches clean run"
+
+# Simulated-access pin: a runner invocation simulates each distinct run
+# once (run lists), so the suite's access total is deterministic and
+# independent of --jobs. A duplicate simulation that comes back, or a
+# view that stops sharing its producer's runs, moves it. This is a
+# count, not a throughput floor.
+echo "==> simulated-access pin"
+if ! grep -q ' 4960518 simulated accesses ' "$JDIR/clean.log"; then
+  echo "error: suite simulated-access total moved (want 4960518):" >&2
+  tail -n 1 "$JDIR/clean.log" >&2
+  exit 1
+fi
+echo "    4960518 simulated accesses at --scale 0.01"
 
 # Crash-point sweep smoke: every I/O site of a small journaled
 # campaign, for every deterministic fault kind, must resume to the
