@@ -5,10 +5,8 @@
 //! Extra flags beyond the shared [`Opts`] set:
 //!
 //! ```text
-//! --keep-going          isolate harness panics: finish the others,
-//!                       print a FAILURES section, exit nonzero
 //! --force-panic <name>  panic inside the named harness (tests the
-//!                       --keep-going contract)
+//!                       failure contract below)
 //! --trace-out <path>    arm the observability layer and write the
 //!                       merged event trace as Chrome trace_event JSON
 //!                       (load in chrome://tracing or Perfetto)
@@ -16,7 +14,8 @@
 //!                       per-stage cycle-attribution table
 //! ```
 //!
-//! Supervised-campaign flags (see `tako_bench::campaign`):
+//! Supervised-campaign flags (see `tako_bench::campaign`); every one
+//! but `--journal` needs `--journal`:
 //!
 //! ```text
 //! --journal <dir>           journal the run: per-experiment .done
@@ -27,7 +26,6 @@
 //!                           exceeded -> triage bundle + retry
 //! --retries <n>             retries per failed experiment, with a
 //!                           seeded deterministic backoff schedule
-//! --checkpoint-every <n>    sync the unit journal every n units
 //! --crash-after-units <n>   die after n journaled units (the
 //!                           interrupt/resume smoke's crash hook)
 //! --io-faults <plan>        run the journal on the fault-injecting
@@ -36,6 +34,10 @@
 //!                           crash, crash-after, torn, drop-rename,
 //!                           dup-append, flip, transient, permanent
 //! ```
+//!
+//! Every harness runs behind a panic guard: a panicking harness does
+//! not stop the others, the run prints a `FAILURES:` section and exits
+//! 1. A malformed command line exits 2 before anything runs.
 //!
 //! The printed experiment output is byte-identical for every `--jobs`
 //! value — and for a journaled run whether it completed in one go or
@@ -46,14 +48,14 @@ use std::time::{Duration, Instant};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::{
-    run_all, run_all_catch, validate_base_config, warn_unknown, ExperimentResult, Opts, EXPERIMENTS,
+    exit_error, flag_value, run_all, warn_unknown, ExperimentResult, Opts, EXPERIMENTS,
 };
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 
 /// Flags specific to this binary, parsed from the leftovers of
 /// [`Opts::parse`].
+#[derive(Default)]
 struct BenchFlags {
-    keep_going: bool,
     force_panic: Option<String>,
     trace_out: Option<String>,
     profile: bool,
@@ -61,118 +63,63 @@ struct BenchFlags {
     resume: bool,
     deadline: Option<f64>,
     retries: u32,
-    checkpoint_every: u64,
     crash_after_units: Option<u64>,
     io_faults: Option<IoFaultPlan>,
 }
 
-fn parse_bench_flags(unknown: Vec<String>) -> BenchFlags {
-    let mut flags = BenchFlags {
-        keep_going: false,
-        force_panic: None,
-        trace_out: None,
-        profile: false,
-        journal: None,
-        resume: false,
-        deadline: None,
-        retries: 0,
-        checkpoint_every: 1,
-        crash_after_units: None,
-        io_faults: None,
-    };
+/// Flags that only mean something to a journaled campaign.
+const JOURNAL_ONLY: [&str; 5] = [
+    "--resume",
+    "--deadline",
+    "--retries",
+    "--crash-after-units",
+    "--io-faults",
+];
+
+fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
+    let mut flags = BenchFlags::default();
+    let mut journal_only = None;
     let mut rest = Vec::new();
     let mut i = 0;
     while i < unknown.len() {
-        match unknown[i].as_str() {
-            "--keep-going" => flags.keep_going = true,
-            "--trace-out" => {
-                if let Some(p) = unknown.get(i + 1) {
-                    flags.trace_out = Some(p.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --trace-out needs a path");
-                }
-            }
+        let flag = unknown[i].as_str();
+        match flag {
+            "--trace-out" => flags.trace_out = Some(flag_value(unknown, &mut i)?),
             "--profile" => flags.profile = true,
-            "--force-panic" => {
-                if let Some(n) = unknown.get(i + 1) {
-                    flags.force_panic = Some(n.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --force-panic needs a harness name");
-                }
-            }
-            "--journal" => {
-                if let Some(p) = unknown.get(i + 1) {
-                    flags.journal = Some(p.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --journal needs a directory");
-                }
-            }
+            "--force-panic" => flags.force_panic = Some(flag_value(unknown, &mut i)?),
+            "--journal" => flags.journal = Some(flag_value(unknown, &mut i)?),
             "--resume" => flags.resume = true,
             "--deadline" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.deadline = v.parse().ok();
-                    i += 1;
-                } else {
-                    eprintln!("warning: --deadline needs seconds");
+                let secs: f64 = flag_value(unknown, &mut i)?;
+                if !(secs.is_finite() && secs > 0.0) {
+                    return Err(format!("--deadline {secs}: must be finite and > 0"));
                 }
+                flags.deadline = Some(secs);
             }
-            "--retries" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.retries = v.parse().unwrap_or(0);
-                    i += 1;
-                } else {
-                    eprintln!("warning: --retries needs a count");
-                }
-            }
-            "--checkpoint-every" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.checkpoint_every = v.parse::<u64>().unwrap_or(1).max(1);
-                    i += 1;
-                } else {
-                    eprintln!("warning: --checkpoint-every needs a count");
-                }
-            }
-            "--crash-after-units" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.crash_after_units = v.parse().ok();
-                    i += 1;
-                } else {
-                    eprintln!("warning: --crash-after-units needs a count");
-                }
-            }
+            "--retries" => flags.retries = flag_value(unknown, &mut i)?,
+            "--crash-after-units" => flags.crash_after_units = Some(flag_value(unknown, &mut i)?),
             "--io-faults" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    match IoFaultPlan::parse(v) {
-                        Ok(plan) => flags.io_faults = Some(plan),
-                        Err(e) => {
-                            eprintln!("error: --io-faults {v}: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 1;
-                } else {
-                    eprintln!("warning: --io-faults needs seed:kind[:count]");
-                }
+                let v: String = flag_value(unknown, &mut i)?;
+                let plan = IoFaultPlan::parse(&v).map_err(|e| format!("--io-faults {v}: {e}"))?;
+                flags.io_faults = Some(plan);
             }
             other => rest.push(other.to_string()),
         }
+        if JOURNAL_ONLY.contains(&flag) {
+            journal_only = Some(flag);
+        }
         i += 1;
     }
+    if let (Some(flag), None) = (journal_only, &flags.journal) {
+        return Err(format!("{flag} needs --journal <dir>"));
+    }
     warn_unknown(&rest);
-    flags
+    Ok(flags)
 }
 
 fn main() {
-    validate_base_config();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, unknown) = Opts::parse(&args);
-    let flags = parse_bench_flags(unknown);
-    if flags.force_panic.is_some() && !flags.keep_going && flags.journal.is_none() {
-        eprintln!("warning: --force-panic without --keep-going aborts the run");
-    }
+    let (opts, unknown) = Opts::parse_args();
+    let flags = parse_bench_flags(&unknown).unwrap_or_else(|e| exit_error(&e));
 
     // Arm observability before any system is built: hierarchies attach
     // their observer at construction.
@@ -192,7 +139,6 @@ fn main() {
             resume: flags.resume,
             deadline: flags.deadline.map(Duration::from_secs_f64),
             retries: flags.retries,
-            checkpoint_every: flags.checkpoint_every,
             force_panic: flags.force_panic.clone(),
             crash_after_units: flags.crash_after_units,
             storage,
@@ -213,10 +159,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    } else if flags.keep_going {
-        run_all_catch(opts, flags.force_panic.as_deref())
     } else {
-        run_all(opts).into_iter().map(|r| (r.name, Ok(r))).collect()
+        run_all(opts, flags.force_panic.as_deref())
     };
     let total_wall = t0.elapsed();
 

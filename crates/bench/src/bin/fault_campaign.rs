@@ -31,7 +31,7 @@ use tako_cpu::{
     ThreadProgram,
 };
 use tako_sim::checkpoint::encode;
-use tako_sim::config::{CheckpointConfig, SystemConfig, WatchdogConfig};
+use tako_sim::config::{SystemConfig, WatchdogConfig};
 use tako_sim::fault::{FaultKind, FaultPlan};
 use tako_sim::rng::Rng;
 use tako_sim::stats::Counter;
@@ -286,7 +286,6 @@ fn check_scenario(
 fn checkpoint_under_fault(kind: FaultKind, opts: &Opts, watchdog_cycles: u64) -> bool {
     let mut cfg = base_cfg(watchdog_cycles);
     cfg.watchdog.epoch_cycles = 5_000;
-    cfg.checkpoint = Some(CheckpointConfig { every_epochs: 2 });
     let mut plan = FaultPlan::seeded(opts.seed ^ kind as u64, &[kind], 2, 1, 20_000);
     arm(&mut plan, watchdog_cycles);
     cfg.faults = Some(plan);
@@ -331,7 +330,7 @@ fn checkpoint_under_fault(kind: FaultKind, opts: &Opts, watchdog_cycles: u64) ->
 
 /// A minimal thread program: a read-modify-write stride walk over a
 /// private slice of a real range, one per tile, so sixteen of them
-/// drive the multicore interleaver through epoch-cadence checkpoints.
+/// drive the multicore interleaver across watchdog epochs.
 struct StrideWalker {
     base: u64,
     i: u64,
@@ -357,15 +356,14 @@ impl ThreadProgram for StrideWalker {
 }
 
 /// Checkpoint-under-multicore: snapshot a system between two
-/// 16-program interleaved runs (the epoch watchdog's checkpoint cadence
-/// armed), resume in a fresh system, replay the second run, and require
+/// 16-program interleaved runs, resume in a fresh system, replay the
+/// second run, and require
 /// byte-identical final snapshots plus identical finish cycles. Pins
 /// that the SoA tag-array state the interleaver mutates round-trips
 /// exactly.
 fn checkpoint_multicore(opts: &Opts, watchdog_cycles: u64) -> bool {
     let mut cfg = base_cfg(watchdog_cycles);
     cfg.watchdog.epoch_cycles = 5_000;
-    cfg.checkpoint = Some(CheckpointConfig { every_epochs: 2 });
 
     fn multicore_run(sys: &mut TakoSystem, base: u64, work: u64, phase: u64) -> u64 {
         let tiles = 16usize;
@@ -424,9 +422,7 @@ fn check_noninterference(case: &CaseStudy, opts: &Opts, bound: u64) -> bool {
 }
 
 fn main() {
-    tako_bench::validate_base_config();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, unknown) = Opts::parse(&args);
+    let (opts, unknown) = Opts::parse_args();
     let flags = parse_campaign_flags(unknown);
 
     let mut total = 0usize;

@@ -163,9 +163,7 @@ fn replay_file(path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    tako_bench::validate_base_config();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, unknown) = Opts::parse(&args);
+    let (opts, unknown) = Opts::parse_args();
     let flags = match parse_flags(unknown) {
         Ok(f) => f,
         Err(e) => {

@@ -95,8 +95,6 @@ struct UnitJournal {
     storage: Arc<dyn Storage>,
     path: PathBuf,
     next_call: u64,
-    pending: u64,
-    flush_every: u64,
     crash_after: Option<u64>,
 }
 
@@ -125,7 +123,7 @@ impl Drop for SuperviseScope {
 /// RAII scope for an armed unit journal; dropping disarms (including
 /// during a panic unwind, so a dead attempt never leaks its journal
 /// into the next experiment scheduled on the same worker thread).
-pub struct UnitScope(());
+struct UnitScope(());
 
 impl Drop for UnitScope {
     fn drop(&mut self) {
@@ -135,8 +133,6 @@ impl Drop for UnitScope {
 
 /// Arm the calling thread's unit journal on `path` under `storage`,
 /// replaying any complete records a previous attempt left there.
-/// `flush_every` is the `--checkpoint-every` cadence: how many fresh
-/// units may sit in OS buffers before the file is synced.
 /// `fingerprint` identifies the campaign; a journal written by a
 /// different campaign (or with no header at all) is discarded instead
 /// of replayed.
@@ -147,10 +143,9 @@ impl Drop for UnitScope {
 /// *corrupt or truncated tail* is not an error: it is the expected
 /// debris of a crash and is discarded (the file is truncated to the
 /// last intact record).
-pub fn unit_journal(
+fn unit_journal(
     storage: Arc<dyn Storage>,
     path: &Path,
-    flush_every: u64,
     fingerprint: u64,
 ) -> std::io::Result<UnitScope> {
     let mut replay = HashMap::new();
@@ -180,8 +175,6 @@ pub fn unit_journal(
             storage,
             path: path.to_path_buf(),
             next_call: 0,
-            pending: 0,
-            flush_every: flush_every.max(1),
             crash_after: None,
         })
     });
@@ -265,7 +258,7 @@ pub(crate) fn replay_unit<R: Record>(call: u64, idx: u64) -> Option<R> {
     R::replay(&mut r).and_then(|v| r.finish().map(|()| v)).ok()
 }
 
-/// Append a completed unit to the journal and note it as the
+/// Append a completed unit to the journal, sync it, and note it as the
 /// experiment's most recent checkpoint (named in deadline triage).
 ///
 /// A *transient* append failure is retried in place; if it persists,
@@ -289,13 +282,9 @@ pub(crate) fn record_unit<R: Record>(call: u64, idx: u64, value: &R) {
         rec.extend_from_slice(&unit_checksum(&payload).to_le_bytes());
         match retrying(|| j.storage.append(&j.path, &rec)) {
             Ok(()) => {
-                j.pending += 1;
-                if j.pending >= j.flush_every {
-                    // A failed sync is at worst a lost checkpoint; the
-                    // backend has already classified and counted it.
-                    let _ = j.storage.sync(&j.path);
-                    j.pending = 0;
-                }
+                // A failed sync is at worst a lost checkpoint; the
+                // backend has already classified and counted it.
+                let _ = j.storage.sync(&j.path);
             }
             Err(e) => {
                 if classify(&e) == IoClass::Permanent {
@@ -353,8 +342,6 @@ pub struct CampaignOpts {
     pub deadline: Option<Duration>,
     /// Retries after the first failed attempt.
     pub retries: u32,
-    /// Sync the unit journal every this many units.
-    pub checkpoint_every: u64,
     /// Panic on entry of the named experiment (test hook, mirrors
     /// `--force-panic`). Only the first attempt panics, so a retry
     /// succeeds — which is exactly what the retry test wants.
@@ -375,7 +362,6 @@ impl fmt::Debug for CampaignOpts {
             .field("resume", &self.resume)
             .field("deadline", &self.deadline)
             .field("retries", &self.retries)
-            .field("checkpoint_every", &self.checkpoint_every)
             .field("force_panic", &self.force_panic)
             .field("crash_after_units", &self.crash_after_units)
             .finish_non_exhaustive()
@@ -384,15 +370,14 @@ impl fmt::Debug for CampaignOpts {
 
 impl CampaignOpts {
     /// A campaign journaling into `dir` with everything else default:
-    /// fresh (no resume), no deadline, no retries, sync every unit,
-    /// real-filesystem storage.
+    /// fresh (no resume), no deadline, no retries, real-filesystem
+    /// storage.
     pub fn fresh(dir: impl Into<PathBuf>) -> Self {
         CampaignOpts {
             dir: dir.into(),
             resume: false,
             deadline: None,
             retries: 0,
-            checkpoint_every: 1,
             force_panic: None,
             crash_after_units: None,
             storage: Arc::new(DiskStorage::new()),
@@ -543,9 +528,6 @@ fn resume_cmdline(opts: Opts, c: &CampaignOpts) -> String {
     }
     if c.retries > 0 {
         s.push_str(&format!(" --retries {}", c.retries));
-    }
-    if c.checkpoint_every != 1 {
-        s.push_str(&format!(" --checkpoint-every {}", c.checkpoint_every));
     }
     s
 }
@@ -744,7 +726,6 @@ pub fn run_campaign(
         };
         let dir = c.dir.clone();
         let deadline = c.deadline;
-        let every = c.checkpoint_every;
         let storage = Arc::clone(&c.storage);
         let runs = Arc::clone(&runs);
         let crash = if attempt == 1 {
@@ -754,7 +735,7 @@ pub fn run_campaign(
         };
         let batch = parallel_map_catch(opts.jobs, todo.clone(), move |_, (name, f)| {
             let units_path = dir.join(format!("{name}.units"));
-            let _units = unit_journal(Arc::clone(&storage), &units_path, every, fingerprint)
+            let _units = unit_journal(Arc::clone(&storage), &units_path, fingerprint)
                 .unwrap_or_else(|e| {
                     // Carry the classification into the panic payload so
                     // the runner suppresses retries iff the failure is

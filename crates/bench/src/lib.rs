@@ -28,6 +28,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Debug;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -38,16 +39,6 @@ use tako_sim::parallel::{default_jobs, parallel_map, parallel_map_catch};
 pub mod campaign;
 pub mod doctor;
 pub mod experiments;
-
-/// Validate the base system configuration every harness builds from,
-/// exiting with a diagnostic when it cannot describe real hardware.
-/// Every bench binary calls this at startup (via [`Opts::from_args`]).
-pub fn validate_base_config() {
-    if let Err(e) = SystemConfig::default_16core().validate() {
-        eprintln!("error: invalid base configuration: {e}");
-        std::process::exit(2);
-    }
-}
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone, Copy)]
@@ -78,45 +69,50 @@ impl Opts {
     /// Parse `args` (without the program name). Returns the options and
     /// any arguments that were not recognized, so binaries with extra
     /// flags can consume the leftovers before warning.
-    pub fn parse(args: &[String]) -> (Self, Vec<String>) {
+    ///
+    /// # Errors
+    ///
+    /// A flag whose value is missing or does not parse, and a `--scale`
+    /// that is not finite and positive.
+    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut opts = Opts::default();
         let mut unknown = Vec::new();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
                 "--scale" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.scale = v.parse().unwrap_or(opts.scale);
-                        i += 1;
+                    opts.scale = flag_value(args, &mut i)?;
+                    if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                        return Err(format!("--scale {}: must be finite and > 0", opts.scale));
                     }
                 }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.seed = v.parse().unwrap_or(opts.seed);
-                        i += 1;
-                    }
-                }
-                "--jobs" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.jobs = v.parse().unwrap_or(opts.jobs).max(1);
-                        i += 1;
-                    }
-                }
+                "--seed" => opts.seed = flag_value(args, &mut i)?,
+                "--jobs" => opts.jobs = flag_value::<usize>(args, &mut i)?.max(1),
                 "--paper" => opts.paper = true,
                 other => unknown.push(other.to_string()),
             }
             i += 1;
         }
-        (opts, unknown)
+        Ok((opts, unknown))
     }
 
-    /// Parse from `std::env::args`, warning on stderr about any
-    /// unrecognized argument. Also validates the base system
-    /// configuration, so a broken config fails fast in every binary.
-    pub fn from_args() -> Self {
-        validate_base_config();
+    /// Parse `std::env::args`, returning the options and the
+    /// unrecognized arguments. Also validates the base system
+    /// configuration every harness builds from, so a broken config
+    /// fails fast in every binary. Either failure exits with status 2
+    /// before anything runs.
+    pub fn parse_args() -> (Self, Vec<String>) {
+        if let Err(e) = SystemConfig::default_16core().validate() {
+            exit_error(&format!("invalid base configuration: {e}"));
+        }
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let (opts, unknown) = Self::parse(&args);
+        Self::parse(&args).unwrap_or_else(|e| exit_error(&e))
+    }
+
+    /// [`Opts::parse_args`], warning on stderr about any unrecognized
+    /// argument.
+    pub fn from_args() -> Self {
+        let (opts, unknown) = Self::parse_args();
         warn_unknown(&unknown);
         opts
     }
@@ -134,6 +130,28 @@ impl Opts {
     }
 }
 
+/// Parse the value of the flag at `args[*i]` and step `*i` onto it.
+///
+/// # Errors
+///
+/// The value is missing or does not parse as `T`.
+pub fn flag_value<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    let v = args
+        .get(*i)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} {v}: malformed value"))
+}
+
+/// Print `msg` as an error and exit with status 2: the outcome of a
+/// malformed command line, before anything runs.
+pub fn exit_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// Print a warning for each unrecognized command-line argument.
 pub fn warn_unknown(unknown: &[String]) {
     for u in unknown {
@@ -146,8 +164,7 @@ pub fn warn_unknown(unknown: &[String]) {
 
 /// The run list of one runner invocation: the kept record of every
 /// distinct simulation the invocation has run, by key. A runner
-/// invocation is one [`run_all`], [`run_all_catch`] or
-/// [`campaign::run_campaign`] call, or one per-figure binary
+/// invocation is one [`run_all`] or [`campaign::run_campaign`] call, or one per-figure binary
 /// ([`run_figure`]); its run list lives exactly as long as the call.
 #[derive(Default)]
 pub(crate) struct RunList(Mutex<HashMap<String, Arc<OnceLock<Vec<u8>>>>>);
@@ -326,22 +343,11 @@ pub(crate) fn run_experiment(
 /// return the results in table order. The machine is reserved for the
 /// experiment-level fan-out: each harness runs with `jobs = 1` inside.
 ///
-/// # Panics
-///
-/// Once every harness has finished, if any of them panicked.
-pub fn run_all(opts: Opts) -> Vec<ExperimentResult> {
-    run_all_catch(opts, None)
-        .into_iter()
-        .map(|(name, r)| r.unwrap_or_else(|e| panic!("{name} panicked: {e}")))
-        .collect()
-}
-
-/// Like [`run_all`], but each harness runs behind a panic guard: a
-/// panicking experiment becomes `Err(panic payload)` while every other
-/// harness still runs to completion — the `--keep-going` contract of
-/// `all_experiments`. When `force_panic` names a harness it panics on
-/// entry (the hook the keep-going integration test drives).
-pub fn run_all_catch(
+/// Each harness runs behind a panic guard: a panicking experiment
+/// becomes `Err(panic payload)` while every other harness still runs to
+/// completion. When `force_panic` names a harness it panics on entry
+/// (the `--force-panic` hook).
+pub fn run_all(
     opts: Opts,
     force_panic: Option<&str>,
 ) -> Vec<(&'static str, Result<ExperimentResult, String>)> {
@@ -388,24 +394,42 @@ mod tests {
     fn parse_known_flags() {
         let (o, unknown) = Opts::parse(&s(&[
             "--scale", "0.5", "--paper", "--seed", "7", "--jobs", "3",
-        ]));
+        ]))
+        .unwrap();
         assert!(unknown.is_empty());
         assert_eq!(o.scale, 0.5);
         assert!(o.paper);
         assert_eq!(o.seed, 7);
         assert_eq!(o.jobs, 3);
+
+        // A malformed value is an error, never a silently kept default.
+        for bad in [
+            &["--scale", "abc"][..],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "inf"],
+            &["--scale", "NaN"],
+            &["--seed", "x7"],
+            &["--seed", "-1"],
+            &["--jobs", "two"],
+            &["--jobs", "-1"],
+            &["--scale"],
+            &["--paper", "--jobs"],
+        ] {
+            assert!(Opts::parse(&s(bad)).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]
     fn parse_collects_unknown() {
-        let (o, unknown) = Opts::parse(&s(&["--wat", "--seed", "9"]));
+        let (o, unknown) = Opts::parse(&s(&["--wat", "--seed", "9"])).unwrap();
         assert_eq!(unknown, vec!["--wat".to_string()]);
         assert_eq!(o.seed, 9);
     }
 
     #[test]
     fn jobs_zero_clamps_to_one() {
-        let (o, _) = Opts::parse(&s(&["--jobs", "0"]));
+        let (o, _) = Opts::parse(&s(&["--jobs", "0"])).unwrap();
         assert_eq!(o.jobs, 1);
     }
 

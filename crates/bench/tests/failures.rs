@@ -1,7 +1,8 @@
-//! Integration test for the `all_experiments --keep-going` contract:
-//! a panicking harness must not take down the run — every other
-//! harness completes, the failure is reported in a FAILURES section,
-//! and the process exits nonzero.
+//! Integration test for the failure contract of `all_experiments`: a
+//! panicking harness must not take down the run — every other harness
+//! completes, the failure is reported in a FAILURES section, and the
+//! process exits 1 — while a malformed command line exits 2 before any
+//! simulation runs.
 
 use std::process::Command;
 
@@ -17,13 +18,13 @@ fn run(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn forced_panic_is_isolated_and_reported() {
-    let out = run(&["--keep-going", "--force-panic", "fig14"]);
+    let out = run(&["--force-panic", "fig14"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
 
     assert_eq!(
         out.status.code(),
         Some(1),
-        "a failed harness must give a nonzero exit"
+        "a failed harness must give exit 1"
     );
     assert!(
         stdout.contains("FAILURES:"),
@@ -44,11 +45,22 @@ fn forced_panic_is_isolated_and_reported() {
 }
 
 #[test]
-fn keep_going_without_failures_exits_zero() {
-    let out = run(&["--keep-going"]);
+fn clean_run_exits_zero() {
+    let out = run(&[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
 
     assert_eq!(out.status.code(), Some(0));
     assert!(!stdout.contains("FAILURES:"));
     assert_eq!(stdout.matches(" took ").count(), 17);
+}
+
+#[test]
+fn malformed_command_lines_exit_two_before_running() {
+    for args in [&["--scale", "abc"][..], &["--deadline", "5"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+    }
 }

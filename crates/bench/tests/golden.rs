@@ -28,16 +28,20 @@ const GOLDEN_SHA256: &str = "5f9a31a9fd7285b413baa361af5bf035a5a50ffb336fa77b3f5
 
 #[test]
 fn all_experiments_match_golden_digest() {
-    let results = run_all(Opts {
-        scale: 0.01,
-        paper: false,
-        seed: 0x7AC0,
-        jobs: 1,
-    });
+    let results = run_all(
+        Opts {
+            scale: 0.01,
+            paper: false,
+            seed: 0x7AC0,
+            jobs: 1,
+        },
+        None,
+    );
     assert!(!results.is_empty(), "experiment table is empty");
     let mut h = Sha256::new();
-    for r in &results {
-        h.update(r.name.as_bytes());
+    for (name, r) in &results {
+        let r = r.as_ref().unwrap_or_else(|e| panic!("{name} failed: {e}"));
+        h.update(name.as_bytes());
         h.update(b"\n");
         h.update(r.output.as_bytes());
         h.update(b"\n");

@@ -177,46 +177,6 @@ fn core_access_l1d_hits_are_allocation_free() {
     }
 }
 
-/// Checkpoint cadence armed but not firing must cost nothing on the
-/// access hot path: the epoch sweep only flips a pre-existing flag, so
-/// a full-system access loop allocates exactly as much with
-/// `cfg.checkpoint` armed as without it.
-#[test]
-fn checkpoint_cadence_armed_but_idle_is_allocation_free() {
-    use tako_core::TakoSystem;
-    use tako_sim::config::{CheckpointConfig, SystemConfig};
-
-    let run = |checkpoint: Option<CheckpointConfig>| -> u64 {
-        let mut cfg = SystemConfig::default_16core();
-        cfg.watchdog.enabled = true;
-        cfg.watchdog.epoch_cycles = 1_000; // the measured loop crosses many epochs
-        cfg.checkpoint = checkpoint;
-        let mut sys = TakoSystem::new(cfg);
-        let _ = sys.alloc_real(1 << 18);
-        let mut t = 0u64;
-        // Warm-up: reach cache/MSHR steady state before counting.
-        for k in 0..2048u64 {
-            let (_, done) = sys.debug_read_u64((k % 16) as usize, 0x1000_0000 + (k % 1024) * 64, t);
-            t = done;
-        }
-        allocs_in(|| {
-            for k in 0..4096u64 {
-                let (_, done) =
-                    sys.debug_read_u64((k % 16) as usize, 0x1000_0000 + (k % 1024) * 64, t);
-                t = done;
-                let _ = sys.take_checkpoint_due();
-            }
-        })
-    };
-    let baseline = run(None);
-    let armed = run(Some(CheckpointConfig { every_epochs: 2 }));
-    assert_eq!(
-        armed, baseline,
-        "arming the checkpoint cadence changed hot-path allocations \
-         (baseline {baseline}, armed {armed})"
-    );
-}
-
 /// With tracing disarmed (the default), the observability layer's bus
 /// hooks — the cursor update, the span recorder, the event tap — must
 /// all reduce to one null test of the observer slot and allocate

@@ -71,7 +71,6 @@ pub fn tiny_config(tiles: usize) -> SystemConfig {
     cfg.engine.max_concurrent_callbacks = 2;
     cfg.prefetch.enabled = false;
     cfg.watchdog.enabled = false;
-    cfg.checkpoint = None;
     cfg
 }
 

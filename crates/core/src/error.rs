@@ -53,17 +53,6 @@ pub enum TakoError {
     /// A checkpoint could not be restored (corrupt envelope, version
     /// skew, or state that contradicts the rebuilt configuration).
     BadSnapshot(SnapError),
-    /// The persistence fabric reported a *permanent* I/O failure on
-    /// this thread (see [`tako_sim::storage::IoClass`]): checkpoints
-    /// and journals written since cannot be trusted durable.
-    StorageDegraded {
-        /// Permanent failures tallied on the simulating thread.
-        permanent: u64,
-        /// Transient failures tallied alongside (retried/absorbed).
-        transient: u64,
-        /// The most recent failure, as `op path: error`.
-        last: String,
-    },
 }
 
 impl fmt::Display for TakoError {
@@ -105,15 +94,6 @@ impl fmt::Display for TakoError {
             TakoError::BadSnapshot(e) => {
                 write!(f, "cannot restore snapshot: {e}")
             }
-            TakoError::StorageDegraded {
-                permanent,
-                transient,
-                last,
-            } => write!(
-                f,
-                "storage degraded: {permanent} permanent / {transient} \
-                 transient I/O failures (last: {last})"
-            ),
         }
     }
 }

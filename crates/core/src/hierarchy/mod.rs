@@ -182,10 +182,6 @@ pub struct Hierarchy {
     /// means every [`SchedPoint`] takes its hardware policy. Host-side
     /// harness state: never serialized by [`Snapshot`].
     scheduler: Option<Box<dyn StageScheduler>>,
-    /// Raised by the epoch sweep when the checkpoint cadence
-    /// (`cfg.checkpoint`) elapses; the driver drains it with
-    /// [`Hierarchy::take_checkpoint_due`] at the next quiescent point.
-    ckpt_due: bool,
 }
 
 impl Hierarchy {
@@ -234,7 +230,6 @@ impl Hierarchy {
             mshrs,
             watchdog: Watchdog::new(cfg.watchdog),
             scheduler: None,
-            ckpt_due: false,
             cfg,
         }
     }
@@ -262,14 +257,6 @@ impl Hierarchy {
     /// because their Morph was mid-callback, or by a scheduler).
     pub fn pending_callbacks(&self) -> &[(TileId, MorphId, CallbackKind, Addr, Cycle)] {
         &self.pending_callbacks
-    }
-
-    /// True once per elapsed checkpoint interval: the epoch sweep raises
-    /// the flag, the driver drains it here and takes the snapshot. The
-    /// probe itself is a branch and a bool store — no allocation — so an
-    /// armed-but-idle checkpoint config costs nothing on the walk.
-    pub fn take_checkpoint_due(&mut self) -> bool {
-        std::mem::take(&mut self.ckpt_due)
     }
 
     /// Zero a line in the backing store (the controller zeroes phantom
@@ -537,7 +524,6 @@ impl Snapshot for Hierarchy {
             m.save(w);
         }
         self.watchdog.save(w);
-        w.put_bool(self.ckpt_due);
         match self.bus.observer() {
             Some(obs) => {
                 w.put_bool(true);
@@ -617,7 +603,6 @@ impl Snapshot for Hierarchy {
             m.load(r)?;
         }
         self.watchdog.load(r)?;
-        self.ckpt_due = r.get_bool()?;
         if r.get_bool()? {
             // Restore the observer into the tap, attaching one if the
             // resuming process didn't arm tracing itself.

@@ -111,16 +111,6 @@ impl Hierarchy {
                 .total_pj();
             obs.sample_epoch(epoch, now, &self.bus.stats, energy, backlog);
         }
-        // Checkpoint cadence piggybacks on the epoch sweep: the epoch
-        // boundary is the hierarchy's only guaranteed quiescent point
-        // (no walk in flight, engines checked in). Raising the flag is a
-        // branch and a bool store — the armed-but-idle cost is zero
-        // allocations on the walk (pinned by `no_alloc.rs`).
-        if let Some(ck) = &self.cfg.checkpoint {
-            if self.watchdog.epochs_run().is_multiple_of(ck.every_epochs) {
-                self.ckpt_due = true;
-            }
-        }
         // Supervised deadline probe: wall-clock only, checked at epoch
         // cadence so an arbitrarily stalled walk still gets killed at
         // the next completed access. The panic payload is the triage

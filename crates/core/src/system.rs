@@ -55,10 +55,8 @@ impl TakoSystem {
     ///
     /// [`TakoError::WatchdogStall`] if the watchdog flagged an access
     /// exceeding its stall bound; [`TakoError::CallbackQuarantined`] if
-    /// any Morph was quarantined for a misbehaving callback;
-    /// [`TakoError::StorageDegraded`] if this thread's persistence
-    /// fabric tallied a permanent I/O failure (transient failures are
-    /// absorbed and do not fail health). A clean run returns `Ok(())`.
+    /// any Morph was quarantined for a misbehaving callback. A clean run
+    /// returns `Ok(())`.
     pub fn health(&self) -> Result<(), TakoError> {
         if let Some((latency, bound)) = self.hier.watchdog.stall() {
             return Err(TakoError::WatchdogStall { latency, bound });
@@ -67,18 +65,6 @@ impl TakoSystem {
             return Err(TakoError::CallbackQuarantined {
                 morph,
                 reason: reason.to_string(),
-            });
-        }
-        // The unit journal runs on the simulating thread, so this
-        // thread's storage tally is this system's persistence health.
-        // Transient failures degrade checkpointing but self-heal;
-        // permanent ones mean recent journal writes may not be durable.
-        let io = tako_sim::storage::io_health();
-        if io.permanent > 0 {
-            return Err(TakoError::StorageDegraded {
-                permanent: io.permanent,
-                transient: io.transient,
-                last: io.last.unwrap_or_default(),
             });
         }
         Ok(())
@@ -330,9 +316,7 @@ impl TakoSystem {
 
     /// Serialize the entire system — hierarchy, allocator, and config
     /// fingerprint — into a versioned, checksummed snapshot envelope.
-    /// Call only at a quiescent point (between accesses); the campaign
-    /// runner uses the watchdog epoch boundary signalled by
-    /// [`TakoSystem::take_checkpoint_due`].
+    /// Call only at a quiescent point (between accesses).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         checkpoint::encode(self)
     }
@@ -352,12 +336,6 @@ impl TakoSystem {
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), TakoError> {
         checkpoint::decode(bytes, self)?;
         Ok(())
-    }
-
-    /// True once per elapsed checkpoint interval (`cfg.checkpoint`);
-    /// see [`Hierarchy::take_checkpoint_due`].
-    pub fn take_checkpoint_due(&mut self) -> bool {
-        self.hier.take_checkpoint_due()
     }
 
     /// Functional read of a `u64` *with timing*, as a one-off core access

@@ -6,7 +6,7 @@
 use tako_core::{EngineCtx, Morph, MorphHandle, MorphLevel, TakoError, TakoSystem};
 use tako_cpu::{AccessKind, MemSystem};
 use tako_sim::checkpoint::{encode, SnapError};
-use tako_sim::config::{CheckpointConfig, SystemConfig, LINE_BYTES};
+use tako_sim::config::{SystemConfig, LINE_BYTES};
 use tako_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use tako_sim::rng::Rng;
 
@@ -47,7 +47,6 @@ impl Morph for Tally {
 fn test_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::default_16core();
     cfg.watchdog.epoch_cycles = 5_000;
-    cfg.checkpoint = Some(CheckpointConfig { every_epochs: 2 });
     cfg
 }
 
@@ -206,27 +205,4 @@ fn restore_rejects_corruption_and_config_skew() {
         }
         other => panic!("config-skewed restore accepted: {other:?}"),
     }
-}
-
-#[test]
-fn checkpoint_due_fires_on_epoch_cadence() {
-    let cfg = test_cfg();
-    let (mut sys, h) = build(&cfg);
-    let mut rng = Rng::new(0xD1CE);
-    let mut t = 0u64;
-    let mut due = 0u64;
-    for _ in 0..2000 {
-        t = step(&mut sys, h, &mut rng, t);
-        if sys.take_checkpoint_due() {
-            due += 1;
-        }
-    }
-    let epochs = sys.hierarchy().watchdog.epochs_run();
-    assert!(epochs >= 4, "test too short to cross epochs ({epochs})");
-    assert!(
-        due >= 1,
-        "checkpoint cadence never fired over {epochs} epochs"
-    );
-    // The flag is drained by take(): it cannot still be pending.
-    assert!(!sys.take_checkpoint_due());
 }

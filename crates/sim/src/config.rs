@@ -421,28 +421,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// Knobs of deterministic checkpointing (`tako-sim::checkpoint`).
-///
-/// Checkpointing piggybacks on watchdog epochs: when armed, the
-/// hierarchy raises a checkpoint-due flag every `every_epochs` watchdog
-/// epochs and the driver serializes the system at the next quiescent
-/// point. Like the watchdog, it is observational — simulated timing and
-/// counters are identical with checkpointing armed or disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointConfig {
-    /// Watchdog epochs between checkpoint-due flags. Must be nonzero;
-    /// [`SystemConfig::validate`] rejects 0 (it would request a
-    /// checkpoint at every epoch boundary and is always a typo for
-    /// "disabled", which is spelled `checkpoint: None`).
-    pub every_epochs: u64,
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        CheckpointConfig { every_epochs: 4 }
-    }
-}
-
 /// A rejected configuration, from [`SystemConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -501,9 +479,6 @@ pub enum ConfigError {
         /// Configured `engine.max_concurrent_callbacks`.
         concurrent: u32,
     },
-    /// `checkpoint.every_epochs` is zero (disable checkpointing with
-    /// `checkpoint: None` instead).
-    ZeroCheckpointInterval,
     /// A fault-plan event is addressed to a site (tile/bank index)
     /// outside the configured mesh.
     FaultSiteOutOfRange {
@@ -563,12 +538,6 @@ impl std::fmt::Display for ConfigError {
                      callbacks would oversubscribe admission slots"
                 )
             }
-            ConfigError::ZeroCheckpointInterval => {
-                write!(
-                    f,
-                    "checkpoint interval is zero epochs (use `checkpoint: None` to disable)"
-                )
-            }
             ConfigError::FaultSiteOutOfRange { site, tiles } => {
                 write!(
                     f,
@@ -606,9 +575,6 @@ pub struct SystemConfig {
     pub engine: EngineConfig,
     /// Runtime invariant watchdog.
     pub watchdog: WatchdogConfig,
-    /// Optional deterministic checkpointing; `None` (the default) never
-    /// raises a checkpoint-due flag and adds zero overhead.
-    pub checkpoint: Option<CheckpointConfig>,
     /// Optional deterministic fault plan; `None` (the default) injects
     /// nothing and leaves the simulation byte-identical.
     pub faults: Option<FaultPlan>,
@@ -629,7 +595,6 @@ impl SystemConfig {
             mem: MemConfig::default(),
             engine: EngineConfig::default_5x5(),
             watchdog: WatchdogConfig::default(),
-            checkpoint: None,
             faults: None,
         }
     }
@@ -721,11 +686,6 @@ impl SystemConfig {
                 buffer: self.engine.callback_buffer,
                 concurrent: self.engine.max_concurrent_callbacks,
             });
-        }
-        if let Some(ckpt) = &self.checkpoint {
-            if ckpt.every_epochs == 0 {
-                return Err(ConfigError::ZeroCheckpointInterval);
-            }
         }
         if let Some(plan) = &self.faults {
             for ev in &plan.events {
@@ -895,10 +855,6 @@ mod tests {
         );
 
         let mut cfg = base();
-        cfg.checkpoint = Some(CheckpointConfig { every_epochs: 0 });
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroCheckpointInterval));
-
-        let mut cfg = base();
         let mut plan = FaultPlan::empty();
         plan.events.push(crate::fault::FaultEvent {
             at: 1,
@@ -960,15 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_config_validates() {
-        let mut cfg = SystemConfig::default_16core();
-        assert_eq!(cfg.checkpoint, None);
-        cfg.checkpoint = Some(CheckpointConfig::default());
-        assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!(CheckpointConfig::default().every_epochs, 4);
-    }
-
-    #[test]
     fn config_error_display() {
         assert_eq!(
             ConfigError::ZeroWays("L2").to_string(),
@@ -989,10 +936,6 @@ mod tests {
         assert_eq!(
             ConfigError::NoDramControllers.to_string(),
             "memory system has zero DRAM controllers"
-        );
-        assert_eq!(
-            ConfigError::ZeroCheckpointInterval.to_string(),
-            "checkpoint interval is zero epochs (use `checkpoint: None` to disable)"
         );
         assert_eq!(
             ConfigError::FaultSiteOutOfRange {

@@ -18,10 +18,9 @@
 //!
 //! Panics in workers propagate: `std::thread::scope` re-raises a child
 //! panic on join, so a failing simulation fails the whole map, like the
-//! serial loop it replaces. Harnesses that must survive a failing
-//! experiment (`all_experiments --keep-going`) use
-//! [`parallel_map_catch`], which isolates each item's panic into an
-//! `Err` carrying the panic payload instead.
+//! serial loop it replaces. The experiment runners, which must survive
+//! a failing experiment, use [`parallel_map_catch`], which isolates
+//! each item's panic into an `Err` carrying the panic payload instead.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -113,7 +112,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Like [`parallel_map`], but a panicking `f` invocation yields
 /// `Err(panic message)` for that item while every other item still
-/// completes — the panic-isolating mode behind `--keep-going`.
+/// completes — the panic-isolating mode every experiment runner uses.
 ///
 /// The closure must not leave shared state half-mutated when it panics;
 /// experiment harnesses satisfy this because each item's simulation is

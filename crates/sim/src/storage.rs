@@ -28,13 +28,10 @@
 //! after), which is what real power loss and bit rot do.
 //!
 //! Failed operations are classified [`IoClass::Transient`] or
-//! [`IoClass::Permanent`] and recorded both per backend instance
-//! ([`Storage::health`]) and in a thread-local accumulator
-//! ([`io_health`]) that `TakoSystem::health()` consults, so I/O
-//! degradation surfaces through the same verdict as watchdog stalls
-//! and Morph quarantines.
+//! [`IoClass::Permanent`] and recorded per backend instance
+//! ([`Storage::health`]); the campaign runner reports that tally in its
+//! status line.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
@@ -79,8 +76,7 @@ pub fn classify(e: &io::Error) -> IoClass {
     }
 }
 
-/// Running tally of storage failures, kept per backend instance and
-/// per thread.
+/// Running tally of storage failures, kept per backend instance.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoHealth {
     /// Failed operations classified transient.
@@ -120,31 +116,12 @@ impl fmt::Display for IoHealth {
     }
 }
 
-thread_local! {
-    static THREAD_IO_HEALTH: RefCell<IoHealth> = RefCell::new(IoHealth::default());
-}
-
-/// The calling thread's accumulated storage-failure tally. Experiments
-/// run single-threaded on a pool worker, so the thread that simulates
-/// is the thread that journals — `TakoSystem::health()` reads this to
-/// fold I/O degradation into its verdict.
-pub fn io_health() -> IoHealth {
-    THREAD_IO_HEALTH.with(|h| h.borrow().clone())
-}
-
-/// Clear the calling thread's storage-failure tally (start of an
-/// attempt, or a test establishing a clean baseline).
-pub fn reset_io_health() {
-    THREAD_IO_HEALTH.with(|h| *h.borrow_mut() = IoHealth::default());
-}
-
 fn note_failure(shared: &Mutex<IoHealth>, op: &str, path: &Path, e: &io::Error) -> IoClass {
     let class = classify(e);
     let detail = format!("{op} {}: {e} ({class:?})", path.display());
     if let Ok(mut h) = shared.lock() {
-        h.note(class, detail.clone());
+        h.note(class, detail);
     }
-    THREAD_IO_HEALTH.with(|h| h.borrow_mut().note(class, detail));
     class
 }
 
@@ -718,13 +695,10 @@ mod tests {
     fn disk_read_failure_is_classified_permanent() {
         let d = tmpdir("classify");
         let s = DiskStorage::new();
-        reset_io_health();
         assert!(s.read(&d.join("nope")).is_err());
         let h = s.health();
         assert_eq!(h.permanent, 1);
         assert_eq!(h.transient, 0);
-        assert_eq!(io_health().permanent, 1, "thread-local tally missed it");
-        reset_io_health();
     }
 
     #[test]
@@ -816,7 +790,6 @@ mod tests {
                 },
             ],
         };
-        reset_io_health();
         let s = FaultStorage::new(Arc::new(DiskStorage::new()), plan);
         let p = d.join("x");
         let e = s.append(&p, b"a").unwrap_err();
@@ -825,9 +798,6 @@ mod tests {
         assert_eq!(classify(&e), IoClass::Permanent);
         let h = s.health();
         assert_eq!((h.transient, h.permanent), (1, 1));
-        let th = io_health();
-        assert_eq!((th.transient, th.permanent), (1, 1));
-        reset_io_health();
         // Un-faulted sites pass through untouched.
         s.append(&p, b"c").unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"c");

@@ -92,8 +92,17 @@ echo "    4960518 simulated accesses at --scale 0.01"
 # Crash-point sweep smoke: every I/O site of a small journaled
 # campaign, for every deterministic fault kind, must resume to the
 # uninterrupted run's golden digest (DESIGN.md §7d). Takes ~1s.
+# The I/O-site count is pinned like the simulated-access total: the
+# unit journal syncs after every unit, and a sync is an I/O site, so a
+# change that batches (or drops) syncs moves it.
 echo "==> crash-point sweep smoke"
-./target/release/crash_campaign --root "$JDIR/sweep"
+./target/release/crash_campaign --root "$JDIR/sweep" > "$JDIR/sweep.txt"
+cat "$JDIR/sweep.txt"
+if ! grep -q ' over 40 I/O sites, seed 42$' "$JDIR/sweep.txt"; then
+  echo "error: crash sweep I/O-site count moved (want 40):" >&2
+  head -n 1 "$JDIR/sweep.txt" >&2
+  exit 1
+fi
 
 # Journal doctor smoke: --verify must flag exactly the committed
 # corrupt fixtures (and exit nonzero doing so), and a repaired copy
