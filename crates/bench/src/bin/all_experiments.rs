@@ -36,8 +36,10 @@
 //! ```
 //!
 //! Every harness runs behind a panic guard: a panicking harness does
-//! not stop the others, the run prints a `FAILURES:` section and exits
-//! 1. A malformed command line exits 2 before anything runs.
+//! not stop the others, and the run prints a `FAILURES:` section and
+//! exits 1. A requested report (`--trace-out`, `<journal>/metrics.json`)
+//! that cannot be written also exits 1, after the status line. A
+//! malformed command line exits 2 before anything runs.
 //!
 //! The printed experiment output is byte-identical for every `--jobs`
 //! value — and for a journaled run whether it completed in one go or
@@ -178,6 +180,7 @@ fn main() {
         }
     }
 
+    let mut report_failed = false;
     if tracing {
         tako_sim::trace::disarm();
         let report = tako_sim::trace::drain();
@@ -196,7 +199,10 @@ fn main() {
                     report.samples.len(),
                     report.systems
                 ),
-                Err(e) => eprintln!("error: writing {path}: {e}"),
+                Err(e) => {
+                    eprintln!("error: writing {path}: {e}");
+                    report_failed = true;
+                }
             }
         }
         if flags.profile {
@@ -206,7 +212,10 @@ fn main() {
             let path = std::path::Path::new(dir).join("metrics.json");
             match report_store.write_atomic(&path, report.metrics_json().as_bytes()) {
                 Ok(()) => eprintln!("wrote {}", path.display()),
-                Err(e) => eprintln!("error: writing {}: {e}", path.display()),
+                Err(e) => {
+                    eprintln!("error: writing {}: {e}", path.display());
+                    report_failed = true;
+                }
             }
         }
     }
@@ -222,7 +231,7 @@ fn main() {
         accesses as f64 / total_s.max(1e-9),
     );
 
-    if !failures.is_empty() {
+    if !failures.is_empty() || report_failed {
         std::process::exit(1);
     }
 }

@@ -1,8 +1,9 @@
 //! Integration test for the failure contract of `all_experiments`: a
 //! panicking harness must not take down the run — every other harness
 //! completes, the failure is reported in a FAILURES section, and the
-//! process exits 1 — while a malformed command line exits 2 before any
-//! simulation runs.
+//! process exits 1 — a requested report that cannot be written also
+//! exits 1, and a malformed command line exits 2 before any simulation
+//! runs.
 
 use std::process::Command;
 
@@ -52,6 +53,20 @@ fn clean_run_exits_zero() {
     assert_eq!(out.status.code(), Some(0));
     assert!(!stdout.contains("FAILURES:"));
     assert_eq!(stdout.matches(" took ").count(), 17);
+}
+
+#[test]
+fn an_unwritable_report_fails_the_run() {
+    let out = run(&["--trace-out", "/no/such/dir/t.json"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stdout.matches(" took ").count(), 17, "{stdout}");
+    assert!(
+        stderr.contains("error: writing /no/such/dir/t.json"),
+        "{stderr}"
+    );
 }
 
 #[test]

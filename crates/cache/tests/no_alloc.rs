@@ -203,7 +203,7 @@ fn tracing_off_hot_path_is_allocation_free() {
 }
 
 /// With an observer attached, recording must still be allocation-free:
-/// every structure (trace ring, sample ring, histograms, profile)
+/// every structure (trace ring, sample ring, histogram, profile)
 /// preallocates at construction, and each record is a slot write.
 #[test]
 fn armed_observer_recording_is_allocation_free() {
@@ -223,7 +223,6 @@ fn armed_observer_recording_is_allocation_free() {
             bus.span_record(Stage::L2, k, k + 9);
             stats.add(Counter::L1dHit, 1);
             if let Some(obs) = bus.observer_mut() {
-                obs.record_callback(k % 500);
                 obs.record_txn(k, Some(k), Some(k + 2), None, None, k + 60);
                 if k % 64 == 0 {
                     // Epoch sampling wraps the sample ring several times

@@ -425,16 +425,12 @@ impl Hierarchy {
         if let Some(v) = violation {
             self.quarantine_morph(morph_id, format!("illegal callback action: {v}"));
         }
-        let completion = tako_sim::span!(
+        tako_sim::span!(
             self.bus,
             tako_sim::trace::Stage::Callback,
             start,
             result.completion
-        );
-        if let Some(obs) = self.bus.observer_mut() {
-            obs.record_callback(completion.saturating_sub(start));
-        }
-        completion
+        )
     }
 
     /// Quarantine a Morph (counted once per Morph). Its range keeps
@@ -448,14 +444,14 @@ impl Hierarchy {
 }
 
 impl Drop for Hierarchy {
-    /// While tracing is armed, flush the observer into the process-wide
-    /// trace collector so `tako_sim::trace::drain` sees every system
-    /// that ran. A supervised-only or resumed-untraced system leaves the
-    /// collector alone.
+    /// While tracing is armed, flush the observer (and the callback
+    /// latency `Stats` recorded) into the process-wide trace collector
+    /// so `tako_sim::trace::drain` sees every system that ran. A
+    /// supervised-only system leaves the collector alone.
     fn drop(&mut self) {
         if tako_sim::trace::armed() {
             if let Some(obs) = self.bus.take_observer() {
-                tako_sim::trace::collect(*obs);
+                tako_sim::trace::collect(*obs, &self.bus.stats);
             }
         }
     }
@@ -468,9 +464,10 @@ impl Snapshot for Hierarchy {
     /// zero. Structure (tile count, geometries, capacities) is rebuilt
     /// from config by [`Hierarchy::new`] and *verified* by each
     /// component's `load`, never restored, so resuming into a mismatched
-    /// config fails loudly. An attached observer is serialized (v2) so
-    /// traces, interval metrics, and stage profiles survive
-    /// checkpoint/resume.
+    /// config fails loudly. The observer is not machine state and is
+    /// never serialized: a traced and an untraced system that did the
+    /// same work save the same bytes, and a restored system keeps
+    /// whatever observer its own process attached at construction.
     fn save(&self, w: &mut SnapWriter) {
         w.section("hierarchy");
         self.bus.stats.save(w);
@@ -524,13 +521,6 @@ impl Snapshot for Hierarchy {
             m.save(w);
         }
         self.watchdog.save(w);
-        match self.bus.observer() {
-            Some(obs) => {
-                w.put_bool(true);
-                obs.save(w);
-            }
-            None => w.put_bool(false),
-        }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -603,17 +593,6 @@ impl Snapshot for Hierarchy {
             m.load(r)?;
         }
         self.watchdog.load(r)?;
-        if r.get_bool()? {
-            // Restore the observer into the tap, attaching one if the
-            // resuming process didn't arm tracing itself.
-            let mut obs = self.bus.take_observer().unwrap_or_default();
-            obs.load(r)?;
-            self.bus.tap = Some(obs);
-        } else {
-            // The snapshot ran unobserved; drop any locally armed
-            // observer so resumed accounting matches the original run.
-            self.bus.tap = None;
-        }
         Ok(())
     }
 }

@@ -295,7 +295,7 @@ impl TakoSystem {
     /// The observability observer attached to the accounting bus, when
     /// tracing (`tako_sim::trace::arm`) or supervision on this thread
     /// (`tako_sim::supervise::arm`) was armed before this system was
-    /// built, or an observed snapshot was restored. `None` otherwise.
+    /// built. `None` otherwise; restoring a snapshot never changes it.
     pub fn observer(&self) -> Option<&tako_sim::trace::Observer> {
         self.hier.bus.observer()
     }

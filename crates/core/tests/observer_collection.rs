@@ -1,9 +1,11 @@
-//! Which systems reach the process-wide trace collector.
+//! Which systems reach the process-wide trace collector, and why a
+//! snapshot never carries an observer.
 //!
 //! Tracing and campaign supervision both attach an observer to a
 //! hierarchy, but only tracing collects it: a system dropped while
-//! tracing is disarmed must leave the collector empty, whether it got
-//! its observer from supervision or from a restored snapshot. The
+//! tracing is disarmed must leave the collector empty. The observer is
+//! observation, not machine state, so a traced system snapshots to the
+//! same bytes as an untraced one, and a restore never attaches one. The
 //! collector is process-global, so these tests live in their own binary
 //! and serialize on a lock.
 
@@ -49,23 +51,29 @@ fn supervised_untraced_systems_are_not_collected() {
 }
 
 #[test]
-fn a_restored_observer_is_not_collected_while_disarmed() {
+fn observation_is_not_snapshot_state() {
     let _guard = serialize();
+    let _ = trace::drain();
     trace::arm();
     let traced = busy_system();
-    let snap = traced.snapshot_bytes();
-    drop(traced);
     trace::disarm();
-    assert_eq!(trace::drain().systems, 1);
+    let untraced = busy_system();
+    let obs = traced.observer().expect("tracing attaches an observer");
+    assert!(obs.ring.total() > 0, "the traced system saw no events");
+    assert!(untraced.observer().is_none());
+    let snap = traced.snapshot_bytes();
+    assert!(
+        snap == untraced.snapshot_bytes(),
+        "the observer leaked into the snapshot"
+    );
+    drop(traced);
+    drop(untraced);
 
     let mut resumed = TakoSystem::new(SystemConfig::with_tiles(4));
-    assert!(resumed.observer().is_none());
-    resumed
-        .restore_bytes(&snap)
-        .expect("restore traced snapshot");
+    resumed.restore_bytes(&snap).expect("restore snapshot");
     assert!(
-        resumed.observer().is_some(),
-        "snapshot carries its observer"
+        resumed.observer().is_none(),
+        "a restore attached an observer"
     );
     drop(resumed);
     assert_eq!(trace::drain().systems, 0);

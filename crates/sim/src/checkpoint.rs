@@ -20,9 +20,9 @@
 //! section  := name_len:u16 name:[u8] fields…
 //! ```
 //!
-//! * **Versioned** — [`SNAP_VERSION`] is bumped on any layout change; a
-//!   reader refuses a mismatched version rather than misinterpreting
-//!   bytes.
+//! * **Versioned** — [`SNAP_VERSION`] is bumped on any layout change
+//!   an older reader could misread; a reader refuses a mismatched
+//!   version rather than misinterpreting bytes.
 //! * **Checksummed** — the payload digest (via [`crate::digest`])
 //!   detects truncated or corrupted snapshot files before any state is
 //!   overwritten.
@@ -52,14 +52,23 @@ use crate::digest::Sha256;
 /// Leading magic bytes of a snapshot envelope.
 pub const SNAP_MAGIC: [u8; 8] = *b"TAKOSNP\0";
 
-/// Snapshot format version; bump on any serialized-layout change.
-/// Version 2: the hierarchy section gained the optional observability
-/// observer (event ring, interval metrics, stage profile).
+/// Snapshot format version; bump on any serialized-layout change an
+/// older reader could misread.
+///
 /// Version 3: cache tag arrays serialize their structure-of-arrays
 /// storage field-by-field (per-way rrpv/lru/flag planes) instead of the
 /// old per-line record stream.
 /// Version 4: the watchdog diagnostic snapshot gained the blocked
 /// line and its LLC `(bank, set)` location.
+///
+/// The hierarchy section later dropped its trailing observer flag and
+/// observer (the observer is not machine state) without a bump, for two
+/// reasons. Campaign `.done` envelopes share this version, so a bump
+/// would orphan every committed journal and fsck fixture although
+/// their layout did not change. And the change only removed the
+/// hierarchy's last field, so an older system snapshot still fails to
+/// decode, with [`SnapError::TrailingBytes`], instead of being
+/// misread.
 pub const SNAP_VERSION: u32 = 4;
 
 /// Errors surfaced while decoding a snapshot.

@@ -9,8 +9,8 @@
 //!    (loadable in `chrome://tracing` / Perfetto),
 //! 2. **per-interval metrics** (hit/miss rates, MPKI, callback
 //!    occupancy, fabric utilization, DRAM queue depth, energy) sampled
-//!    at watchdog epochs into a [`MetricsRecorder`] with fixed-size
-//!    log2-bucket latency histograms, and
+//!    at watchdog epochs into a [`MetricsRecorder`] with a fixed-size
+//!    log2-bucket miss-latency histogram, and
 //! 3. **profiling spans** that attribute transaction cycles to pipeline
 //!    stages (L1/L2/LLC/fill/callback) via the [`span!`](crate::span) macro and the
 //!    observational `StageStamps` carried by every `MemTxn`.
@@ -44,8 +44,7 @@
 //!
 //! [`TxnEvent`]: crate::event::TxnEvent
 
-use crate::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
-use crate::event::{CbPhase, LevelId, TxnEvent, TxnSink};
+use crate::event::{LevelId, TxnEvent, TxnSink};
 use crate::stats::{Counter, LatencyHistogram, Stats};
 use crate::Cycle;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -313,31 +312,6 @@ impl StageProfile {
     }
 }
 
-impl Snapshot for StageProfile {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in self.visits {
-            w.put_u64(v);
-        }
-        for c in self.cycles {
-            w.put_u64(c);
-        }
-        w.put_u64(self.txns);
-        w.put_u64(self.txn_cycles);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for v in &mut self.visits {
-            *v = r.get_u64()?;
-        }
-        for c in &mut self.cycles {
-            *c = r.get_u64()?;
-        }
-        self.txns = r.get_u64()?;
-        self.txn_cycles = r.get_u64()?;
-        Ok(())
-    }
-}
-
 /// Time the hierarchy-stage expression `$body` and attribute its
 /// `start..done` window to `$stage` on `$bus` (a no-op unless an
 /// observer tap is attached). `$body` must evaluate to the completion
@@ -458,62 +432,16 @@ impl IntervalSample {
             self.cb_cycles as f64 / self.cycles as f64
         }
     }
-
-    fn save_fields(&self, w: &mut SnapWriter) {
-        w.put_u32(self.sys);
-        w.put_u64(self.epoch);
-        w.put_u64(self.at_cycle);
-        w.put_u64(self.cycles);
-        w.put_u64(self.l1d_hits);
-        w.put_u64(self.l1d_misses);
-        w.put_u64(self.l2_hits);
-        w.put_u64(self.l2_misses);
-        w.put_u64(self.llc_hits);
-        w.put_u64(self.llc_misses);
-        w.put_u64(self.dram_reads);
-        w.put_u64(self.dram_writes);
-        w.put_u64(self.noc_flit_hops);
-        w.put_u64(self.mshr_stalls);
-        w.put_u64(self.callbacks);
-        w.put_u64(self.cb_cycles);
-        w.put_u64(self.engine_instrs);
-        w.put_u64(self.instrs);
-        w.put_f64(self.energy_pj);
-        w.put_u64(self.dram_backlog);
-    }
-
-    fn load_fields(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IntervalSample {
-            sys: r.get_u32()?,
-            epoch: r.get_u64()?,
-            at_cycle: r.get_u64()?,
-            cycles: r.get_u64()?,
-            l1d_hits: r.get_u64()?,
-            l1d_misses: r.get_u64()?,
-            l2_hits: r.get_u64()?,
-            l2_misses: r.get_u64()?,
-            llc_hits: r.get_u64()?,
-            llc_misses: r.get_u64()?,
-            dram_reads: r.get_u64()?,
-            dram_writes: r.get_u64()?,
-            noc_flit_hops: r.get_u64()?,
-            mshr_stalls: r.get_u64()?,
-            callbacks: r.get_u64()?,
-            cb_cycles: r.get_u64()?,
-            engine_instrs: r.get_u64()?,
-            instrs: r.get_u64()?,
-            energy_pj: r.get_f64()?,
-            dram_backlog: r.get_u64()?,
-        })
-    }
 }
 
-/// Per-epoch interval metrics with log2-bucket latency histograms.
+/// Per-epoch interval metrics plus a log2-bucket miss-latency histogram.
 ///
 /// [`MetricsRecorder::sample`] runs at watchdog epochs (quiescent
-/// points): it diffs the live [`Stats`] counters against the previous
-/// epoch's values, derives the interval sample, and stores it in a
-/// bounded ring — all slot writes, no allocation.
+/// points): it diffs the live [`Stats`] counters and callback-latency
+/// sum against the previous epoch's values, derives the interval
+/// sample, and stores it in a bounded ring — all slot writes, no
+/// allocation. Callback latency itself lives only in
+/// [`Stats::callback_latency`].
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
     prev: [u64; Counter::COUNT],
@@ -524,8 +452,6 @@ pub struct MetricsRecorder {
     total_samples: u64,
     /// Issue-to-retire latency of L1-missing transactions.
     pub miss_latency: LatencyHistogram,
-    /// Engine execution latency of completed callbacks.
-    pub callback_latency: LatencyHistogram,
 }
 
 impl Default for MetricsRecorder {
@@ -545,7 +471,6 @@ impl MetricsRecorder {
             samples: vec![None; capacity.max(1)].into_boxed_slice(),
             total_samples: 0,
             miss_latency: LatencyHistogram::new(),
-            callback_latency: LatencyHistogram::new(),
         }
     }
 
@@ -560,12 +485,6 @@ impl MetricsRecorder {
         let n = (self.total_samples as usize).min(cap);
         let start = self.total_samples as usize - n;
         (start..self.total_samples as usize).filter_map(move |i| self.samples[i % cap])
-    }
-
-    /// Record one callback's engine latency.
-    #[inline(always)]
-    pub fn record_callback(&mut self, latency: Cycle) {
-        self.callback_latency.record(latency);
     }
 
     /// Record one L1-missing transaction's issue-to-retire latency.
@@ -586,7 +505,7 @@ impl MetricsRecorder {
         dram_backlog: Cycle,
     ) {
         let d = |c: Counter| stats.get(c).saturating_sub(self.prev[c as usize]);
-        let cb_cycles = self
+        let cb_cycles = stats
             .callback_latency
             .sum()
             .saturating_sub(self.prev_cb_cycles);
@@ -616,73 +535,11 @@ impl MetricsRecorder {
             self.prev[c as usize] = stats.get(c);
         }
         self.prev_energy_pj = energy_pj;
-        self.prev_cb_cycles = self.callback_latency.sum();
+        self.prev_cb_cycles = stats.callback_latency.sum();
         self.prev_cycle = now;
         let cap = self.samples.len();
         self.samples[self.total_samples as usize % cap] = Some(sample);
         self.total_samples += 1;
-    }
-}
-
-/// Sanity-bound a container capacity read from a snapshot before
-/// allocating it. A bit flip in a length field would otherwise turn
-/// into a multi-gigabyte `vec![None; cap]` — an OOM abort, which no
-/// checksum downstream can catch. Real ring/sample capacities are
-/// config-set and tiny; anything past this bound is corruption.
-fn bounded_capacity(what: &str, cap: usize) -> Result<usize, SnapError> {
-    const MAX_SNAPSHOT_CAPACITY: usize = 1 << 22;
-    if cap > MAX_SNAPSHOT_CAPACITY {
-        return Err(SnapError::StateMismatch(format!(
-            "{what}: capacity {cap} exceeds the {MAX_SNAPSHOT_CAPACITY} sanity bound \
-             (corrupt length field)"
-        )));
-    }
-    Ok(cap)
-}
-
-impl Snapshot for MetricsRecorder {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section("metrics");
-        w.put_len(Counter::COUNT);
-        for v in self.prev {
-            w.put_u64(v);
-        }
-        w.put_f64(self.prev_energy_pj);
-        w.put_u64(self.prev_cb_cycles);
-        w.put_u64(self.prev_cycle);
-        w.put_u64(self.total_samples);
-        w.put_len(self.samples.len());
-        for slot in self.samples.iter() {
-            w.put_bool(slot.is_some());
-            if let Some(s) = slot {
-                s.save_fields(w);
-            }
-        }
-        self.miss_latency.save(w);
-        self.callback_latency.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("metrics")?;
-        r.get_len_expect("metrics.prev", Counter::COUNT)?;
-        for v in &mut self.prev {
-            *v = r.get_u64()?;
-        }
-        self.prev_energy_pj = r.get_f64()?;
-        self.prev_cb_cycles = r.get_u64()?;
-        self.prev_cycle = r.get_u64()?;
-        self.total_samples = r.get_u64()?;
-        let cap = bounded_capacity("metrics.samples", r.get_len()?)?;
-        let mut samples = vec![None; cap.max(1)].into_boxed_slice();
-        for slot in samples.iter_mut() {
-            if r.get_bool()? {
-                *slot = Some(IntervalSample::load_fields(r)?);
-            }
-        }
-        self.samples = samples;
-        self.miss_latency.load(r)?;
-        self.callback_latency.load(r)?;
-        Ok(())
     }
 }
 
@@ -698,17 +555,19 @@ impl Snapshot for MetricsRecorder {
 /// The cursor is clamped monotonically non-decreasing so ring stamps
 /// are ordered by construction even when the hierarchy replays
 /// out-of-order completion times.
+///
+/// An observer is observation, not machine state: it is never part of
+/// a system snapshot, and it keeps nothing [`Stats`] already keeps.
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
     /// The bounded event trace.
     pub ring: TraceRing,
-    /// Interval metrics and latency histograms.
+    /// Interval metrics and the miss-latency histogram.
     pub metrics: MetricsRecorder,
     /// Per-stage cycle attribution.
     pub profile: StageProfile,
     cursor_cycle: Cycle,
     cursor_tile: u32,
-    seq: u64,
 }
 
 impl Observer {
@@ -725,31 +584,10 @@ impl Observer {
         self.cursor_tile = tile;
     }
 
-    /// Current cursor cycle.
-    pub fn cursor_cycle(&self) -> Cycle {
-        self.cursor_cycle
-    }
-
-    /// Current cursor tile.
-    pub fn cursor_tile(&self) -> u32 {
-        self.cursor_tile
-    }
-
-    /// Events recorded so far.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Attribute a stage span (see [`span!`](crate::span)).
     #[inline(always)]
     pub fn record_span(&mut self, stage: Stage, start: Cycle, done: Cycle) {
         self.profile.record_span(stage, start, done);
-    }
-
-    /// Record one completed callback's engine latency.
-    #[inline(always)]
-    pub fn record_callback(&mut self, latency: Cycle) {
-        self.metrics.record_callback(latency);
     }
 
     /// Record one retired transaction: stage attribution from its
@@ -789,171 +627,12 @@ impl TxnSink for Observer {
     #[inline(always)]
     fn emit(&mut self, ev: TxnEvent) {
         self.ring.record(TraceRecord {
-            seq: self.seq,
+            seq: self.ring.total,
             cycle: self.cursor_cycle,
             tile: self.cursor_tile,
             sys: 0,
             event: ev,
         });
-        self.seq += 1;
-    }
-}
-
-fn save_event(ev: TxnEvent, w: &mut SnapWriter) {
-    let level = |l: LevelId| match l {
-        LevelId::L1d => 0u8,
-        LevelId::L2 => 1,
-        LevelId::Llc => 2,
-    };
-    let phase = |p: CbPhase| match p {
-        CbPhase::OnMiss => 0u8,
-        CbPhase::OnEviction => 1,
-        CbPhase::OnWriteback => 2,
-    };
-    match ev {
-        TxnEvent::Hit(l) => {
-            w.put_u8(0);
-            w.put_u8(level(l));
-        }
-        TxnEvent::Miss(l) => {
-            w.put_u8(1);
-            w.put_u8(level(l));
-        }
-        TxnEvent::Eviction(l) => {
-            w.put_u8(2);
-            w.put_u8(level(l));
-        }
-        TxnEvent::Writeback(l) => {
-            w.put_u8(3);
-            w.put_u8(level(l));
-        }
-        TxnEvent::CoherenceInval => w.put_u8(4),
-        TxnEvent::PrefetchIssued => w.put_u8(5),
-        TxnEvent::PrefetchUseful => w.put_u8(6),
-        TxnEvent::NocHops { flits, hops } => {
-            w.put_u8(7);
-            w.put_u64(flits);
-            w.put_u64(hops);
-        }
-        TxnEvent::DramRead => w.put_u8(8),
-        TxnEvent::DramWrite => w.put_u8(9),
-        TxnEvent::MshrStall => w.put_u8(10),
-        TxnEvent::FlushedLine => w.put_u8(11),
-        TxnEvent::FaultInjected => w.put_u8(12),
-        TxnEvent::CallbackRun(p) => {
-            w.put_u8(13);
-            w.put_u8(phase(p));
-        }
-        TxnEvent::CallbackDegraded => w.put_u8(14),
-        TxnEvent::MorphQuarantined => w.put_u8(15),
-        TxnEvent::EngineWork { instrs, mem_ops } => {
-            w.put_u8(16);
-            w.put_u64(instrs);
-            w.put_u64(mem_ops);
-        }
-        TxnEvent::StallDetected { latency } => {
-            w.put_u8(17);
-            w.put_u64(latency);
-        }
-        TxnEvent::InvariantViolations(n) => {
-            w.put_u8(18);
-            w.put_u64(n);
-        }
-    }
-}
-
-fn load_event(r: &mut SnapReader<'_>) -> Result<TxnEvent, SnapError> {
-    let level = |b: u8| match b {
-        0 => Ok(LevelId::L1d),
-        1 => Ok(LevelId::L2),
-        2 => Ok(LevelId::Llc),
-        _ => Err(SnapError::StateMismatch(format!("bad level tag {b}"))),
-    };
-    let phase = |b: u8| match b {
-        0 => Ok(CbPhase::OnMiss),
-        1 => Ok(CbPhase::OnEviction),
-        2 => Ok(CbPhase::OnWriteback),
-        _ => Err(SnapError::StateMismatch(format!("bad phase tag {b}"))),
-    };
-    Ok(match r.get_u8()? {
-        0 => TxnEvent::Hit(level(r.get_u8()?)?),
-        1 => TxnEvent::Miss(level(r.get_u8()?)?),
-        2 => TxnEvent::Eviction(level(r.get_u8()?)?),
-        3 => TxnEvent::Writeback(level(r.get_u8()?)?),
-        4 => TxnEvent::CoherenceInval,
-        5 => TxnEvent::PrefetchIssued,
-        6 => TxnEvent::PrefetchUseful,
-        7 => TxnEvent::NocHops {
-            flits: r.get_u64()?,
-            hops: r.get_u64()?,
-        },
-        8 => TxnEvent::DramRead,
-        9 => TxnEvent::DramWrite,
-        10 => TxnEvent::MshrStall,
-        11 => TxnEvent::FlushedLine,
-        12 => TxnEvent::FaultInjected,
-        13 => TxnEvent::CallbackRun(phase(r.get_u8()?)?),
-        14 => TxnEvent::CallbackDegraded,
-        15 => TxnEvent::MorphQuarantined,
-        16 => TxnEvent::EngineWork {
-            instrs: r.get_u64()?,
-            mem_ops: r.get_u64()?,
-        },
-        17 => TxnEvent::StallDetected {
-            latency: r.get_u64()?,
-        },
-        18 => TxnEvent::InvariantViolations(r.get_u64()?),
-        b => {
-            return Err(SnapError::StateMismatch(format!("bad event tag {b}")));
-        }
-    })
-}
-
-impl Snapshot for Observer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section("observer");
-        w.put_len(self.ring.slots.len());
-        for slot in self.ring.slots.iter() {
-            w.put_bool(slot.is_some());
-            if let Some(rec) = slot {
-                w.put_u64(rec.seq);
-                w.put_u64(rec.cycle);
-                w.put_u32(rec.tile);
-                w.put_u32(rec.sys);
-                save_event(rec.event, w);
-            }
-        }
-        w.put_u64(self.ring.total);
-        self.metrics.save(w);
-        self.profile.save(w);
-        w.put_u64(self.cursor_cycle);
-        w.put_u32(self.cursor_tile);
-        w.put_u64(self.seq);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("observer")?;
-        let cap = bounded_capacity("observer.ring", r.get_len()?)?;
-        let mut slots = vec![None; cap.max(1)].into_boxed_slice();
-        for slot in slots.iter_mut() {
-            if r.get_bool()? {
-                *slot = Some(TraceRecord {
-                    seq: r.get_u64()?,
-                    cycle: r.get_u64()?,
-                    tile: r.get_u32()?,
-                    sys: r.get_u32()?,
-                    event: load_event(r)?,
-                });
-            }
-        }
-        self.ring.slots = slots;
-        self.ring.total = r.get_u64()?;
-        self.metrics.load(r)?;
-        self.profile.load(r)?;
-        self.cursor_cycle = r.get_u64()?;
-        self.cursor_tile = r.get_u32()?;
-        self.seq = r.get_u64()?;
-        Ok(())
     }
 }
 
@@ -967,25 +646,15 @@ impl Snapshot for Observer {
 /// thread-local) because experiments fan out across worker threads.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-#[derive(Debug, Default)]
-struct Collector {
-    events: Vec<TraceRecord>,
-    events_dropped: u64,
-    samples: Vec<IntervalSample>,
-    samples_dropped: u64,
-    profile: StageProfile,
-    miss_latency: LatencyHistogram,
-    callback_latency: LatencyHistogram,
-    systems: u32,
-}
-
-static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
+/// The process-wide collector: the report every collected system has
+/// been merged into so far.
+static COLLECTOR: Mutex<Option<TraceReport>> = Mutex::new(None);
 
 /// Arm tracing process-wide and reset the collector. Hierarchies built
 /// after this attach observers; call before running experiments.
 pub fn arm() {
     let mut guard = COLLECTOR.lock().unwrap();
-    *guard = Some(Collector::default());
+    *guard = Some(TraceReport::default());
     ARMED.store(true, Ordering::SeqCst);
 }
 
@@ -1002,11 +671,12 @@ pub fn armed() -> bool {
 }
 
 /// Flush one finished system's observer into the process-wide
-/// collector, assigning it the next system id. Called by the hierarchy
-/// on drop while tracing is armed (and explicitly by tests).
-pub fn collect(obs: Observer) {
+/// collector, assigning it the next system id, together with the
+/// callback latency the system's own `stats` recorded. Called by the
+/// hierarchy on drop while tracing is armed (and explicitly by tests).
+pub fn collect(obs: Observer, stats: &Stats) {
     let mut guard = COLLECTOR.lock().unwrap();
-    let c = guard.get_or_insert_with(Collector::default);
+    let c = guard.get_or_insert_with(TraceReport::default);
     let sys = c.systems;
     c.systems += 1;
     let retained = (obs.ring.total() as usize).min(obs.ring.capacity()) as u64;
@@ -1031,24 +701,13 @@ pub fn collect(obs: Observer) {
     }
     c.profile.merge(&obs.profile);
     c.miss_latency.merge(&obs.metrics.miss_latency);
-    c.callback_latency.merge(&obs.metrics.callback_latency);
+    c.callback_latency.merge(&stats.callback_latency);
 }
 
 /// Take everything collected since [`arm`] as a [`TraceReport`],
 /// leaving the collector empty.
 pub fn drain() -> TraceReport {
-    let mut guard = COLLECTOR.lock().unwrap();
-    let c = guard.take().unwrap_or_default();
-    TraceReport {
-        events: c.events,
-        events_dropped: c.events_dropped,
-        samples: c.samples,
-        samples_dropped: c.samples_dropped,
-        profile: c.profile,
-        miss_latency: c.miss_latency,
-        callback_latency: c.callback_latency,
-        systems: c.systems,
-    }
+    COLLECTOR.lock().unwrap().take().unwrap_or_default()
 }
 
 // ----------------------------------------------------------------------
@@ -1072,7 +731,8 @@ pub struct TraceReport {
     pub profile: StageProfile,
     /// Merged issue-to-retire latency of L1-missing transactions.
     pub miss_latency: LatencyHistogram,
-    /// Merged callback engine latency.
+    /// Merged callback engine latency, from each system's
+    /// [`Stats::callback_latency`].
     pub callback_latency: LatencyHistogram,
     /// Number of systems collected.
     pub systems: u32,
@@ -1223,7 +883,6 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{decode, encode};
 
     /// Serializes tests that touch the process-global collector.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -1308,11 +967,11 @@ mod tests {
         stats.add(Counter::L1dMiss, 10);
         stats.add(Counter::LlcMiss, 4);
         stats.add(Counter::CoreInstr, 1000);
-        m.record_callback(25);
+        stats.callback_latency.record(25);
         m.sample(0, 2_000, &stats, 50.0, 7);
         stats.add(Counter::L1dMiss, 30);
         stats.add(Counter::CoreInstr, 1000);
-        m.record_callback(75);
+        stats.callback_latency.record(75);
         m.sample(1, 5_000, &stats, 80.0, 0);
         let samples: Vec<_> = m.samples().collect();
         assert_eq!(samples.len(), 2);
@@ -1329,63 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_recorder_snapshot_roundtrip() {
-        let mut m = MetricsRecorder::with_capacity(4);
-        let mut stats = Stats::new();
-        for epoch in 0..6u64 {
-            stats.add(Counter::L1dHit, 11 + epoch);
-            stats.add(Counter::DramRead, epoch);
-            m.record_miss(100 << epoch);
-            m.record_callback(3 * (epoch + 1));
-            m.sample(epoch, (epoch + 1) * 1_000, &stats, epoch as f64, epoch);
-        }
-        let env = encode(&m);
-        let mut out = MetricsRecorder::with_capacity(4);
-        decode(&env, &mut out).unwrap();
-        assert_eq!(out.total_samples(), m.total_samples());
-        assert_eq!(
-            out.samples().collect::<Vec<_>>(),
-            m.samples().collect::<Vec<_>>()
-        );
-        assert_eq!(out.miss_latency, m.miss_latency);
-        assert_eq!(out.callback_latency, m.callback_latency);
-        // The restored recorder keeps diffing from where it left off.
-        stats.add(Counter::L1dHit, 5);
-        let mut a = m.clone();
-        a.sample(6, 10_000, &stats, 10.0, 0);
-        out.sample(6, 10_000, &stats, 10.0, 0);
-        assert_eq!(
-            a.samples().collect::<Vec<_>>(),
-            out.samples().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn observer_snapshot_roundtrip() {
-        let mut obs = Observer::new();
-        obs.observe_at(500, 2);
-        obs.emit(TxnEvent::Hit(LevelId::Llc));
-        obs.emit(TxnEvent::NocHops { flits: 3, hops: 4 });
-        obs.emit(TxnEvent::CallbackRun(CbPhase::OnWriteback));
-        obs.record_span(Stage::Callback, 500, 600);
-        obs.record_txn(0, Some(0), Some(10), None, None, 90);
-        let stats = Stats::new();
-        obs.sample_epoch(0, 1_000, &stats, 0.0, 3);
-        let env = encode(&obs);
-        let mut out = Observer::new();
-        decode(&env, &mut out).unwrap();
-        assert_eq!(out.seq(), obs.seq());
-        assert_eq!(out.cursor_cycle(), 500);
-        assert_eq!(out.cursor_tile(), 2);
-        assert_eq!(
-            out.ring.tail().collect::<Vec<_>>(),
-            obs.ring.tail().collect::<Vec<_>>()
-        );
-        assert_eq!(out.profile, obs.profile);
-        assert_eq!(out.metrics.total_samples(), 1);
-    }
-
-    #[test]
     fn collect_and_drain_assign_system_ids() {
         let _guard = TEST_LOCK.lock().unwrap();
         arm();
@@ -1395,9 +997,10 @@ mod tests {
         let mut b = Observer::new();
         b.observe_at(20, 1);
         b.emit(TxnEvent::DramWrite);
-        b.record_callback(40);
-        collect(a);
-        collect(b);
+        let mut b_stats = Stats::new();
+        b_stats.callback_latency.record(40);
+        collect(a, &Stats::new());
+        collect(b, &b_stats);
         disarm();
         let report = drain();
         assert_eq!(report.systems, 2);
@@ -1420,7 +1023,7 @@ mod tests {
         stats.add(Counter::CoreInstr, 100);
         stats.add(Counter::LlcMiss, 1);
         obs.sample_epoch(0, 2400, &stats, 12.5, 9);
-        collect(obs);
+        collect(obs, &stats);
         disarm();
         let report = drain();
         let json = report.chrome_trace_json();

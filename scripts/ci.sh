@@ -147,5 +147,11 @@ grep -q '^PROFILE:' "$JDIR/traced-journaled.txt"
 diff <(grep -v 'took' "$JDIR/clean.txt") \
      <(grep -v 'took' "$JDIR/traced-journaled.txt" | sed '/^PROFILE:/,$d')
 echo "    traced, journaled output matches clean run"
+# The profile (stage cycles, miss latency, and the callback latency the
+# systems' own stats recorded) must not depend on supervision or on
+# journaling either.
+diff <(sed -n '/^PROFILE:/,$p' "$JDIR/traced.txt") \
+     <(sed -n '/^PROFILE:/,$p' "$JDIR/traced-journaled.txt")
+echo "    traced, journaled profile matches traced run"
 
 echo "ci: all green"
