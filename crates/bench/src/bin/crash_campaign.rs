@@ -30,15 +30,17 @@
 //! ```
 //!
 //! Default kinds: `crash,crash-after,torn,drop-rename,flip,dup-append`
-//! (every deterministic corruption the backend can inject). Exits
-//! nonzero if any site fails to recover.
+//! (every deterministic corruption the backend can inject). Exits 1 if
+//! any site fails to recover, and 2 on a malformed command line (a
+//! missing or malformed value, an unknown flag or fault kind, an empty
+//! `--kinds` list) before anything runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
-use tako_bench::{doctor, run_variants, Experiment, Opts};
+use tako_bench::{doctor, exit_error, flag_value_or_exit, run_variants, Experiment, Opts};
 use tako_sim::digest::Sha256;
 use tako_sim::storage::CRASH_MARKER;
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan, Storage};
@@ -262,37 +264,27 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--root" => {
-                root = args.get(i + 1).map(PathBuf::from);
-                i += 1;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(42);
-                i += 1;
-            }
+            "--root" => root = Some(flag_value_or_exit(&args, &mut i)),
+            "--seed" => seed = flag_value_or_exit(&args, &mut i),
             "--kinds" => {
-                let spec = args.get(i + 1).cloned().unwrap_or_default();
+                let spec: String = flag_value_or_exit(&args, &mut i);
                 kinds = spec
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| match IoFaultPlan::kind_named(s) {
-                        Some(k) => k,
-                        None => {
-                            eprintln!("crash_campaign: unknown fault kind `{s}`");
-                            std::process::exit(2);
-                        }
+                    .map(|s| {
+                        IoFaultPlan::kind_named(s)
+                            .unwrap_or_else(|| exit_error(&format!("unknown fault kind `{s}`")))
                     })
                     .collect();
-                i += 1;
+                if kinds.is_empty() {
+                    exit_error(&format!("--kinds `{spec}` names no fault kind"));
+                }
             }
             "--verbose" => verbose = true,
-            other => {
-                eprintln!("crash_campaign: unknown flag `{other}`");
-                eprintln!(
-                    "usage: crash_campaign [--root dir] [--seed n] [--kinds a,b,c] [--verbose]"
-                );
-                std::process::exit(2);
-            }
+            other => exit_error(&format!(
+                "unknown flag `{other}`\n\
+                 usage: crash_campaign [--root dir] [--seed n] [--kinds a,b,c] [--verbose]"
+            )),
         }
         i += 1;
     }

@@ -23,8 +23,10 @@
 //! --faults seed:kind[:count]  replace the seeded set with one ad-hoc
 //!                        plan (kinds: overrun illegal fabric mshr dram mix)
 //! ```
+//!
+//! A missing or malformed value exits 2 before anything runs.
 
-use tako_bench::{run_variants, warn_unknown, Opts};
+use tako_bench::{exit_error, flag_value_or_exit as value, run_variants, warn_unknown, Opts};
 use tako_core::TakoSystem;
 use tako_cpu::{
     run_multicore, AccessKind, BranchPredictor, CoreEnv, CoreTiming, MemSystem, StepResult,
@@ -105,6 +107,8 @@ struct CampaignFlags {
     adhoc: Option<FaultPlan>,
 }
 
+/// Parse the campaign's own flags out of the arguments [`Opts`] left
+/// over; a missing or malformed value exits 2 before anything runs.
 fn parse_campaign_flags(unknown: Vec<String>) -> CampaignFlags {
     let mut flags = CampaignFlags {
         scenarios: 8,
@@ -115,31 +119,11 @@ fn parse_campaign_flags(unknown: Vec<String>) -> CampaignFlags {
     let mut i = 0;
     while i < unknown.len() {
         match unknown[i].as_str() {
-            "--scenarios" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.scenarios = v.parse().unwrap_or(flags.scenarios);
-                    i += 1;
-                }
-            }
-            "--watchdog-cycles" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.watchdog_cycles = v.parse().unwrap_or(flags.watchdog_cycles).max(1);
-                    i += 1;
-                }
-            }
+            "--scenarios" => flags.scenarios = value(&unknown, &mut i),
+            "--watchdog-cycles" => flags.watchdog_cycles = value::<u64>(&unknown, &mut i).max(1),
             "--faults" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    match FaultPlan::parse(v) {
-                        Ok(p) => flags.adhoc = Some(p),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 1;
-                } else {
-                    eprintln!("warning: --faults needs seed:kind[:count]");
-                }
+                let spec: String = value(&unknown, &mut i);
+                flags.adhoc = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| exit_error(&e)));
             }
             other => rest.push(other.to_string()),
         }

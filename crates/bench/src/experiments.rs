@@ -19,9 +19,10 @@
 //! one HATS run; and Fig 24's 3-wide point is Fig 25's 16-core,
 //! larger-graph point.
 
+use tako_sim::checkpoint::Record;
 use tako_sim::config::{CoreConfig, EngineConfig, SystemConfig};
 use tako_sim::stats::Counter;
-use tako_workloads::{decompress, hats, nvm, phi, sidechannel, soa, RunResult};
+use tako_workloads::{decompress, hats, nvm, phi, sidechannel, soa, with_ideal_engine, RunResult};
 
 use crate::{fx, pct, row, run_once, run_variants, Opts};
 
@@ -35,6 +36,21 @@ fn baseline_relative(out: &mut String, label: &str, run: &RunResult, base: &RunR
             ("cycles", run.cycles.to_string()),
         ],
     ));
+}
+
+/// Run a figure's labelled rows ([`with_ideal_engine`]) through
+/// [`run_variants`], pairing each result with its row label.
+fn run_rows<V, R>(
+    opts: Opts,
+    rows: Vec<(&'static str, V, SystemConfig)>,
+    f: impl Fn(V, &SystemConfig) -> R + Sync,
+) -> Vec<(&'static str, R)>
+where
+    V: Clone + Send,
+    R: Record + Send,
+{
+    let results = run_variants(opts, &rows, |(_, v, cfg)| f(v, &cfg));
+    rows.iter().map(|row| row.0).zip(results).collect()
 }
 
 // ----------------------------------------------------------------------
@@ -59,13 +75,16 @@ fn decompress_params(opts: Opts) -> decompress::Params {
     }
 }
 
-/// The decompression run list: every variant, in `Variant::ALL` order.
-/// Fig 6 times it and Fig 7 counts its decompressions.
-fn decompress_runs(opts: Opts) -> Vec<decompress::DecompressResult> {
+/// The decompression run list: every variant, in `Variant::ALL` order,
+/// then täkō on the ideal engine. Fig 6 times it and Fig 7 counts its
+/// decompressions.
+fn decompress_runs(opts: Opts) -> Vec<(&'static str, decompress::DecompressResult)> {
+    use decompress::Variant;
     let params = decompress_params(opts);
     let cfg = SystemConfig::default_16core();
-    run_variants(opts, &decompress::Variant::ALL, |v| {
-        run_once((v, params, &cfg), || decompress::run(v, params, &cfg))
+    let rows = with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg);
+    run_rows(opts, rows, |v, cfg| {
+        run_once((v, params, cfg), || decompress::run(v, params, cfg))
     })
 }
 
@@ -75,9 +94,9 @@ fn decompress_runs(opts: Opts) -> Vec<decompress::DecompressResult> {
 pub fn fig06_decompress(opts: Opts) -> String {
     let mut out = String::from("# Fig 6: decompression — speedup & energy vs software baseline\n");
     let results = decompress_runs(opts);
-    for (v, r) in decompress::Variant::ALL.iter().zip(&results) {
+    for (label, r) in &results {
         assert!((r.average - r.expected).abs() < 1e-9, "functional check");
-        baseline_relative(&mut out, v.label(), &r.run, &results[0].run); // ALL[0] = Software
+        baseline_relative(&mut out, label, &r.run, &results[0].1.run); // ALL[0] = Software
     }
     out
 }
@@ -85,9 +104,9 @@ pub fn fig06_decompress(opts: Opts) -> String {
 /// Fig 7: number of decompressions per variant (a view over Fig 6's runs).
 pub fn fig07_decompress_count(opts: Opts) -> String {
     let mut out = String::from("# Fig 7: number of decompressions\n");
-    for (v, r) in decompress::Variant::ALL.iter().zip(decompress_runs(opts)) {
+    for (label, r) in decompress_runs(opts) {
         out.push_str(&row(
-            v.label(),
+            label,
             &[("decompressions", r.decompressions.to_string())],
         ));
     }
@@ -145,20 +164,23 @@ fn phi_run(v: phi::Variant, params: &phi::Params, cfg: &SystemConfig) -> phi::Ph
     })
 }
 
-/// The PHI run list: every variant, in `Variant::ALL` order. Fig 13
-/// times it and Fig 14 breaks down its DRAM accesses.
-fn phi_runs(opts: Opts) -> Vec<phi::PhiResult> {
+/// The PHI run list: every variant, in `Variant::ALL` order, then PHI
+/// on the ideal engine. Fig 13 times it and Fig 14 breaks down its DRAM
+/// accesses.
+fn phi_runs(opts: Opts) -> Vec<(&'static str, phi::PhiResult)> {
+    use phi::Variant;
     let params = phi_params(opts);
     let cfg = phi_cfg_for(opts, params.vertices, 16);
-    run_variants(opts, &phi::Variant::ALL, |v| phi_run(v, &params, &cfg))
+    let rows = with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg);
+    run_rows(opts, rows, |v, cfg| phi_run(v, &params, cfg))
 }
 
 /// Fig 13: PHI PageRank speedup & energy (paper: täkō 4.2x, UB 3.2x).
 pub fn fig13_phi(opts: Opts) -> String {
     let mut out = String::from("# Fig 13: PHI PageRank — speedup & energy vs software baseline\n");
     let results = phi_runs(opts);
-    for (v, r) in phi::Variant::ALL.iter().zip(&results) {
-        baseline_relative(&mut out, v.label(), &r.run, &results[0].run); // ALL[0] = Software
+    for (label, r) in &results {
+        baseline_relative(&mut out, label, &r.run, &results[0].1.run); // ALL[0] = Software
     }
     out
 }
@@ -167,10 +189,10 @@ pub fn fig13_phi(opts: Opts) -> String {
 /// over Fig 13's runs.
 pub fn fig14_phi_dram(opts: Opts) -> String {
     let mut out = String::from("# Fig 14: DRAM accesses per phase (edge/bin/vertex)\n");
-    for (v, r) in phi::Variant::ALL.iter().zip(phi_runs(opts)) {
+    for (label, r) in phi_runs(opts) {
         let ph = r.run.stats.phases();
         out.push_str(&row(
-            v.label(),
+            label,
             &[
                 ("edge", ph[0].dram_accesses.to_string()),
                 ("bin", ph[1].dram_accesses.to_string()),
@@ -241,12 +263,13 @@ fn hats_run(v: hats::Variant, params: &hats::Params, cfg: &SystemConfig) -> hats
     })
 }
 
-/// The HATS run list: every variant, in `Variant::ALL` order. Fig 16
-/// times it and Fig 17 breaks it down.
-fn hats_runs(opts: Opts) -> Vec<hats::HatsResult> {
+/// The HATS run list: every variant, in `Variant::ALL` order, then
+/// HATS on the ideal engine. Fig 16 times it and Fig 17 breaks it down.
+fn hats_runs(opts: Opts) -> Vec<(&'static str, hats::HatsResult)> {
+    use hats::Variant;
     let params = hats_params(opts);
-    let cfg = hats_cfg();
-    run_variants(opts, &hats::Variant::ALL, |v| hats_run(v, &params, &cfg))
+    let rows = with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &hats_cfg());
+    run_rows(opts, rows, |v, cfg| hats_run(v, &params, cfg))
 }
 
 /// Fig 16: HATS speedup & energy (paper: täkō +43%, ideal +46%,
@@ -254,8 +277,8 @@ fn hats_runs(opts: Opts) -> Vec<hats::HatsResult> {
 pub fn fig16_hats(opts: Opts) -> String {
     let mut out = String::from("# Fig 16: HATS PageRank — speedup & energy vs vertex-ordered\n");
     let results = hats_runs(opts);
-    for (v, r) in hats::Variant::ALL.iter().zip(&results) {
-        baseline_relative(&mut out, v.label(), &r.run, &results[0].run); // ALL[0] = VertexOrdered
+    for (label, r) in &results {
+        baseline_relative(&mut out, label, &r.run, &results[0].1.run); // ALL[0] = VertexOrdered
     }
     out
 }
@@ -265,9 +288,9 @@ pub fn fig16_hats(opts: Opts) -> String {
 pub fn fig17_hats_breakdown(opts: Opts) -> String {
     let mut out =
         String::from("# Fig 17: HATS breakdown (DRAM / mispredicts per edge / load latency)\n");
-    for (v, r) in hats::Variant::ALL.iter().zip(hats_runs(opts)) {
+    for (label, r) in hats_runs(opts) {
         out.push_str(&row(
-            v.label(),
+            label,
             &[
                 ("dram", r.run.dram_accesses().to_string()),
                 (
@@ -322,6 +345,7 @@ pub fn fig19_nvm(opts: Opts) -> String {
 
 /// Fig 20: instructions executed per 8 B written (core vs engine).
 pub fn fig20_nvm_instrs(opts: Opts) -> String {
+    use nvm::Variant;
     let cfg = SystemConfig::default_16core();
     let params = nvm::Params {
         txn_bytes: 16 * 1024,
@@ -329,10 +353,10 @@ pub fn fig20_nvm_instrs(opts: Opts) -> String {
         seed: opts.seed,
     };
     let mut out = String::from("# Fig 20: instructions per 8 B written (16 KB txns)\n");
-    let results = run_variants(opts, &nvm::Variant::ALL, |v| nvm::run(v, params, &cfg));
-    for (v, r) in nvm::Variant::ALL.iter().zip(&results) {
+    let rows = with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg);
+    for (label, r) in run_rows(opts, rows, |v, cfg| nvm::run(v, params, cfg)) {
         out.push_str(&row(
-            v.label(),
+            label,
             &[
                 ("core", format!("{:.2}", r.core_instrs_per_word)),
                 ("engine", format!("{:.2}", r.engine_instrs_per_word)),

@@ -145,6 +145,12 @@ pub fn flag_value<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, Strin
         .map_err(|_| format!("{flag} {v}: malformed value"))
 }
 
+/// [`flag_value`] for a binary's own flags: a missing or malformed value
+/// exits with status 2 ([`exit_error`]).
+pub fn flag_value_or_exit<T: FromStr>(args: &[String], i: &mut usize) -> T {
+    flag_value(args, i).unwrap_or_else(|e| exit_error(&e))
+}
+
 /// Print `msg` as an error and exit with status 2: the outcome of a
 /// malformed command line, before anything runs.
 pub fn exit_error(msg: &str) -> ! {

@@ -3,7 +3,7 @@
 //! completes, the failure is reported in a FAILURES section, and the
 //! process exits 1 — a requested report that cannot be written also
 //! exits 1, and a malformed command line exits 2 before any simulation
-//! runs.
+//! runs — in the campaign binaries too.
 
 use std::process::Command;
 
@@ -77,5 +77,32 @@ fn malformed_command_lines_exit_two_before_running() {
         assert!(out.stdout.is_empty(), "{args:?} ran experiments");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_campaign_command_lines_exit_two_before_running() {
+    let cases: [(&str, &[&str]); 5] = [
+        (env!("CARGO_BIN_EXE_crash_campaign"), &["--kinds", ""]),
+        (env!("CARGO_BIN_EXE_crash_campaign"), &["--seed", "x"]),
+        (
+            env!("CARGO_BIN_EXE_fault_campaign"),
+            &["--scenarios", "abc"],
+        ),
+        (env!("CARGO_BIN_EXE_fault_campaign"), &["--faults"]),
+        (
+            env!("CARGO_BIN_EXE_fault_campaign"),
+            &["--watchdog-cycles", "abc"],
+        ),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .expect("spawn campaign");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[0]), "{bin} {args:?}: {stderr}");
     }
 }

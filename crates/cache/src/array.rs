@@ -1,4 +1,4 @@
-//! Set-associative tag arrays with LRU / SRRIP / trrîp replacement,
+//! Set-associative tag arrays with LRU or trrîp replacement,
 //! stored struct-of-arrays for data-oriented set scans.
 //!
 //! The arrays track timing-relevant state only; data lives in the backing
@@ -43,7 +43,9 @@
 //!
 //! ## trrîp
 //!
-//! trrîp is SRRIP \[62\] with two täkō-specific changes (Sec 5.2):
+//! trrîp is SRRIP \[62\] with two täkō-specific changes (Sec 5.2), so
+//! an array that sees no Morph inserts and no engine fills is plain
+//! SRRIP:
 //! engine-issued fills insert at the most distant RRPV so callback traffic
 //! does not pollute the cache, and victim selection preserves the
 //! invariant that **every set retains at least one line whose eviction
@@ -57,7 +59,7 @@ use tako_sim::Cycle;
 
 /// Maximum (most distant) re-reference prediction value for 2-bit RRIP.
 const RRPV_MAX: u8 = 3;
-/// Insertion RRPV for demand fills under (t)rrîp.
+/// Insertion RRPV for demand fills under trrîp.
 const RRPV_LONG: u8 = 2;
 
 /// Tag word of an empty way. `Addr::MAX` is never a line-aligned
@@ -293,7 +295,7 @@ impl CacheArray {
         let i = self.find(line)?;
         match self.cfg.repl {
             ReplPolicy::Lru => self.lru[i] = stamp,
-            ReplPolicy::Rrip | ReplPolicy::Trrip => self.rrpv[i] = 0,
+            ReplPolicy::Trrip => self.rrpv[i] = 0,
         }
         Some(EntryMut { a: self, i })
     }
@@ -319,7 +321,7 @@ impl CacheArray {
     ///    the set's last callback-free way (Sec 5.2).
     /// 2. Otherwise the first invalid way.
     /// 3. Otherwise LRU takes the first way with the minimum stamp, and
-    ///    (t)rrîp ages the set until some line reaches `RRPV_MAX` and
+    ///    trrîp ages the set until some line reaches `RRPV_MAX` and
     ///    takes the first such way.
     fn victim(&mut self, set: usize, inserting_morph: bool) -> usize {
         let repl = self.cfg.repl;
@@ -344,7 +346,7 @@ impl CacheArray {
                 }
                 way
             }
-            ReplPolicy::Rrip | ReplPolicy::Trrip => {
+            ReplPolicy::Trrip => {
                 // SRRIP aging, batched: instead of repeated +1 sweeps
                 // until some line reaches RRPV_MAX, add the deficit once.
                 let rrpv = &mut self.rrpv[base..end];
@@ -705,7 +707,6 @@ mod tests {
             tag_latency: 1,
             data_latency: 1,
             repl,
-            mshrs: 4,
         })
     }
 
@@ -741,7 +742,7 @@ mod tests {
 
     #[test]
     fn rrip_promotes_on_hit() {
-        let mut a = tiny(ReplPolicy::Rrip);
+        let mut a = tiny(ReplPolicy::Trrip);
         a.insert(line(0, 0), false, false, InsertKind::Demand, 0);
         a.insert(line(0, 1), false, false, InsertKind::Demand, 0);
         a.touch(line(0, 0)); // rrpv -> 0
@@ -936,7 +937,6 @@ mod tests {
             tag_latency: 1,
             data_latency: 1,
             repl: ReplPolicy::Lru,
-            mshrs: 4,
         });
         match decode(&snap, &mut wrong) {
             Err(SnapError::StateMismatch(msg)) => assert!(msg.contains("geometry")),
@@ -991,7 +991,6 @@ mod tests {
                     tag_latency: 1,
                     data_latency: 1,
                     repl: ReplPolicy::Lru,
-                    mshrs: 4,
                 });
                 let mut rng = Rng::new(0x57AC + u64::from(ways));
                 let mut stack: Vec<Addr> = Vec::new();
@@ -1119,7 +1118,7 @@ mod tests {
                     .find(|e| e.valid && e.line == line)?;
                 match repl {
                     ReplPolicy::Lru => e.lru_stamp = stamp,
-                    ReplPolicy::Rrip | ReplPolicy::Trrip => e.rrpv = 0,
+                    ReplPolicy::Trrip => e.rrpv = 0,
                 }
                 Some(e)
             }
@@ -1181,7 +1180,7 @@ mod tests {
                 }
                 match repl {
                     ReplPolicy::Lru => lru_way,
-                    ReplPolicy::Rrip | ReplPolicy::Trrip => {
+                    ReplPolicy::Trrip => {
                         let age = RRPV_MAX - rrpv_max;
                         if age > 0 {
                             for e in &mut self.entries[base..base + self.ways] {
@@ -1274,7 +1273,6 @@ mod tests {
         for ways in [2u32, 4, 8, 16] {
             for (repl, morph_p) in [
                 (ReplPolicy::Lru, 0.3),
-                (ReplPolicy::Rrip, 0.3),
                 (ReplPolicy::Trrip, 0.3),
                 (ReplPolicy::Trrip, 0.9),
             ] {
@@ -1296,7 +1294,6 @@ mod tests {
             tag_latency: 1,
             data_latency: 1,
             repl,
-            mshrs: 4,
         };
         let lines = 4 * 8 * u64::from(ways);
         let mut soa = CacheArray::new(cfg);

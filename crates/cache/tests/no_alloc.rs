@@ -50,13 +50,12 @@ fn array(repl: ReplPolicy) -> CacheArray {
         tag_latency: 2,
         data_latency: 3,
         repl,
-        mshrs: 8,
     })
 }
 
 #[test]
 fn hot_path_is_allocation_free() {
-    for repl in [ReplPolicy::Lru, ReplPolicy::Rrip, ReplPolicy::Trrip] {
+    for repl in [ReplPolicy::Lru, ReplPolicy::Trrip] {
         let mut a = array(repl);
         // Warm the array past capacity so inserts evict.
         for k in 0..2048u64 {

@@ -49,9 +49,9 @@ impl Family {
 }
 
 /// The bounded geometry every exploration runs on: `tiles` tiles, and
-/// every cache level squeezed to 2 sets × 2 ways (256 B) with the
-/// minimum legal 2 MSHRs — so the Sec 5.2 callback reservation leaves
-/// exactly one entry — and a 2-deep callback buffer. The watchdog is
+/// every cache level squeezed to 2 sets × 2 ways (256 B), the minimum
+/// legal 2 LLC MSHRs per bank — so the Sec 5.2 callback reservation
+/// leaves exactly one entry — and a 2-deep callback buffer. The watchdog is
 /// disabled: the checker asserts the same invariants itself after every
 /// action, over every interleaving, rather than sampling them at epoch
 /// cadence.
@@ -65,10 +65,9 @@ pub fn tiny_config(tiles: usize) -> SystemConfig {
     ] {
         c.size_bytes = 2 * 2 * LINE_BYTES;
         c.ways = 2;
-        c.mshrs = 2;
     }
+    cfg.llc_mshrs = 2;
     cfg.engine.callback_buffer = 2;
-    cfg.engine.max_concurrent_callbacks = 2;
     cfg.prefetch.enabled = false;
     cfg.watchdog.enabled = false;
     cfg

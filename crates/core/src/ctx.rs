@@ -221,12 +221,6 @@ impl<'a> EngineCtx<'a> {
         (self.hier.mem.read_u64(self.line + offset as u64), v)
     }
 
-    /// Read an `f64` from the locked line at byte `offset`.
-    pub fn line_read_f64(&mut self, offset: usize, deps: &[Val]) -> (f64, Val) {
-        let (offset, v) = self.line_op(offset, 8, deps);
-        (self.hier.mem.read_f64(self.line + offset as u64), v)
-    }
-
     /// Write a `u64` into the locked line at byte `offset`.
     pub fn line_write_u64(&mut self, offset: usize, val: u64, deps: &[Val]) -> Val {
         let (offset, v) = self.line_op(offset, 8, deps);

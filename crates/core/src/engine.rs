@@ -242,12 +242,6 @@ impl Engine {
         self.line_locks.get(&line).copied()
     }
 
-    /// The earliest cycle a new callback could start (all slots busy
-    /// until then at least).
-    pub fn earliest_slot(&self) -> Cycle {
-        self.slots.peek().map(|&Reverse(c)| c).unwrap_or(0)
-    }
-
     /// Drop scheduler history (used when a Morph is unregistered).
     pub fn forget_morph(&mut self, morph: MorphId) {
         self.morph_last.remove(&morph);

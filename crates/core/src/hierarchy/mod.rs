@@ -204,7 +204,7 @@ impl Hierarchy {
             .map(|_| Some(Engine::new(cfg.engine)))
             .collect();
         let mshrs = (0..cfg.tiles)
-            .map(|_| MshrFile::new(cfg.llc_bank.mshrs.max(2) as usize))
+            .map(|_| MshrFile::new(cfg.llc_mshrs.max(2) as usize))
             .collect();
         let mut bus = AccountingBus::new(FaultInjector::new(cfg.faults.as_ref()));
         // The observer is diagnostic-only: simulation observables never

@@ -152,12 +152,6 @@ impl<'a> CoreEnv<'a> {
         self.sys.data().read_f64(addr)
     }
 
-    /// Load an `f64` whose address depends on the previous load.
-    pub fn load_f64_dep(&mut self, addr: Addr) -> f64 {
-        self.timed_load(addr, true);
-        self.sys.data().read_f64(addr)
-    }
-
     /// Load a `u32` (independent).
     pub fn load_u32(&mut self, addr: Addr) -> u32 {
         self.timed_load(addr, false);
@@ -268,20 +262,6 @@ impl<'a> CoreEnv<'a> {
         self.sys.data().write_f64(addr, val);
     }
 
-    /// Store a `u32` (posted).
-    pub fn store_u32(&mut self, addr: Addr, val: u32) {
-        self.timed_store(addr);
-        self.sys.data().write_u32(addr, val);
-    }
-
-    /// Store raw bytes (one timed store per cache line touched).
-    pub fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        for line in AddrRange::new(addr, bytes.len() as u64).lines() {
-            self.timed_store(line.max(addr));
-        }
-        self.sys.data().write_bytes(addr, bytes);
-    }
-
     /// Remote atomic add on an `f64` (relaxed; executed at the cache
     /// holding the line, after any onMiss callback initializes it).
     pub fn rmo_add_f64(&mut self, addr: Addr, val: f64) {
@@ -293,18 +273,6 @@ impl<'a> CoreEnv<'a> {
         stats.add(Counter::CoreRmo, 1);
         stats.add(Counter::CoreInstr, 1);
         self.sys.data().add_f64(addr, val);
-    }
-
-    /// Remote atomic add on a `u64` (relaxed).
-    pub fn rmo_add_u64(&mut self, addr: Addr, val: u64) {
-        let issue = self.core.post_write();
-        let _done = self
-            .sys
-            .timed_access(self.tile, AccessKind::Rmo, addr, issue);
-        let stats = self.sys.stats();
-        stats.add(Counter::CoreRmo, 1);
-        stats.add(Counter::CoreInstr, 1);
-        self.sys.data().fetch_add_u64(addr, val);
     }
 
     /// Atomic exchange of a `u64`, returning the old value (the LL/SC

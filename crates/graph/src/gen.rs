@@ -82,28 +82,14 @@ pub fn community(n: usize, m: usize, communities: usize, p_intra: f64, rng: &mut
 }
 
 /// A community graph whose community *membership* is scattered across
-/// the vertex-id space by a random permutation. This matches real graphs
-/// (crawl order does not group communities), and is what makes the HATS
-/// contrast visible: a vertex-ordered traversal touches many communities
-/// per window (large working set), while BDFS stays inside one
-/// (cache-resident working set).
-pub fn community_scattered(
-    n: usize,
-    m: usize,
-    communities: usize,
-    p_intra: f64,
-    rng: &mut Rng,
-) -> Csr {
-    community_blocked(n, m, communities, p_intra, 1, rng)
-}
-
-/// Like [`community_scattered`], but the relabeling permutes *blocks* of
-/// `block` consecutive vertices. Real graphs (web crawls) keep community
+/// the vertex-id space: the relabeling permutes *blocks* of `block`
+/// consecutive vertices. Real graphs (web crawls) keep community
 /// members in short contiguous runs while interleaving communities
-/// across the id space; `block` controls that run length. A vertex-
-/// ordered traversal then cycles through all communities (large working
-/// set) while BDFS stays inside one (compact working set) — the Fig 16
-/// contrast.
+/// across the id space (crawl order does not group communities);
+/// `block` controls that run length, and `block = 1` scatters single
+/// vertices. A vertex-ordered traversal then cycles through all
+/// communities per window (large working set) while BDFS stays inside
+/// one (compact, cache-resident working set) — the Fig 16 contrast.
 ///
 /// # Panics
 ///

@@ -200,14 +200,6 @@ impl PhysMem {
         self.write_u64(addr, val.to_bits());
     }
 
-    /// Atomically add `val` to the little-endian `u64` at `addr`,
-    /// returning the previous value (the simulator's RMO primitive).
-    pub fn fetch_add_u64(&mut self, addr: Addr, val: u64) -> u64 {
-        let old = self.read_u64(addr);
-        self.write_u64(addr, old.wrapping_add(val));
-        old
-    }
-
     /// Add `val` to the little-endian `f64` at `addr` (commutative
     /// floating-point scatter update, as in PageRank's rank pushes).
     pub fn add_f64(&mut self, addr: Addr, val: f64) {
@@ -314,14 +306,6 @@ mod tests {
         mem.write_u64(addr, 0xAABB_CCDD_EEFF_1122);
         assert_eq!(mem.read_u64(addr), 0xAABB_CCDD_EEFF_1122);
         assert_eq!(mem.resident_pages(), 2);
-    }
-
-    #[test]
-    fn fetch_add() {
-        let mut mem = PhysMem::new();
-        mem.write_u64(64, 40);
-        assert_eq!(mem.fetch_add_u64(64, 2), 40);
-        assert_eq!(mem.read_u64(64), 42);
     }
 
     #[test]

@@ -62,11 +62,11 @@ impl Interleave {
 pub enum ReplPolicy {
     /// Classic least-recently-used.
     Lru,
-    /// Static re-reference interval prediction (SRRIP) \[62\].
-    Rrip,
-    /// täkō's RRIP variant (Sec 5.2): engine-issued fills insert at distant
-    /// RRPV, and victim selection guarantees at least one line per set with
-    /// no Morph registered (deadlock avoidance).
+    /// täkō's RRIP variant (Sec 5.2): static re-reference interval
+    /// prediction (SRRIP) \[62\] in which engine-issued fills insert at
+    /// distant RRPV, and victim selection guarantees at least one line
+    /// per set with no Morph registered (deadlock avoidance). Without
+    /// Morph inserts or engine fills it is plain SRRIP.
     Trrip,
 }
 
@@ -83,10 +83,6 @@ pub struct CacheConfig {
     pub data_latency: u64,
     /// Replacement policy.
     pub repl: ReplPolicy,
-    /// Miss-status holding registers: maximum outstanding misses this
-    /// level tracks. One entry is reserved away from callback-waiting
-    /// requests (Sec 5.2's deadlock-avoidance rule).
-    pub mshrs: u32,
 }
 
 impl CacheConfig {
@@ -115,7 +111,6 @@ impl CacheConfig {
             tag_latency: 1,
             data_latency: 2,
             repl: ReplPolicy::Lru,
-            mshrs: 8,
         }
     }
 
@@ -127,7 +122,6 @@ impl CacheConfig {
             tag_latency: 2,
             data_latency: 4,
             repl: ReplPolicy::Trrip,
-            mshrs: 16,
         }
     }
 
@@ -140,7 +134,6 @@ impl CacheConfig {
             tag_latency: 3,
             data_latency: 5,
             repl: ReplPolicy::Trrip,
-            mshrs: 16,
         }
     }
 
@@ -152,7 +145,6 @@ impl CacheConfig {
             tag_latency: 1,
             data_latency: 1,
             repl: ReplPolicy::Lru,
-            mshrs: 4,
         }
     }
 }
@@ -278,7 +270,8 @@ pub enum EngineKind {
 /// Parameters of the per-tile täkō engine (Sec 5.3, Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Engine execution model.
+    /// Engine execution model. [`EngineConfig::ideal`] is the one
+    /// switch for the idealized-engine runs of Figs 6, 13, 16, 20 and 22.
     pub kind: EngineKind,
     /// Number of integer (ALU) processing elements.
     pub alu_pes: u32,
@@ -286,7 +279,12 @@ pub struct EngineConfig {
     pub mem_pes: u32,
     /// Latency of one PE operation in cycles (Fig 23 sweeps 1–8).
     pub pe_latency: u64,
-    /// Entries in the hardware callback buffer (Sec 9: 8 is sufficient).
+    /// Entries in the hardware callback buffer (Sec 9: 8 is sufficient),
+    /// the engine's only admission bound. A callback holds one entry
+    /// from admission to completion; a callback that finds every entry
+    /// busy waits for the earliest to free, and a nested callback that
+    /// finds none left borrows one and is charged a full-buffer stall.
+    /// Any size of at least 1 is a legal machine.
     pub callback_buffer: u32,
     /// Static instructions storable per PE (Table 2: 16).
     pub instrs_per_pe: u32,
@@ -294,10 +292,9 @@ pub struct EngineConfig {
     pub tokens_per_pe: u32,
     /// Reverse-TLB entries (Sec 9: 256 with 2 MB pages).
     pub rtlb_entries: u32,
-    /// Maximum concurrently executing callbacks (dynamic tag matching).
-    pub max_concurrent_callbacks: u32,
     /// trrîp (Sec 5.2): engine-issued fills insert at distant priority.
-    /// Disable for the ablation study.
+    /// The one switch for the ablation study: disabled, engine fills
+    /// insert like demand fills.
     pub trrip: bool,
     /// Dynamic instructions one callback may execute before the
     /// hierarchy declares it runaway and quarantines its Morph. Far
@@ -321,7 +318,6 @@ impl EngineConfig {
             instrs_per_pe: 16,
             tokens_per_pe: 8,
             rtlb_entries: 256,
-            max_concurrent_callbacks: 8,
             trrip: true,
             callback_instr_budget: 100_000,
             l1d: CacheConfig::engine_l1d_default(),
@@ -455,9 +451,9 @@ pub enum ConfigError {
         /// The offending set count.
         sets: u64,
     },
-    /// A cache level has fewer than 2 MSHRs (one entry is reserved for
-    /// callback-free requests, so 1 leaves nothing for callbacks).
-    TooFewMshrs(&'static str),
+    /// `llc_mshrs` is below 2 (one entry is reserved for callback-free
+    /// requests, so 1 leaves nothing for callbacks).
+    TooFewMshrs,
     /// `mem.controllers` is zero.
     NoDramControllers,
     /// `mem.bytes_per_cycle` is not a positive finite number.
@@ -468,17 +464,6 @@ pub enum ConfigError {
     NoCallbackBuffer,
     /// The per-callback instruction budget is zero.
     NoCallbackBudget,
-    /// The engine admits more concurrent callbacks than its buffer has
-    /// entries. The model checker proves this geometry unsafe at tiny
-    /// bound: nested concurrent callbacks deeper than the buffer
-    /// oversubscribe admission slots, the exact exhaustion the Sec 5.2
-    /// writeback-buffer backpressure argument assumes cannot happen.
-    CallbackBufferOversubscribed {
-        /// Configured `engine.callback_buffer` entries.
-        buffer: u32,
-        /// Configured `engine.max_concurrent_callbacks`.
-        concurrent: u32,
-    },
     /// A fault-plan event is addressed to a site (tile/bank index)
     /// outside the configured mesh.
     FaultSiteOutOfRange {
@@ -512,8 +497,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SetsNotPowerOfTwo { level, sets } => {
                 write!(f, "{level} cache has {sets} sets (must be a power of two)")
             }
-            ConfigError::TooFewMshrs(level) => {
-                write!(f, "{level} cache needs at least 2 MSHRs")
+            ConfigError::TooFewMshrs => {
+                write!(f, "LLC bank cache needs at least 2 MSHRs")
             }
             ConfigError::NoDramControllers => {
                 write!(f, "memory system has zero DRAM controllers")
@@ -529,14 +514,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NoCallbackBudget => {
                 write!(f, "callback instruction budget is zero")
-            }
-            ConfigError::CallbackBufferOversubscribed { buffer, concurrent } => {
-                write!(
-                    f,
-                    "engine admits {concurrent} concurrent callbacks but the \
-                     callback buffer has only {buffer} entries; nested \
-                     callbacks would oversubscribe admission slots"
-                )
             }
             ConfigError::FaultSiteOutOfRange { site, tiles } => {
                 write!(
@@ -565,6 +542,11 @@ pub struct SystemConfig {
     pub l2: CacheConfig,
     /// One LLC bank (the LLC as a whole is `tiles` banks, inclusive).
     pub llc_bank: CacheConfig,
+    /// Miss-status holding registers per LLC bank: the outstanding
+    /// misses one bank tracks. One entry is reserved away from
+    /// callback-waiting requests (Sec 5.2's deadlock-avoidance rule).
+    /// The private levels do not model MSHRs.
+    pub llc_mshrs: u32,
     /// L2 prefetcher.
     pub prefetch: PrefetchConfig,
     /// Mesh NoC.
@@ -590,6 +572,7 @@ impl SystemConfig {
             l1d: CacheConfig::l1d_default(),
             l2: CacheConfig::l2_default(),
             llc_bank: CacheConfig::llc_bank_default(),
+            llc_mshrs: 16,
             prefetch: PrefetchConfig::default(),
             noc: NocConfig::default(),
             mem: MemConfig::default(),
@@ -659,9 +642,9 @@ impl SystemConfig {
             if !sets.is_power_of_two() {
                 return Err(ConfigError::SetsNotPowerOfTwo { level, sets });
             }
-            if c.mshrs < 2 {
-                return Err(ConfigError::TooFewMshrs(level));
-            }
+        }
+        if self.llc_mshrs < 2 {
+            return Err(ConfigError::TooFewMshrs);
         }
         if self.mem.controllers == 0 {
             return Err(ConfigError::NoDramControllers);
@@ -680,12 +663,6 @@ impl SystemConfig {
         }
         if self.engine.callback_instr_budget == 0 {
             return Err(ConfigError::NoCallbackBudget);
-        }
-        if self.engine.max_concurrent_callbacks > self.engine.callback_buffer {
-            return Err(ConfigError::CallbackBufferOversubscribed {
-                buffer: self.engine.callback_buffer,
-                concurrent: self.engine.max_concurrent_callbacks,
-            });
         }
         if let Some(plan) = &self.faults {
             for ev in &plan.events {
@@ -759,7 +736,6 @@ mod tests {
             tag_latency: 1,
             data_latency: 1,
             repl: ReplPolicy::Lru,
-            mshrs: 4,
         }
         .sets();
     }
@@ -820,8 +796,8 @@ mod tests {
         );
 
         let mut cfg = base();
-        cfg.llc_bank.mshrs = 1;
-        assert_eq!(cfg.validate(), Err(ConfigError::TooFewMshrs("LLC bank")));
+        cfg.llc_mshrs = 1;
+        assert_eq!(cfg.validate(), Err(ConfigError::TooFewMshrs));
 
         let mut cfg = base();
         cfg.mem.controllers = 0;
@@ -842,17 +818,6 @@ mod tests {
         let mut cfg = base();
         cfg.engine.callback_instr_budget = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::NoCallbackBudget));
-
-        let mut cfg = base();
-        cfg.engine.callback_buffer = 2;
-        cfg.engine.max_concurrent_callbacks = 4;
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::CallbackBufferOversubscribed {
-                buffer: 2,
-                concurrent: 4
-            })
-        );
 
         let mut cfg = base();
         let mut plan = FaultPlan::empty();
@@ -884,35 +849,14 @@ mod tests {
     }
 
     #[test]
-    fn callback_buffer_admission_bound() {
-        // The default geometry (buffer == concurrency == 8) is legal,
-        // as is any buffer at least as deep as the admission bound.
-        let mut cfg = SystemConfig::default_16core();
-        assert_eq!(
-            cfg.engine.callback_buffer,
-            cfg.engine.max_concurrent_callbacks
-        );
-        assert_eq!(cfg.validate(), Ok(()));
-        cfg.engine.callback_buffer = 16;
-        assert_eq!(cfg.validate(), Ok(()));
-
-        // One admission more than the buffer holds is the exhaustion
-        // the checker exercises; the error must name both numbers.
-        cfg.engine.callback_buffer = 8;
-        cfg.engine.max_concurrent_callbacks = 9;
-        let err = cfg.validate().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::CallbackBufferOversubscribed {
-                buffer: 8,
-                concurrent: 9
-            }
-        );
-        let msg = err.to_string();
-        assert!(
-            msg.contains('9') && msg.contains('8'),
-            "undescriptive: {msg}"
-        );
+    fn sec9_callback_buffer_sweep_validates() {
+        // Every buffer size the Sec 9 sweep runs is a legal machine: the
+        // engine borrows an admission slot when the buffer is full.
+        for entries in [1, 2, 4, 8, 16, 64] {
+            let mut cfg = SystemConfig::default_16core();
+            cfg.engine.callback_buffer = entries;
+            assert_eq!(cfg.validate(), Ok(()), "callback_buffer = {entries}");
+        }
     }
 
     #[test]
@@ -932,6 +876,10 @@ mod tests {
         assert_eq!(
             ConfigError::TooManyTiles { tiles: 65, max: 64 }.to_string(),
             "system has 65 tiles; the LLC directory tracks at most 64"
+        );
+        assert_eq!(
+            ConfigError::TooFewMshrs.to_string(),
+            "LLC bank cache needs at least 2 MSHRs"
         );
         assert_eq!(
             ConfigError::NoDramControllers.to_string(),

@@ -1,12 +1,33 @@
-//! Shared workload plumbing: result records and simulated-memory layout.
+//! Shared workload plumbing: result records, simulated-memory layout,
+//! and the ideal-engine row of the figures that plot one.
 
 use tako_core::TakoSystem;
 use tako_cpu::MemSystem;
 use tako_graph::Csr;
-use tako_mem::addr::{Addr, AddrRange};
+use tako_mem::addr::Addr;
 use tako_sim::checkpoint::{Record, SnapError, SnapReader, SnapWriter};
+use tako_sim::config::{EngineConfig, SystemConfig};
 use tako_sim::stats::{Counter, Stats};
 use tako_sim::Cycle;
+
+/// A figure's rows over one workload: each of `programs` on `cfg`,
+/// labelled by `label`, then `tako` on `cfg` with the idealized engine
+/// ([`EngineConfig::ideal`]), labelled `ideal`. The engine is a machine
+/// choice, so the ideal row is a config, not a program variant.
+pub fn with_ideal_engine<V: Copy>(
+    programs: &[V],
+    label: fn(V) -> &'static str,
+    tako: V,
+    cfg: &SystemConfig,
+) -> Vec<(&'static str, V, SystemConfig)> {
+    let mut ideal = cfg.clone();
+    ideal.engine = EngineConfig::ideal();
+    programs
+        .iter()
+        .map(|&v| (label(v), v, cfg.clone()))
+        .chain([("ideal", tako, ideal)])
+        .collect()
+}
 
 /// The outcome of one simulated workload run.
 #[derive(Debug, Clone)]
@@ -145,19 +166,6 @@ impl GraphLayout {
         (0..self.n)
             .map(|v| mem.read_f64(self.next + v * 8))
             .collect()
-    }
-
-    /// Finish one PageRank iteration host-side: fold the base term into
-    /// the accumulated pushes (`next`), matching the reference
-    /// `pagerank::iteration`.
-    pub fn finalize_iteration(&self, sys: &mut TakoSystem) -> Vec<f64> {
-        let base = (1.0 - tako_graph::pagerank::DAMPING) / self.n as f64;
-        self.read_next(sys).into_iter().map(|x| x + base).collect()
-    }
-
-    /// The address range of the `next` accumulator array.
-    pub fn next_range(&self) -> AddrRange {
-        AddrRange::new(self.next, self.n * 8)
     }
 }
 

@@ -3,7 +3,8 @@
 //! The motivating example: compute the average of a data set stored in an
 //! approximate, compressed format (a per-group base plus a per-value
 //! delta). 32 K Zipfian-distributed indices over 16 K values by default
-//! (Fig 6). Five variants:
+//! (Fig 6). Four variants; Fig 6's fifth row, "ideal", is
+//! [`Variant::Tako`] on [`EngineConfig::ideal`](tako_sim::config::EngineConfig::ideal):
 //!
 //! * [`Variant::Software`] — the core decompresses on every access.
 //! * [`Variant::Precompute`] — the core decompresses all values into a
@@ -17,14 +18,13 @@
 //! * [`Variant::Tako`] — the täkō Morph: a phantom range holds
 //!   decompressed values; `onMiss` decompresses one line (8 values) on
 //!   the engine and the caches memoize it, eliminating redundant work.
-//! * [`Variant::Ideal`] — the täkō Morph on an idealized engine.
 //!
 //! [`Counter::Decompression`] counts decompressed *values* (Fig 7).
 
 use tako_core::{EngineCtx, Morph, MorphLevel, TakoSystem};
 use tako_cpu::{run_single, CoreEnv, CoreTiming, MemSystem, StepResult, ThreadProgram};
 use tako_mem::addr::Addr;
-use tako_sim::config::{EngineConfig, SystemConfig};
+use tako_sim::config::SystemConfig;
 use tako_sim::rng::{Rng, Zipfian};
 use tako_sim::stats::Counter;
 
@@ -41,18 +41,15 @@ pub enum Variant {
     Ndc,
     /// täkō: onMiss decompression memoized in the caches.
     Tako,
-    /// täkō with an idealized engine.
-    Ideal,
 }
 
 impl Variant {
     /// All variants, in the order Fig 6 plots them.
-    pub const ALL: [Variant; 5] = [
+    pub const ALL: [Variant; 4] = [
         Variant::Software,
         Variant::Precompute,
         Variant::Ndc,
         Variant::Tako,
-        Variant::Ideal,
     ];
 
     /// Display label.
@@ -62,7 +59,6 @@ impl Variant {
             Variant::Precompute => "precompute",
             Variant::Ndc => "ndc",
             Variant::Tako => "tako",
-            Variant::Ideal => "ideal",
         }
     }
 }
@@ -369,9 +365,6 @@ impl tako_sim::checkpoint::Record for DecompressResult {
 /// Run one variant with `params` on a system configured by `cfg`.
 pub fn run(variant: Variant, params: Params, cfg: &SystemConfig) -> DecompressResult {
     let mut cfg = cfg.clone();
-    if variant == Variant::Ideal {
-        cfg.engine = EngineConfig::ideal();
-    }
     if variant == Variant::Ndc {
         // NDC offload requests are engine dispatches, not loads — they
         // do not flow through (or train) the L2 stride prefetcher. The
@@ -420,7 +413,7 @@ pub fn run(variant: Variant, params: Params, cfg: &SystemConfig) -> DecompressRe
                 .expect("register NDC morph");
             prog.mode = Mode::NdcStream(h.range().base);
         }
-        Variant::Tako | Variant::Ideal => {
+        Variant::Tako => {
             let h = sys
                 .register_phantom(
                     MorphLevel::Private,
@@ -454,6 +447,8 @@ pub fn run_default(variant: Variant, params: Params) -> DecompressResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::with_ideal_engine;
+    use tako_sim::config::EngineConfig;
 
     fn small() -> Params {
         Params {
@@ -466,12 +461,14 @@ mod tests {
 
     #[test]
     fn all_variants_compute_reference_average() {
-        for v in Variant::ALL {
-            let r = run_default(v, small());
+        let cfg = SystemConfig::default_16core();
+        for (label, v, cfg) in with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg)
+        {
+            let r = run(v, small(), &cfg);
             assert!(
                 (r.average - r.expected).abs() < 1e-9,
                 "{}: avg {} != expected {}",
-                v.label(),
+                label,
                 r.average,
                 r.expected
             );
@@ -520,7 +517,9 @@ mod tests {
     fn ideal_at_least_as_fast_as_tako() {
         let p = small();
         let tk = run_default(Variant::Tako, p);
-        let ideal = run_default(Variant::Ideal, p);
+        let mut cfg = SystemConfig::default_16core();
+        cfg.engine = EngineConfig::ideal();
+        let ideal = run(Variant::Tako, p, &cfg);
         assert!(ideal.run.cycles <= tk.run.cycles);
     }
 }

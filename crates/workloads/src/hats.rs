@@ -18,15 +18,16 @@
 //!   and the core drains the log after flushing the stream, so no edge
 //!   is ever lost.
 //!
-//! Variants: vertex-ordered baseline, software BDFS on the core, täkō,
-//! and täkō with an ideal engine.
+//! Variants: vertex-ordered baseline, software BDFS on the core, and
+//! täkō. Fig 16's "ideal" row is täkō on
+//! [`EngineConfig::ideal`](tako_sim::config::EngineConfig::ideal).
 
 use tako_core::{EngineCtx, Morph, MorphLevel, TakoSystem};
 use tako_cpu::{run_single, CoreEnv, CoreTiming, StepResult, ThreadProgram};
 use tako_dataflow::Val;
 use tako_graph::Csr;
 use tako_mem::addr::Addr;
-use tako_sim::config::{EngineConfig, SystemConfig};
+use tako_sim::config::SystemConfig;
 use tako_sim::rng::Rng;
 use tako_sim::stats::Counter;
 
@@ -46,18 +47,11 @@ pub enum Variant {
     SoftwareBdfs,
     /// HATS on täkō: engine-filled phantom stream.
     Tako,
-    /// HATS with an idealized engine.
-    Ideal,
 }
 
 impl Variant {
     /// All variants in Fig 16's order.
-    pub const ALL: [Variant; 4] = [
-        Variant::VertexOrdered,
-        Variant::SoftwareBdfs,
-        Variant::Tako,
-        Variant::Ideal,
-    ];
+    pub const ALL: [Variant; 3] = [Variant::VertexOrdered, Variant::SoftwareBdfs, Variant::Tako];
 
     /// Display label.
     pub fn label(self) -> &'static str {
@@ -65,7 +59,6 @@ impl Variant {
             Variant::VertexOrdered => "vertex-ordered",
             Variant::SoftwareBdfs => "sw-bdfs",
             Variant::Tako => "tako",
-            Variant::Ideal => "ideal",
         }
     }
 }
@@ -519,10 +512,6 @@ pub fn run(variant: Variant, params: &Params, cfg: &SystemConfig) -> HatsResult 
 
 /// Run one variant on a pre-built graph.
 pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &Csr) -> HatsResult {
-    let mut cfg = cfg.clone();
-    if variant == Variant::Ideal {
-        cfg.engine = EngineConfig::ideal();
-    }
     let mut sys = TakoSystem::new(cfg.clone());
     let layout = GraphLayout::install(&mut sys, g);
     let m = layout.m;
@@ -553,7 +542,7 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
             let c = run_single(0, &mut prog, core, &mut sys, max_steps);
             (c, m)
         }
-        Variant::Tako | Variant::Ideal => {
+        Variant::Tako => {
             assert!(
                 layout.n < u64::from(u32::MAX),
                 "vertex ids must not pack to INVALID_EDGE"
@@ -621,7 +610,9 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::with_ideal_engine;
     use tako_graph::pagerank;
+    use tako_sim::config::EngineConfig;
 
     fn small() -> Params {
         Params {
@@ -656,13 +647,14 @@ mod tests {
     fn all_variants_push_identical_sums() {
         let p = small();
         let expect = reference_next(&p);
-        for v in Variant::ALL {
-            let r = run(v, &p, &SystemConfig::default_16core());
+        let cfg = SystemConfig::default_16core();
+        for (label, v, cfg) in with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg)
+        {
+            let r = run(v, &p, &cfg);
             let diff = pagerank::max_diff(&r.next, &expect);
             assert!(
                 diff < 1e-9,
-                "{}: next mismatch {diff} (processed {})",
-                v.label(),
+                "{label}: next mismatch {diff} (processed {})",
                 r.processed
             );
         }
@@ -691,11 +683,13 @@ mod tests {
             .into_iter()
             .map(|x| x - base)
             .collect();
-        for v in Variant::ALL {
-            let r = run_on_graph(v, &p, &SystemConfig::default_16core(), &g);
+        let cfg = SystemConfig::default_16core();
+        for (label, v, cfg) in with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg)
+        {
+            let r = run_on_graph(v, &p, &cfg, &g);
             let diff = pagerank::max_diff(&r.next, &expect);
-            assert!(diff < 1e-9, "{}: next mismatch {diff}", v.label());
-            assert_eq!(r.processed, edges.len() as u64, "{}", v.label());
+            assert!(diff < 1e-9, "{label}: next mismatch {diff}");
+            assert_eq!(r.processed, edges.len() as u64, "{label}");
         }
     }
 
@@ -751,7 +745,9 @@ mod tests {
         };
         let sb = run(Variant::SoftwareBdfs, &p, &cfg);
         let tk = run(Variant::Tako, &p, &cfg);
-        let ideal = run(Variant::Ideal, &p, &cfg);
+        let mut ideal_cfg = cfg.clone();
+        ideal_cfg.engine = EngineConfig::ideal();
+        let ideal = run(Variant::Tako, &p, &ideal_cfg);
         assert!(
             (tk.run.cycles as f64) < 0.67 * sb.run.cycles as f64,
             "tako {} vs sw-bdfs {}",

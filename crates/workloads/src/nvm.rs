@@ -17,7 +17,7 @@
 use tako_core::{EngineCtx, Morph, MorphHandle, MorphLevel, TakoSystem};
 use tako_cpu::{run_single, CoreEnv, CoreTiming, MemSystem, StepResult, ThreadProgram};
 use tako_mem::addr::Addr;
-use tako_sim::config::{EngineConfig, SystemConfig, LINE_BYTES};
+use tako_sim::config::{SystemConfig, LINE_BYTES};
 use tako_sim::stats::Counter;
 
 use crate::common::RunResult;
@@ -31,22 +31,21 @@ pub enum Variant {
     /// Software journaling: every word written to the journal, then
     /// applied in place after commit.
     Journaling,
-    /// täkō: phantom transaction buffer, commit = flushData.
+    /// täkō: phantom transaction buffer, commit = flushData. Fig 20's
+    /// "ideal" row is this program on
+    /// [`EngineConfig::ideal`](tako_sim::config::EngineConfig::ideal).
     Tako,
-    /// täkō with an idealized engine.
-    Ideal,
 }
 
 impl Variant {
     /// All variants in Fig 19's order.
-    pub const ALL: [Variant; 3] = [Variant::Journaling, Variant::Tako, Variant::Ideal];
+    pub const ALL: [Variant; 2] = [Variant::Journaling, Variant::Tako];
 
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
             Variant::Journaling => "journaling",
             Variant::Tako => "tako",
-            Variant::Ideal => "ideal",
         }
     }
 }
@@ -298,10 +297,6 @@ impl tako_sim::checkpoint::Record for NvmResult {
 
 /// Run one variant.
 pub fn run(variant: Variant, params: Params, cfg: &SystemConfig) -> NvmResult {
-    let mut cfg = cfg.clone();
-    if variant == Variant::Ideal {
-        cfg.engine = EngineConfig::ideal();
-    }
     let mut sys = TakoSystem::new(cfg.clone());
     let words = params.txn_bytes / 8;
     let total_words = words * params.txns;
@@ -322,7 +317,7 @@ pub fn run(variant: Variant, params: Params, cfg: &SystemConfig) -> NvmResult {
             };
             run_single(0, &mut prog, CoreTiming::new(cfg.core), &mut sys, max_steps)
         }
-        Variant::Tako | Variant::Ideal => {
+        Variant::Tako => {
             let handle = sys
                 .register_phantom(
                     MorphLevel::Private,
@@ -374,6 +369,7 @@ pub fn run(variant: Variant, params: Params, cfg: &SystemConfig) -> NvmResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::with_ideal_engine;
 
     fn small() -> Params {
         Params {
@@ -385,9 +381,11 @@ mod tests {
 
     #[test]
     fn both_variants_produce_correct_nvm_image() {
-        for v in Variant::ALL {
-            let r = run(v, small(), &SystemConfig::default_16core());
-            assert!(r.data_correct, "{}: corrupted NVM image", v.label());
+        let cfg = SystemConfig::default_16core();
+        for (label, v, cfg) in with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg)
+        {
+            let r = run(v, small(), &cfg);
+            assert!(r.data_correct, "{label}: corrupted NVM image");
         }
     }
 

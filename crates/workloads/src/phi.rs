@@ -15,8 +15,9 @@
 //!   per-region **bin** (sparse lines), exactly Table 4.
 //!
 //! Variants: software baseline (scattered read-modify-writes), software
-//! update batching \[14, 70\] (per-thread binning, then a bin phase),
-//! täkō/PHI, and PHI on an ideal engine.
+//! update batching \[14, 70\] (per-thread binning, then a bin phase) and
+//! täkō/PHI. Fig 13's "ideal" row is PHI on
+//! [`EngineConfig::ideal`](tako_sim::config::EngineConfig::ideal).
 
 use tako_core::{EngineCtx, Morph, MorphHandle, MorphLevel, TakoSystem};
 use tako_cpu::{
@@ -24,7 +25,7 @@ use tako_cpu::{
 };
 use tako_graph::Csr;
 use tako_mem::addr::Addr;
-use tako_sim::config::{EngineConfig, SystemConfig};
+use tako_sim::config::SystemConfig;
 use tako_sim::rng::Rng;
 use tako_sim::stats::Counter;
 use tako_sim::Cycle;
@@ -40,18 +41,11 @@ pub enum Variant {
     UpdateBatching,
     /// PHI on täkō.
     Tako,
-    /// PHI on an idealized engine.
-    Ideal,
 }
 
 impl Variant {
     /// All variants in Fig 13's order.
-    pub const ALL: [Variant; 4] = [
-        Variant::Software,
-        Variant::UpdateBatching,
-        Variant::Tako,
-        Variant::Ideal,
-    ];
+    pub const ALL: [Variant; 3] = [Variant::Software, Variant::UpdateBatching, Variant::Tako];
 
     /// Display label.
     pub fn label(self) -> &'static str {
@@ -59,7 +53,6 @@ impl Variant {
             Variant::Software => "software",
             Variant::UpdateBatching => "update-batching",
             Variant::Tako => "tako",
-            Variant::Ideal => "ideal",
         }
     }
 }
@@ -430,10 +423,6 @@ pub fn run(variant: Variant, params: &Params, cfg: &SystemConfig) -> PhiResult {
 
 /// Run on a pre-built graph (used by the scalability sweep, Fig 25).
 pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &Csr) -> PhiResult {
-    let mut cfg = cfg.clone();
-    if variant == Variant::Ideal {
-        cfg.engine = EngineConfig::ideal();
-    }
     let mut sys = TakoSystem::new(cfg.clone());
     let layout = GraphLayout::install(&mut sys, g);
     let n = layout.n;
@@ -461,7 +450,7 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
                 cap: ub_cap,
             }
         }
-        Variant::Tako | Variant::Ideal => {
+        Variant::Tako => {
             let banks = cfg.tiles as u64;
             let slots = banks * nbins;
             let cap = m.div_ceil(slots) * 16 + 1024;
@@ -512,7 +501,7 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
             bin_cursors: vec![0; nbins as usize],
         }));
     }
-    let mut t_edge = run_phase(&mut sys, edge_programs, &cfg, 0, max_steps);
+    let mut t_edge = run_phase(&mut sys, edge_programs, cfg, 0, max_steps);
 
     // PHI: flushData pushes every buffered update out (Fig 12).
     if let Some(h) = phi_handle {
@@ -543,7 +532,7 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
                 }));
             }
         }
-        Variant::Tako | Variant::Ideal => {
+        Variant::Tako => {
             // Thread t drains destination region r ≡ t (mod threads)
             // across every bank's view, preserving region locality.
             let banks = cfg.tiles as u64;
@@ -567,13 +556,10 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
             }
         }
     }
-    let has_bins = !bin_programs.is_empty()
-        && matches!(
-            variant,
-            Variant::UpdateBatching | Variant::Tako | Variant::Ideal
-        );
+    let has_bins =
+        !bin_programs.is_empty() && matches!(variant, Variant::UpdateBatching | Variant::Tako);
     let t_bin = if has_bins {
-        run_phase(&mut sys, bin_programs, &cfg, t_edge, max_steps)
+        run_phase(&mut sys, bin_programs, cfg, t_edge, max_steps)
     } else {
         t_edge
     };
@@ -590,7 +576,7 @@ pub fn run_on_graph(variant: Variant, params: &Params, cfg: &SystemConfig, g: &C
             base_term,
         }));
     }
-    let t_vertex = run_phase(&mut sys, vertex_programs, &cfg, t_bin, max_steps);
+    let t_vertex = run_phase(&mut sys, vertex_programs, cfg, t_bin, max_steps);
 
     let mem = sys.data();
     let ranks: Vec<f64> = (0..n).map(|v| mem.read_f64(layout.ranks + v * 8)).collect();
@@ -617,6 +603,7 @@ fn count_entries(sys: &mut TakoSystem, base: Addr, cap: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::with_ideal_engine;
     use tako_graph::pagerank;
 
     fn small() -> Params {
@@ -641,10 +628,12 @@ mod tests {
     fn all_variants_match_reference_ranks() {
         let p = small();
         let expect = reference(&p);
-        for v in Variant::ALL {
-            let r = run(v, &p, &SystemConfig::default_16core());
+        let cfg = SystemConfig::default_16core();
+        for (label, v, cfg) in with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg)
+        {
+            let r = run(v, &p, &cfg);
             let diff = pagerank::max_diff(&r.ranks, &expect);
-            assert!(diff < 1e-9, "{}: rank mismatch {diff}", v.label());
+            assert!(diff < 1e-9, "{label}: rank mismatch {diff}");
         }
     }
 

@@ -11,9 +11,11 @@
 //! a phantom SoA range: `onMiss` gathers the field from eight structs
 //! into one dense line; the packed column then *fits* in the private
 //! cache, so later passes hit. The engine's gather uses non-temporal
-//! loads (trrîp's distant-priority engine accesses) — the ablation
-//! variant uses ordinary allocating loads instead, and the AoS stream
-//! evicts the very column the Morph is building.
+//! loads, which fill only the engine's L1d. [`Variant::TakoAllocating`]
+//! is the same Morph gathering with allocating loads; whether its fills
+//! insert at trrîp's distant priority is the machine's choice
+//! (`engine.trrip`), and without it the AoS stream evicts the very
+//! column the Morph is building.
 
 use tako_core::{EngineCtx, Morph, MorphLevel, TakoSystem};
 use tako_cpu::{run_single, CoreEnv, CoreTiming, MemSystem, StepResult, ThreadProgram};
@@ -30,23 +32,24 @@ pub const STRUCT_BYTES: u64 = LINE_BYTES;
 pub enum Variant {
     /// Scan the field directly from the array of structs.
     Aos,
-    /// täkō SoA Morph with trrîp-style non-temporal engine gathers.
+    /// täkō SoA Morph with non-temporal engine gathers.
     Tako,
-    /// Ablation: the same Morph with allocating engine loads — the
-    /// gather stream pollutes the L2 (what trrîp prevents).
-    TakoNoTrrip,
+    /// The same Morph with allocating engine loads: the gather stream
+    /// pollutes the shared cache unless `engine.trrip` inserts it at
+    /// distant priority.
+    TakoAllocating,
 }
 
 impl Variant {
     /// All variants.
-    pub const ALL: [Variant; 3] = [Variant::Aos, Variant::Tako, Variant::TakoNoTrrip];
+    pub const ALL: [Variant; 3] = [Variant::Aos, Variant::Tako, Variant::TakoAllocating];
 
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
             Variant::Aos => "aos-baseline",
             Variant::Tako => "tako-trrip",
-            Variant::TakoNoTrrip => "tako-no-trrip",
+            Variant::TakoAllocating => "tako-allocating",
         }
     }
 }
@@ -191,7 +194,7 @@ pub fn run(variant: Variant, params: Params, cfg: &SystemConfig) -> SoaResult {
 
     let (base, stride) = match variant {
         Variant::Aos => (aos + params.field * 8, STRUCT_BYTES),
-        Variant::Tako | Variant::TakoNoTrrip => {
+        Variant::Tako | Variant::TakoAllocating => {
             let h = sys
                 .register_phantom(
                     MorphLevel::Shared,
@@ -277,13 +280,14 @@ mod tests {
     fn trrip_pollution_avoidance_matters() {
         // Sec 5.2's claim: without distant-priority engine insertions,
         // callback traffic pollutes the shared cache and the benefit
-        // shrinks. The ablation flips the config flag.
+        // shrinks. The config flag is the one switch; the allocating
+        // gather is the program whose fills it acts on.
         let p = small();
         let cfg = pressure_cfg();
         let mut no_trrip = pressure_cfg();
         no_trrip.engine.trrip = false;
-        let with = run(Variant::TakoNoTrrip, p, &cfg);
-        let without = run(Variant::TakoNoTrrip, p, &no_trrip);
+        let with = run(Variant::TakoAllocating, p, &cfg);
+        let without = run(Variant::TakoAllocating, p, &no_trrip);
         assert!(
             (with.run.cycles as f64) < 1.02 * without.run.cycles as f64,
             "trrîp {} vs no-trrîp {}",

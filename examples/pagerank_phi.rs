@@ -9,6 +9,7 @@ use tako::sim::config::SystemConfig;
 use tako::sim::rng::Rng;
 use tako::sim::stats::Counter;
 use tako::workloads::phi::{run_on_graph, Params, Variant};
+use tako::workloads::with_ideal_engine;
 
 fn main() {
     let params = Params {
@@ -39,21 +40,21 @@ fn main() {
         "variant", "cycles", "speedup", "edge-DRAM", "bin-DRAM", "vtx-DRAM"
     );
     let base = run_on_graph(Variant::Software, &params, &cfg, &g);
-    for v in Variant::ALL {
+    for (label, v, cfg) in with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg) {
         let r = run_on_graph(v, &params, &cfg, &g);
         let diff = pagerank::max_diff(&r.ranks, &reference);
         assert!(diff < 1e-9, "ranks must match the host reference");
         let ph = r.run.stats.phases();
         println!(
             "{:<16} {:>10} {:>7.2}x  {:>9} {:>9} {:>9}",
-            v.label(),
+            label,
             r.run.cycles,
             base.run.cycles as f64 / r.run.cycles as f64,
             ph[0].dram_accesses,
             ph[1].dram_accesses,
             ph[2].dram_accesses,
         );
-        if v == Variant::Tako {
+        if label == "tako" {
             println!(
                 "{:<16} ({} updates applied in place, {} binned)",
                 "",

@@ -16,6 +16,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The examples assert their own results (every decompression variant
+# computes the same average; PHI ranks match the host reference within
+# 1e-9), and nothing else runs them. About 7.5 s in total on a 2-vCPU
+# host, of which pagerank_phi is 6.9 s.
+echo "==> examples"
+for ex in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$ex" .rs)" > /dev/null
+done
+
 # The benchmark (perf/) is its own workspace, so the root test run
 # does not build it; test it here so a change under crates/ that
 # breaks it fails CI.

@@ -8,7 +8,7 @@ use tako::graph::pagerank;
 use tako::sim::config::{SystemConfig, LINE_BYTES};
 use tako::sim::rng::Rng;
 use tako::sim::stats::Counter;
-use tako::workloads::{decompress, hats, nvm, phi, sidechannel};
+use tako::workloads::{decompress, hats, nvm, phi, sidechannel, with_ideal_engine};
 
 #[test]
 fn facade_reexports_are_usable() {
@@ -59,8 +59,9 @@ fn a_morph_free_system_is_a_plain_multicore() {
 
 #[test]
 fn all_pagerank_implementations_agree() {
-    // PHI (4 variants) and HATS (4 variants) must produce the exact
-    // ranks/sums of the host-side reference on the same graph.
+    // PHI and HATS (every variant, and täkō on the ideal engine) must
+    // produce the exact ranks/sums of the host-side reference on the
+    // same graph.
     let phi_params = phi::Params {
         vertices: 1024,
         edges: 8192,
@@ -79,12 +80,16 @@ fn all_pagerank_implementations_agree() {
     let init = vec![1.0 / phi_params.vertices as f64; phi_params.vertices];
     let reference = pagerank::iteration(&g, &init);
     let cfg = SystemConfig::default_16core();
-    for v in phi::Variant::ALL {
+    for (label, v, cfg) in with_ideal_engine(
+        &phi::Variant::ALL,
+        phi::Variant::label,
+        phi::Variant::Tako,
+        &cfg,
+    ) {
         let r = phi::run_on_graph(v, &phi_params, &cfg, &g);
         assert!(
             pagerank::max_diff(&r.ranks, &reference) < 1e-9,
-            "phi {} diverged",
-            v.label()
+            "phi {label} diverged"
         );
     }
 
@@ -110,12 +115,16 @@ fn all_pagerank_implementations_agree() {
     let ref2 = pagerank::iteration(&g2, &init2);
     let base = (1.0 - pagerank::DAMPING) / hats_params.vertices as f64;
     let expect: Vec<f64> = ref2.iter().map(|x| x - base).collect();
-    for v in hats::Variant::ALL {
+    for (label, v, cfg) in with_ideal_engine(
+        &hats::Variant::ALL,
+        hats::Variant::label,
+        hats::Variant::Tako,
+        &cfg,
+    ) {
         let r = hats::run_on_graph(v, &hats_params, &cfg, &g2);
         assert!(
             pagerank::max_diff(&r.next, &expect) < 1e-9,
-            "hats {} diverged",
-            v.label()
+            "hats {label} diverged"
         );
     }
 }
@@ -129,17 +138,27 @@ fn decompression_and_nvm_functional_equivalence() {
         theta: 0.9,
         seed: 1,
     };
-    for v in decompress::Variant::ALL {
+    for (label, v, cfg) in with_ideal_engine(
+        &decompress::Variant::ALL,
+        decompress::Variant::label,
+        decompress::Variant::Tako,
+        &cfg,
+    ) {
         let r = decompress::run(v, dp, &cfg);
-        assert!((r.average - r.expected).abs() < 1e-9, "{}", v.label());
+        assert!((r.average - r.expected).abs() < 1e-9, "{label}");
     }
     let np = nvm::Params {
         txn_bytes: 2048,
         txns: 4,
         seed: 2,
     };
-    for v in nvm::Variant::ALL {
-        assert!(nvm::run(v, np, &cfg).data_correct, "{}", v.label());
+    for (label, v, cfg) in with_ideal_engine(
+        &nvm::Variant::ALL,
+        nvm::Variant::label,
+        nvm::Variant::Tako,
+        &cfg,
+    ) {
+        assert!(nvm::run(v, np, &cfg).data_correct, "{label}");
     }
 }
 
