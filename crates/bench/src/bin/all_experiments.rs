@@ -1,12 +1,15 @@
-//! Runs every figure/table harness, fanned out across `--jobs` worker
+//! Runs the figure/table harnesses, fanned out across `--jobs` worker
 //! threads, printing each harness's output in the fixed table order
 //! (use `--scale` to shrink workloads).
 //!
 //! Extra flags beyond the shared [`Opts`] set:
 //!
 //! ```text
-//! --force-panic <name>  panic inside the named harness (tests the
-//!                       failure contract below)
+//! --only <n1,n2,...>    run only the named harnesses (`fig06` ...
+//!                       `ablations`), still in table order; a lone
+//!                       harness gets all `--jobs` for its variants
+//! --force-panic <name>  panic inside the named harness, which must be
+//!                       selected (tests the failure contract below)
 //! --trace-out <path>    arm the observability layer and write the
 //!                       merged event trace as Chrome trace_event JSON
 //!                       (load in chrome://tracing or Perfetto)
@@ -50,7 +53,8 @@ use std::time::{Duration, Instant};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::{
-    exit_error, flag_value, run_all, warn_unknown, ExperimentResult, Opts, EXPERIMENTS,
+    exit_error, flag_value, run_all, select, warn_unknown, Experiment, ExperimentResult, Opts,
+    EXPERIMENTS,
 };
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 
@@ -58,6 +62,7 @@ use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 /// [`Opts::parse`].
 #[derive(Default)]
 struct BenchFlags {
+    experiments: Vec<(&'static str, Experiment)>,
     force_panic: Option<String>,
     trace_out: Option<String>,
     profile: bool,
@@ -79,13 +84,17 @@ const JOURNAL_ONLY: [&str; 5] = [
 ];
 
 fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
-    let mut flags = BenchFlags::default();
+    let mut flags = BenchFlags {
+        experiments: EXPERIMENTS.to_vec(),
+        ..BenchFlags::default()
+    };
     let mut journal_only = None;
     let mut rest = Vec::new();
     let mut i = 0;
     while i < unknown.len() {
         let flag = unknown[i].as_str();
         match flag {
+            "--only" => flags.experiments = select(&flag_value::<String>(unknown, &mut i)?)?,
             "--trace-out" => flags.trace_out = Some(flag_value(unknown, &mut i)?),
             "--profile" => flags.profile = true,
             "--force-panic" => flags.force_panic = Some(flag_value(unknown, &mut i)?),
@@ -114,6 +123,11 @@ fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
     }
     if let (Some(flag), None) = (journal_only, &flags.journal) {
         return Err(format!("{flag} needs --journal <dir>"));
+    }
+    if let Some(name) = &flags.force_panic {
+        if !flags.experiments.iter().any(|(n, _)| n == name) {
+            return Err(format!("--force-panic {name}: not a selected experiment"));
+        }
     }
     warn_unknown(&rest);
     Ok(flags)
@@ -145,7 +159,7 @@ fn main() {
             crash_after_units: flags.crash_after_units,
             storage,
         };
-        match run_campaign(opts, &c, EXPERIMENTS) {
+        match run_campaign(opts, &c, &flags.experiments) {
             Ok(outcome) => {
                 eprintln!(
                     "campaign: {} replayed from journal, {} attempts executed",
@@ -162,7 +176,7 @@ fn main() {
             }
         }
     } else {
-        run_all(opts, flags.force_panic.as_deref())
+        run_all(opts, &flags.experiments, flags.force_panic.as_deref())
     };
     let total_wall = t0.elapsed();
 

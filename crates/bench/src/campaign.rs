@@ -511,11 +511,13 @@ pub fn backoff_ms(seed: u64, name: &str, attempt: u32) -> u64 {
 }
 
 /// The command line that resumes this campaign, embedded in every
-/// triage bundle.
-fn resume_cmdline(opts: Opts, c: &CampaignOpts) -> String {
+/// triage bundle. It names the experiment selection, since the manifest
+/// rejects a resume into any other one.
+fn resume_cmdline(opts: Opts, c: &CampaignOpts, names: &[&str]) -> String {
     let mut s = format!(
-        "all_experiments --journal {} --resume --scale {} --seed {} --jobs {}",
+        "all_experiments --journal {} --resume --only {} --scale {} --seed {} --jobs {}",
         c.dir.display(),
+        names.join(","),
         opts.scale,
         opts.seed,
         opts.jobs
@@ -655,6 +657,7 @@ pub fn run_campaign(
 ) -> std::io::Result<CampaignOutcome> {
     std::fs::create_dir_all(&c.dir)?;
     let fingerprint = prepare_manifest(opts, c, experiments)?;
+    let names: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
 
     let mut results: Vec<(&'static str, Result<ExperimentResult, String>)> = Vec::new();
     let mut todo: Vec<(&'static str, Experiment)> = Vec::new();
@@ -796,7 +799,7 @@ pub fn run_campaign(
                          journaled units: {units}\n--- failure ---\n{msg}\n\
                          --- resume ---\n{}\n",
                         1 + c.retries,
-                        resume_cmdline(opts, c),
+                        resume_cmdline(opts, c, &names),
                     );
                     let triage_path = c.dir.join(format!("{name}.triage.txt"));
                     retrying(|| c.storage.write_atomic(&triage_path, triage.as_bytes()))?;

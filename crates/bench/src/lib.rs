@@ -1,9 +1,11 @@
 //! # tako-bench — the benchmark harness
 //!
-//! One experiment module per figure/table in the paper's evaluation; the
-//! binaries in `src/bin/` are thin wrappers. Every experiment prints the
-//! rows/series the paper plots (speedup and relative energy per variant,
-//! per-phase access breakdowns, sweeps).
+//! One experiment harness per figure/table in the paper's evaluation,
+//! listed in [`EXPERIMENTS`]; the one runner is the `all_experiments`
+//! binary, and `all_experiments --only <names>` runs a selection of
+//! them. Every experiment prints the rows/series the paper plots
+//! (speedup and relative energy per variant, per-phase access
+//! breakdowns, sweeps).
 //!
 //! All experiments accept a [`Opts`] parsed from the command line:
 //!
@@ -49,8 +51,8 @@ pub struct Opts {
     pub paper: bool,
     /// RNG seed override.
     pub seed: u64,
-    /// Worker threads for fan-out (variants within a figure, or
-    /// experiments within `all_experiments`).
+    /// Worker threads for fan-out (the variants of a lone selected
+    /// experiment, or the experiments of a larger selection).
     pub jobs: usize,
 }
 
@@ -109,14 +111,6 @@ impl Opts {
         Self::parse(&args).unwrap_or_else(|e| exit_error(&e))
     }
 
-    /// [`Opts::parse_args`], warning on stderr about any unrecognized
-    /// argument.
-    pub fn from_args() -> Self {
-        let (opts, unknown) = Self::parse_args();
-        warn_unknown(&unknown);
-        opts
-    }
-
     /// Scale an integer size.
     pub fn sized(&self, base: usize) -> usize {
         ((base as f64) * self.scale).max(1.0) as usize
@@ -170,8 +164,8 @@ pub fn warn_unknown(unknown: &[String]) {
 
 /// The run list of one runner invocation: the kept record of every
 /// distinct simulation the invocation has run, by key. A runner
-/// invocation is one [`run_all`] or [`campaign::run_campaign`] call, or one per-figure binary
-/// ([`run_figure`]); its run list lives exactly as long as the call.
+/// invocation is one [`run_all`] or [`campaign::run_campaign`] call;
+/// its run list lives exactly as long as the call.
 #[derive(Default)]
 pub(crate) struct RunList(Mutex<HashMap<String, Arc<OnceLock<Vec<u8>>>>>);
 
@@ -224,14 +218,6 @@ pub(crate) fn run_once<R: Record>(key: impl Debug, run: impl FnOnce() -> R) -> R
         w.into_bytes()
     });
     R::replay(&mut SnapReader::new(bytes)).expect("run list record round-trips")
-}
-
-/// Run one harness as its own runner invocation on the command-line
-/// options and print its output: the body of every per-figure binary.
-pub fn run_figure(f: Experiment) {
-    let opts = Opts::from_args();
-    let _runs = RunListScope::enter(Some(Arc::default()));
-    print!("{}", f(opts));
 }
 
 /// Run `f` over each variant on `opts.jobs` workers, returning results
@@ -297,6 +283,33 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("ablations", experiments::ablations),
 ];
 
+/// The experiments `names` selects: a comma-separated list of
+/// [`EXPERIMENTS`] names (the `--only` flag), returned in table order
+/// with duplicates collapsed.
+///
+/// # Errors
+///
+/// An unknown name, which includes an empty list or an empty item; the
+/// message lists the known names.
+pub fn select(names: &str) -> Result<Vec<(&'static str, Experiment)>, String> {
+    let wanted: Vec<&str> = names.split(',').collect();
+    if let Some(bad) = wanted
+        .iter()
+        .find(|w| !EXPERIMENTS.iter().any(|(n, _)| n == *w))
+    {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        return Err(format!(
+            "--only {names}: unknown experiment `{bad}` (known: {})",
+            known.join(",")
+        ));
+    }
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|(n, _)| wanted.contains(n))
+        .copied()
+        .collect())
+}
+
 /// The outcome of one experiment under [`run_all`].
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
@@ -345,9 +358,12 @@ pub(crate) fn run_experiment(
     }
 }
 
-/// Run every harness in [`EXPERIMENTS`] across `opts.jobs` workers and
-/// return the results in table order. The machine is reserved for the
-/// experiment-level fan-out: each harness runs with `jobs = 1` inside.
+/// Run `experiments` (a slice of [`EXPERIMENTS`] in table order, or
+/// any harness list) across `opts.jobs` workers and return the results
+/// in `experiments` order. A lone experiment gets all `opts.jobs` for
+/// its variants; with two or more the machine is reserved for the
+/// experiment-level fan-out, and each harness runs with `jobs = 1`
+/// inside.
 ///
 /// Each harness runs behind a panic guard: a panicking experiment
 /// becomes `Err(panic payload)` while every other harness still runs to
@@ -355,16 +371,21 @@ pub(crate) fn run_experiment(
 /// (the `--force-panic` hook).
 pub fn run_all(
     opts: Opts,
+    experiments: &[(&'static str, Experiment)],
     force_panic: Option<&str>,
 ) -> Vec<(&'static str, Result<ExperimentResult, String>)> {
-    let inner = opts.serial();
+    let inner = if experiments.len() == 1 {
+        opts
+    } else {
+        opts.serial()
+    };
     let runs = Arc::new(RunList::default());
-    let order = start_order(EXPERIMENTS);
+    let order = start_order(experiments);
     let results = parallel_map_catch(opts.jobs, order.clone(), move |_, (name, f)| {
         run_experiment(name, f, inner, &runs, Some(name) == force_panic)
     });
     let mut results: Vec<_> = order.iter().map(|(name, _)| *name).zip(results).collect();
-    results.sort_by_key(|(name, _)| EXPERIMENTS.iter().position(|(n, _)| n == name));
+    results.sort_by_key(|(name, _)| experiments.iter().position(|(n, _)| n == name));
     results
 }
 

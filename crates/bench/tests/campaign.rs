@@ -174,6 +174,7 @@ fn deadline_kill_leaves_triage_bundle_and_deterministic_backoff() {
         "fault plan",
         "event tail",
         "--resume",
+        "--only slowpoke",
     ] {
         assert!(
             triage.contains(needle),
@@ -207,6 +208,32 @@ fn resume_into_a_different_campaign_is_rejected() {
     let skewed = Opts { seed: 7, ..opts() };
     let err = run_campaign(skewed, &c, exps).expect_err("manifest mismatch must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+#[test]
+fn resume_with_a_different_selection_is_rejected() {
+    let dir = tmp("selection");
+    let journal = dir.to_str().expect("utf-8 temp path");
+    let run = |only: &str, resume: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_all_experiments"));
+        cmd.args(["--scale", "0.01", "--jobs", "1", "--journal", journal]);
+        cmd.args(["--only", only]);
+        if resume {
+            cmd.arg("--resume");
+        }
+        cmd.output().expect("spawn all_experiments")
+    };
+    assert_eq!(run("table2", false).status.code(), Some(0));
+    let out = run("table2,sens_rtlb", true);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.contains("--resume into a different campaign"),
+        "{stderr}"
+    );
+    // The same selection resumes.
+    assert_eq!(run("table2", true).status.code(), Some(0));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! every simulation is seeded and isolated and results are collected in
 //! input order.
 
-use tako_bench::{run_all, Opts};
+use tako_bench::{run_all, Opts, EXPERIMENTS};
 
 fn tiny_opts(jobs: usize) -> Opts {
     Opts {
@@ -16,7 +16,7 @@ fn tiny_opts(jobs: usize) -> Opts {
 
 /// Every experiment's name and output, in table order.
 fn outputs(opts: Opts) -> Vec<(&'static str, String)> {
-    run_all(opts, None)
+    run_all(opts, EXPERIMENTS, None)
         .into_iter()
         .map(|(name, r)| {
             (

@@ -71,13 +71,38 @@ fn an_unwritable_report_fails_the_run() {
 
 #[test]
 fn malformed_command_lines_exit_two_before_running() {
-    for args in [&["--scale", "abc"][..], &["--deadline", "5"]] {
+    for args in [
+        &["--scale", "abc"][..],
+        &["--deadline", "5"],
+        &["--only", "nosuch"],
+        &["--only", ""],
+        &["--force-panic", "nosuch"],
+        // A harness that is not selected cannot fail, so the failure
+        // contract would pass vacuously.
+        &["--only", "fig06", "--force-panic", "fig14"],
+    ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} ran experiments");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        if flag == "--only" {
+            assert!(stderr.contains("fig06,fig07,"), "known names: {stderr}");
+        }
     }
+}
+
+#[test]
+fn only_runs_the_selection_in_table_order() {
+    let out = run(&["--only", "table2,fig06,table2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+
+    assert_eq!(out.status.code(), Some(0));
+    let took: Vec<&str> = stdout.lines().filter(|l| l.contains(" took ")).collect();
+    assert_eq!(took.len(), 2, "{stdout}");
+    assert!(took[0].starts_with("  [fig06 took"), "{stdout}");
+    assert!(took[1].starts_with("  [table2 took"), "{stdout}");
 }
 
 #[test]

@@ -35,6 +35,7 @@ fn all_experiments_match_golden_digest() {
             seed: 0x7AC0,
             jobs: 1,
         },
+        EXPERIMENTS,
         None,
     );
     assert!(!results.is_empty(), "experiment table is empty");

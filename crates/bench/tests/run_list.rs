@@ -5,7 +5,7 @@
 //! One `#[test]`, in its own test binary, because the simulated-access
 //! tally it reads is process-wide.
 
-use tako_bench::{experiments, run_all, Opts};
+use tako_bench::{experiments, run_all, Opts, EXPERIMENTS};
 use tako_sim::stats::simulated_accesses;
 
 fn tiny() -> Opts {
@@ -26,7 +26,11 @@ fn accesses_of<T>(f: impl FnOnce() -> T) -> u64 {
 
 #[test]
 fn every_invocation_simulates_the_same_access_total() {
-    let all_ok = || assert!(run_all(tiny(), None).iter().all(|(_, r)| r.is_ok()));
+    let all_ok = || {
+        assert!(run_all(tiny(), EXPERIMENTS, None)
+            .iter()
+            .all(|(_, r)| r.is_ok()))
+    };
     let first = accesses_of(all_ok);
     let second = accesses_of(all_ok);
     assert!(first > 0);

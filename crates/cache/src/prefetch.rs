@@ -2,8 +2,8 @@
 //!
 //! A small table of streams indexed by 4 KB region. When consecutive
 //! demand accesses within a region exhibit a constant line-granularity
-//! stride for `train_threshold` accesses, the prefetcher emits up to
-//! `degree` line addresses ahead of the demand stream.
+//! stride for [`TRAIN_THRESHOLD`] accesses, the prefetcher emits
+//! [`DEGREE`] line addresses ahead of the demand stream.
 //!
 //! In the HATS case study (Sec 8.2) this component is what decouples the
 //! engine from the core: prefetches into the phantom stream range miss in
@@ -17,26 +17,25 @@ use tako_sim::config::{PrefetchConfig, LINE_BYTES};
 const REGION_BITS: u32 = 12;
 const TABLE_SLOTS: usize = 16;
 
-/// Upper bound on prefetches emitted per observation. Configured degrees
-/// above this are clamped (the paper's prefetcher uses degree 4).
-pub const MAX_PREFETCH: usize = 8;
+/// Prefetch degree: lines fetched ahead per detected stream (Table 3).
+pub const DEGREE: usize = 4;
+/// Accesses with a constant stride required before issuing prefetches.
+pub const TRAIN_THRESHOLD: u32 = 2;
 
 /// A fixed-capacity batch of prefetch line addresses, returned by value
 /// so the per-access hot path ([`StridePrefetcher::observe`]) performs
 /// no heap allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchBatch {
-    addrs: [Addr; MAX_PREFETCH],
+    addrs: [Addr; DEGREE],
     len: u8,
 }
 
 impl PrefetchBatch {
     #[inline]
     fn push(&mut self, addr: Addr) {
-        if (self.len as usize) < MAX_PREFETCH {
-            self.addrs[self.len as usize] = addr;
-            self.len += 1;
-        }
+        self.addrs[self.len as usize] = addr;
+        self.len += 1;
     }
 
     /// The batched addresses, in issue order.
@@ -70,16 +69,16 @@ struct Stream {
 /// A per-cache stride prefetcher.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
-    cfg: PrefetchConfig,
+    enabled: bool,
     streams: Vec<Stream>,
     clock: u64,
 }
 
 impl StridePrefetcher {
-    /// A prefetcher with `cfg`'s training/degree parameters.
+    /// A prefetcher, silent unless `cfg.enabled`.
     pub fn new(cfg: PrefetchConfig) -> Self {
         StridePrefetcher {
-            cfg,
+            enabled: cfg.enabled,
             streams: Vec::with_capacity(TABLE_SLOTS),
             clock: 0,
         }
@@ -87,18 +86,16 @@ impl StridePrefetcher {
 
     /// Observe a demand access and return the line addresses to prefetch
     /// (empty if disabled, untrained, or stride zero). Allocation-free:
-    /// the batch is a fixed-size value (degree clamped to
-    /// [`MAX_PREFETCH`]).
+    /// the batch is a fixed-size value of [`DEGREE`] slots.
     pub fn observe(&mut self, addr: Addr) -> PrefetchBatch {
         let mut batch = PrefetchBatch::default();
-        if !self.cfg.enabled {
+        if !self.enabled {
             return batch;
         }
         self.clock += 1;
         let line = line_of(addr);
         let region = addr >> REGION_BITS;
         let clock = self.clock;
-        let cfg = self.cfg;
 
         if let Some(s) = self.streams.iter_mut().find(|s| s.region == region) {
             s.lru = clock;
@@ -113,9 +110,9 @@ impl StridePrefetcher {
                 s.confidence = 1;
             }
             s.last_line = line;
-            if s.confidence >= cfg.train_threshold {
+            if s.confidence >= TRAIN_THRESHOLD {
                 let stride = s.stride;
-                for k in 1..=cfg.degree.min(MAX_PREFETCH as u32) as i64 {
+                for k in 1..=DEGREE as i64 {
                     if let Some(a) = line.checked_add_signed(stride * k) {
                         batch.push(line_of(a));
                     }
@@ -236,10 +233,7 @@ mod tests {
 
     #[test]
     fn disabled_prefetcher_silent() {
-        let mut p = StridePrefetcher::new(PrefetchConfig {
-            enabled: false,
-            ..PrefetchConfig::default()
-        });
+        let mut p = StridePrefetcher::new(PrefetchConfig { enabled: false });
         p.observe(0);
         p.observe(64);
         assert!(p.observe(128).is_empty());

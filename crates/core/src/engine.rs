@@ -51,10 +51,11 @@ pub struct Rtlb {
 }
 
 impl Rtlb {
-    /// An rTLB with `capacity` entries.
+    /// An rTLB with `capacity` entries, at least one
+    /// (`SystemConfig::validate` rejects zero).
     pub fn new(capacity: usize) -> Self {
         Rtlb {
-            capacity: capacity.max(1),
+            capacity,
             entries: HashMap::new(),
             clock: 0,
         }
@@ -110,10 +111,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An idle engine with `cfg`'s resources.
+    /// An idle engine with `cfg`'s resources; `cfg` must have at least
+    /// one callback-buffer entry and one rTLB entry
+    /// (`SystemConfig::validate` rejects zero).
     pub fn new(cfg: EngineConfig) -> Self {
         let mut slots = BinaryHeap::new();
-        for _ in 0..cfg.callback_buffer.max(1) {
+        for _ in 0..cfg.callback_buffer {
             slots.push(Reverse(0));
         }
         Engine {

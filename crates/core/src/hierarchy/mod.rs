@@ -185,7 +185,9 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build an idle system from `cfg`.
+    /// Build an idle system from `cfg`, which must pass
+    /// [`SystemConfig::validate`] ([`TakoSystem::new`](crate::TakoSystem::new)
+    /// checks it).
     pub fn new(cfg: SystemConfig) -> Self {
         let tiles = (0..cfg.tiles)
             .map(|_| Tile {
@@ -204,7 +206,7 @@ impl Hierarchy {
             .map(|_| Some(Engine::new(cfg.engine)))
             .collect();
         let mshrs = (0..cfg.tiles)
-            .map(|_| MshrFile::new(cfg.llc_mshrs.max(2) as usize))
+            .map(|_| MshrFile::new(cfg.llc_mshrs as usize))
             .collect();
         let mut bus = AccountingBus::new(FaultInjector::new(cfg.faults.as_ref()));
         // The observer is diagnostic-only: simulation observables never
@@ -218,7 +220,7 @@ impl Hierarchy {
             bus,
             mem: PhysMem::new(),
             dram: Dram::new(cfg.mem),
-            mesh: Mesh::new(cfg.mesh, cfg.noc),
+            mesh: Mesh::new(cfg.mesh),
             tiles,
             llc,
             llc_next_free: vec![0; cfg.tiles],

@@ -29,12 +29,13 @@ pub struct TakoSystem {
 
 impl TakoSystem {
     /// Build an idle system from `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](tako_sim::config::ConfigError)
+    /// text if `cfg` is invalid ([`TakoSystem::try_new`] returns it).
     pub fn new(cfg: SystemConfig) -> Self {
-        TakoSystem {
-            hier: Hierarchy::new(cfg),
-            alloc: Allocator::new(),
-            energy: EnergyModel::default_params(),
-        }
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build a system after validating `cfg`, rejecting configurations
@@ -46,7 +47,11 @@ impl TakoSystem {
     /// [`TakoError::InvalidConfig`] describing the first problem found.
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TakoError> {
         cfg.validate()?;
-        Ok(Self::new(cfg))
+        Ok(TakoSystem {
+            hier: Hierarchy::new(cfg),
+            alloc: Allocator::new(),
+            energy: EnergyModel::default_params(),
+        })
     }
 
     /// Post-run health verdict from the robustness machinery.
@@ -396,5 +401,33 @@ impl MemSystem for TakoSystem {
     fn take_interrupt(&mut self, tile: TileId) -> Option<Cycle> {
         let pos = self.hier.interrupts.iter().position(|i| i.tile == tile)?;
         Some(self.hier.interrupts.remove(pos).cycle)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tako_sim::config::ConfigError;
+
+    /// Each of these configs once built a clamped machine other than the
+    /// one it names; the constructor must refuse it with the config
+    /// error's text.
+    #[test]
+    fn new_refuses_invalid_configs() {
+        let base = SystemConfig::default_16core;
+        let (mut mshrs, mut buffer, mut rtlb) = (base(), base(), base());
+        mshrs.llc_mshrs = 1;
+        buffer.engine.callback_buffer = 0;
+        rtlb.engine.rtlb_entries = 0;
+        for (cfg, err) in [
+            (mshrs, ConfigError::TooFewMshrs),
+            (buffer, ConfigError::NoCallbackBuffer),
+            (rtlb, ConfigError::NoRtlbEntries),
+        ] {
+            let panic = std::panic::catch_unwind(|| drop(TakoSystem::new(cfg)))
+                .expect_err("an invalid config built a system");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&err.to_string()), "{msg}");
+        }
     }
 }

@@ -4,11 +4,11 @@
 //! per controller. Each controller serves an interleaved slice of the
 //! line-address space and enforces its bandwidth with a rolling
 //! `next_free` bound: a line transfer occupies the controller for
-//! `line_bytes / bytes_per_cycle` cycles, and requests that arrive while
+//! `LINE_BYTES / DRAM_BYTES_PER_CYCLE` cycles, and requests that arrive while
 //! the controller is busy queue behind it. This captures the
 //! bandwidth-bound behaviour that PHI and update batching optimize for.
 
-use tako_sim::config::{Interleave, MemConfig, LINE_BYTES};
+use tako_sim::config::{Interleave, MemConfig, DRAM_LATENCY, LINE_BYTES};
 use tako_sim::event::{TxnEvent, TxnSink};
 use tako_sim::Cycle;
 
@@ -17,7 +17,6 @@ use crate::addr::Addr;
 /// The DRAM (or NVM) timing model.
 #[derive(Debug, Clone)]
 pub struct Dram {
-    cfg: MemConfig,
     next_free: Vec<Cycle>,
     controllers: Interleave,
     occupancy: Cycle,
@@ -35,13 +34,7 @@ impl Dram {
             next_free: vec![0; cfg.controllers],
             controllers: Interleave::new(cfg.controllers as u64),
             occupancy: cfg.line_occupancy(),
-            cfg,
         }
-    }
-
-    /// The configuration this model was built with.
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
     }
 
     #[inline]
@@ -69,7 +62,7 @@ impl Dram {
         let ctrl = self.controller_of(line_addr);
         let start = now.max(self.next_free[ctrl]);
         self.next_free[ctrl] = start + self.occupancy;
-        start + self.cfg.latency
+        start + DRAM_LATENCY
     }
 
     /// The earliest cycle at which all controllers are idle (used to
@@ -151,10 +144,7 @@ mod tests {
     #[test]
     fn controller_interleave_equals_modulo() {
         for n in [4usize, 9] {
-            let d = Dram::new(MemConfig {
-                controllers: n,
-                ..MemConfig::default()
-            });
+            let d = Dram::new(MemConfig { controllers: n });
             for line in (0..64 * n as u64).map(|k| k * LINE_BYTES) {
                 assert_eq!(d.controller_of(line), (line / LINE_BYTES) as usize % n);
             }

@@ -14,15 +14,23 @@
 //!
 //! ```
 //! use tako_noc::Mesh;
-//! use tako_sim::config::NocConfig;
 //!
-//! let mesh = Mesh::new((4, 4), NocConfig::default());
+//! let mesh = Mesh::new((4, 4));
 //! assert_eq!(mesh.hops(0, 15), 6); // corner to corner on a 4x4 mesh
 //! ```
 
-use tako_sim::config::{Interleave, NocConfig, LINE_BYTES, MAX_TILES};
+use tako_sim::config::{Interleave, LINE_BYTES, MAX_TILES};
 use tako_sim::event::{TxnEvent, TxnSink};
 use tako_sim::{Cycle, TileId};
+
+/// Flit and link width in bytes (Table 3: 128 bits).
+pub const FLIT_BYTES: u64 = 16;
+/// Per-hop router traversal latency in cycles (Table 3).
+pub const ROUTER_LATENCY: Cycle = 2;
+/// Per-hop link traversal latency in cycles (Table 3).
+pub const LINK_LATENCY: Cycle = 1;
+/// Flits of a full cache-line message: one header plus the data.
+const LINE_FLITS: u64 = 1 + LINE_BYTES.div_ceil(FLIT_BYTES);
 
 /// Message payload classes, determining flit counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,18 +44,15 @@ pub enum Payload {
 /// The mesh interconnect.
 ///
 /// Everything a transfer needs is computed once here: the hop count of
-/// every tile pair (at most 64 × 64 one-byte entries, 4 KB), the line
-/// payload's flit count and the bank interleave, so the per-message path
-/// does no division.
+/// every tile pair (at most 64 × 64 one-byte entries, 4 KB) and the bank
+/// interleave, so the per-message path does no division.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     dims: (usize, usize),
-    cfg: NocConfig,
     tiles: usize,
     /// `hop_table[from * tiles + to]`: Manhattan distance under
     /// dimension-ordered routing.
     hop_table: Box<[u8]>,
-    line_flits: u64,
     banks: Interleave,
 }
 
@@ -56,10 +61,9 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero, if the mesh has more than
-    /// [`MAX_TILES`] tiles, or if `cfg.flit_bytes` is zero
-    /// (`SystemConfig::validate` rejects all three).
-    pub fn new(dims: (usize, usize), cfg: NocConfig) -> Self {
+    /// Panics if either dimension is zero or if the mesh has more than
+    /// [`MAX_TILES`] tiles (`SystemConfig::validate` rejects both).
+    pub fn new(dims: (usize, usize)) -> Self {
         assert!(dims.0 > 0 && dims.1 > 0, "mesh dimensions must be positive");
         let tiles = dims.0 * dims.1;
         assert!(tiles <= MAX_TILES, "mesh has more than {MAX_TILES} tiles");
@@ -73,10 +77,8 @@ impl Mesh {
             .collect();
         Mesh {
             dims,
-            cfg,
             tiles,
             hop_table,
-            line_flits: 1 + LINE_BYTES.div_ceil(cfg.flit_bytes),
             banks: Interleave::new(tiles as u64),
         }
     }
@@ -98,7 +100,7 @@ impl Mesh {
     pub fn flits(&self, payload: Payload) -> u64 {
         match payload {
             Payload::Control => 1,
-            Payload::Line => self.line_flits,
+            Payload::Line => LINE_FLITS,
         }
     }
 
@@ -120,7 +122,7 @@ impl Mesh {
         let flits = self.flits(payload);
         sink.emit(TxnEvent::NocHops { flits, hops });
         // Head-flit latency; body flits pipeline behind it one cycle each.
-        hops * (self.cfg.router_latency + self.cfg.link_latency) + (flits - 1)
+        hops * (ROUTER_LATENCY + LINK_LATENCY) + (flits - 1)
     }
 
     /// The LLC bank (tile) holding `line_addr`, by line interleaving.
@@ -170,7 +172,7 @@ mod tests {
     use tako_sim::stats::{Counter, Stats};
 
     fn mesh4() -> Mesh {
-        Mesh::new((4, 4), NocConfig::default())
+        Mesh::new((4, 4))
     }
 
     #[test]
@@ -217,7 +219,7 @@ mod tests {
     #[test]
     fn hop_table_matches_manhattan_formula() {
         for dims in [(1, 1), (2, 4), (3, 3), (4, 4), (6, 6)] {
-            let m = Mesh::new(dims, NocConfig::default());
+            let m = Mesh::new(dims);
             let coords = |t: usize| (t / dims.1, t % dims.1);
             for from in 0..m.tiles() {
                 for to in 0..m.tiles() {
@@ -232,7 +234,7 @@ mod tests {
     #[test]
     fn bank_interleave_equals_modulo() {
         for (dims, tiles) in [((4, 4), 16u64), ((6, 6), 36)] {
-            let m = Mesh::new(dims, NocConfig::default());
+            let m = Mesh::new(dims);
             for line in (0..4 * 64 * tiles).map(|k| k * LINE_BYTES) {
                 assert_eq!(m.bank_of_line(line) as u64, (line / LINE_BYTES) % tiles);
             }
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "more than 64 tiles")]
     fn oversized_mesh_panics() {
-        Mesh::new((5, 13), NocConfig::default());
+        Mesh::new((5, 13));
     }
 
     #[test]
@@ -257,6 +259,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_mesh_panics() {
-        Mesh::new((0, 4), NocConfig::default());
+        Mesh::new((0, 4));
     }
 }

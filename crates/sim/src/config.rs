@@ -1,11 +1,17 @@
 //! System configuration (Table 3 of the paper).
 //!
 //! The full system is described by [`SystemConfig`]; substrate crates
-//! consume the sub-configs ([`CacheConfig`], [`NocConfig`], [`MemConfig`],
+//! consume the sub-configs ([`CacheConfig`], [`MemConfig`],
 //! [`EngineConfig`], [`CoreConfig`]). All defaults follow Table 3:
 //! 16 out-of-order cores at 2.4 GHz in a 4×4 mesh, 32 KB L1s, 128 KB L2s,
 //! an 8 MB inclusive LLC (512 KB/bank), 5×5 dataflow engines, and four
 //! memory controllers at 100-cycle latency and 11.8 GB/s each.
+//!
+//! Table 3 values that no experiment varies are constants, not fields:
+//! the DRAM latency and bandwidth ([`DRAM_LATENCY`],
+//! [`DRAM_BYTES_PER_CYCLE`]) here, the NoC's flit width and router and
+//! link latencies in `tako-noc`, and the prefetcher's degree and
+//! training threshold in `tako-cache`'s `prefetch` module.
 //!
 //! [`SystemConfig::validate`] rejects nonsense geometries with a typed
 //! [`ConfigError`] before a simulation is built; the robustness knobs
@@ -16,6 +22,13 @@ use crate::fault::FaultPlan;
 
 /// Cache line size used throughout the hierarchy, in bytes.
 pub const LINE_BYTES: u64 = 64;
+
+/// Uncontended DRAM access latency in cycles (Table 3).
+pub const DRAM_LATENCY: u64 = 100;
+
+/// Sustained bandwidth of one memory controller in bytes per cycle
+/// (Table 3: 11.8 GB/s at 2.4 GHz).
+pub const DRAM_BYTES_PER_CYCLE: f64 = 4.9;
 
 /// Most tiles a system may have: the LLC directory keeps each line's
 /// sharers as a `u64` bit mask and its owner as a `u8`.
@@ -204,54 +217,26 @@ impl CoreConfig {
     }
 }
 
-/// Mesh network-on-chip parameters (Table 3: 128-bit flits and links,
-/// 2/1-cycle router/link delay).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NocConfig {
-    /// Flit width in bytes.
-    pub flit_bytes: u64,
-    /// Per-hop router traversal latency in cycles.
-    pub router_latency: u64,
-    /// Per-hop link traversal latency in cycles.
-    pub link_latency: u64,
-}
-
-impl Default for NocConfig {
-    fn default() -> Self {
-        NocConfig {
-            flit_bytes: 16,
-            router_latency: 2,
-            link_latency: 1,
-        }
-    }
-}
-
-/// Memory-system parameters (Table 3: 4 controllers, 100-cycle latency,
-/// 11.8 GB/s per controller ≈ 4.9 bytes/cycle at 2.4 GHz).
+/// Memory-system parameters (Table 3: 4 controllers). Each controller
+/// has the fixed [`DRAM_LATENCY`] and [`DRAM_BYTES_PER_CYCLE`]; only
+/// the controller count varies, with the tile count
+/// ([`SystemConfig::with_tiles`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// Number of memory controllers, each serving an address slice.
     pub controllers: usize,
-    /// Uncontended access latency in cycles.
-    pub latency: u64,
-    /// Sustained bandwidth per controller in bytes per cycle.
-    pub bytes_per_cycle: f64,
 }
 
 impl Default for MemConfig {
     fn default() -> Self {
-        MemConfig {
-            controllers: 4,
-            latency: 100,
-            bytes_per_cycle: 4.9,
-        }
+        MemConfig { controllers: 4 }
     }
 }
 
 impl MemConfig {
     /// Cycles of controller occupancy for transferring one cache line.
     pub fn line_occupancy(&self) -> u64 {
-        (LINE_BYTES as f64 / self.bytes_per_cycle).ceil() as u64
+        (LINE_BYTES as f64 / DRAM_BYTES_PER_CYCLE).ceil() as u64
     }
 }
 
@@ -366,24 +351,18 @@ impl EngineConfig {
     }
 }
 
-/// Whether the L2 includes a strided prefetcher (Table 3: yes).
+/// Whether the L2 includes a strided prefetcher (Table 3: yes). Its
+/// degree and training threshold are the constants `DEGREE` and
+/// `TRAIN_THRESHOLD` of `tako-cache`'s `prefetch` module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchConfig {
     /// Enable the stride prefetcher at the L2.
     pub enabled: bool,
-    /// Prefetch degree: lines fetched ahead per detected stream.
-    pub degree: u32,
-    /// Accesses with a constant stride required before issuing prefetches.
-    pub train_threshold: u32,
 }
 
 impl Default for PrefetchConfig {
     fn default() -> Self {
-        PrefetchConfig {
-            enabled: true,
-            degree: 4,
-            train_threshold: 2,
-        }
+        PrefetchConfig { enabled: true }
     }
 }
 
@@ -437,8 +416,6 @@ pub enum ConfigError {
         /// Largest supported tile count ([`MAX_TILES`]).
         max: usize,
     },
-    /// `noc.flit_bytes` is zero.
-    ZeroFlitWidth,
     /// A cache level has zero ways.
     ZeroWays(&'static str),
     /// A cache level is smaller than one line per way.
@@ -456,12 +433,12 @@ pub enum ConfigError {
     TooFewMshrs,
     /// `mem.controllers` is zero.
     NoDramControllers,
-    /// `mem.bytes_per_cycle` is not a positive finite number.
-    NoDramBandwidth,
     /// The engine fabric has no PEs of some class.
     NoEnginePes(&'static str),
     /// The engine callback buffer has zero entries.
     NoCallbackBuffer,
+    /// The engine's reverse TLB has zero entries.
+    NoRtlbEntries,
     /// The per-callback instruction budget is zero.
     NoCallbackBudget,
     /// A fault-plan event is addressed to a site (tile/bank index)
@@ -487,7 +464,6 @@ impl std::fmt::Display for ConfigError {
                     "system has {tiles} tiles; the LLC directory tracks at most {max}"
                 )
             }
-            ConfigError::ZeroFlitWidth => write!(f, "NoC flit width is zero bytes"),
             ConfigError::ZeroWays(level) => {
                 write!(f, "{level} cache has zero ways")
             }
@@ -503,14 +479,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoDramControllers => {
                 write!(f, "memory system has zero DRAM controllers")
             }
-            ConfigError::NoDramBandwidth => {
-                write!(f, "memory bandwidth must be positive and finite")
-            }
             ConfigError::NoEnginePes(class) => {
                 write!(f, "engine fabric has zero {class} PEs")
             }
             ConfigError::NoCallbackBuffer => {
                 write!(f, "engine callback buffer has zero entries")
+            }
+            ConfigError::NoRtlbEntries => {
+                write!(f, "engine reverse TLB has zero entries")
             }
             ConfigError::NoCallbackBudget => {
                 write!(f, "callback instruction budget is zero")
@@ -527,7 +503,9 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Full system configuration (Table 3).
+/// Full system configuration (Table 3). The NoC has no fields: its
+/// flit width and router and link latencies are `tako-noc` constants,
+/// and its shape is `mesh`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of tiles (each: core + L1s + L2 + LLC bank + engine).
@@ -549,8 +527,6 @@ pub struct SystemConfig {
     pub llc_mshrs: u32,
     /// L2 prefetcher.
     pub prefetch: PrefetchConfig,
-    /// Mesh NoC.
-    pub noc: NocConfig,
     /// Memory system.
     pub mem: MemConfig,
     /// Per-tile täkō engine.
@@ -574,7 +550,6 @@ impl SystemConfig {
             llc_bank: CacheConfig::llc_bank_default(),
             llc_mshrs: 16,
             prefetch: PrefetchConfig::default(),
-            noc: NocConfig::default(),
             mem: MemConfig::default(),
             engine: EngineConfig::default_5x5(),
             watchdog: WatchdogConfig::default(),
@@ -605,8 +580,8 @@ impl SystemConfig {
     }
 
     /// Reject nonsense configurations with a typed error before any
-    /// simulation state is built. Every bench binary calls this at
-    /// startup.
+    /// simulation state is built. `TakoSystem::new` calls this, and
+    /// every bench binary calls it at startup.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.tiles == 0 {
             return Err(ConfigError::NoTiles);
@@ -622,9 +597,6 @@ impl SystemConfig {
                 tiles: self.tiles,
                 max: MAX_TILES,
             });
-        }
-        if self.noc.flit_bytes == 0 {
-            return Err(ConfigError::ZeroFlitWidth);
         }
         for (level, c) in [
             ("L1d", &self.l1d),
@@ -649,9 +621,6 @@ impl SystemConfig {
         if self.mem.controllers == 0 {
             return Err(ConfigError::NoDramControllers);
         }
-        if !(self.mem.bytes_per_cycle > 0.0 && self.mem.bytes_per_cycle.is_finite()) {
-            return Err(ConfigError::NoDramBandwidth);
-        }
         if self.engine.alu_pes == 0 {
             return Err(ConfigError::NoEnginePes("ALU"));
         }
@@ -660,6 +629,9 @@ impl SystemConfig {
         }
         if self.engine.callback_buffer == 0 {
             return Err(ConfigError::NoCallbackBuffer);
+        }
+        if self.engine.rtlb_entries == 0 {
+            return Err(ConfigError::NoRtlbEntries);
         }
         if self.engine.callback_instr_budget == 0 {
             return Err(ConfigError::NoCallbackBudget);
@@ -713,7 +685,8 @@ mod tests {
         assert_eq!(cfg.llc_bank.size_bytes, 512 * 1024);
         assert_eq!(cfg.llc_total_bytes(), 8 * 1024 * 1024);
         assert_eq!(cfg.mem.controllers, 4);
-        assert_eq!(cfg.mem.latency, 100);
+        assert_eq!(DRAM_LATENCY, 100);
+        assert_eq!(DRAM_BYTES_PER_CYCLE, 4.9);
         assert_eq!(cfg.engine.alu_pes, 15);
         assert_eq!(cfg.engine.mem_pes, 10);
     }
@@ -774,10 +747,6 @@ mod tests {
         );
 
         let mut cfg = base();
-        cfg.noc.flit_bytes = 0;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroFlitWidth));
-
-        let mut cfg = base();
         cfg.l2.ways = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroWays("L2")));
 
@@ -804,16 +773,16 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ConfigError::NoDramControllers));
 
         let mut cfg = base();
-        cfg.mem.bytes_per_cycle = 0.0;
-        assert_eq!(cfg.validate(), Err(ConfigError::NoDramBandwidth));
-
-        let mut cfg = base();
         cfg.engine.mem_pes = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::NoEnginePes("memory")));
 
         let mut cfg = base();
         cfg.engine.callback_buffer = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::NoCallbackBuffer));
+
+        let mut cfg = base();
+        cfg.engine.rtlb_entries = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::NoRtlbEntries));
 
         let mut cfg = base();
         cfg.engine.callback_instr_budget = 0;
@@ -936,8 +905,8 @@ mod tests {
 
     #[test]
     fn mem_line_occupancy() {
-        let mem = MemConfig::default();
         // 64 B at 4.9 B/cycle → 14 cycles.
-        assert_eq!(mem.line_occupancy(), 14);
+        assert_eq!(DRAM_BYTES_PER_CYCLE, 4.9);
+        assert_eq!(MemConfig::default().line_occupancy(), 14);
     }
 }

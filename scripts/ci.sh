@@ -85,6 +85,16 @@ diff <(grep -v 'took' "$JDIR/clean.txt") \
      <(grep -v 'took' "$JDIR/resumed.txt")
 echo "    resumed campaign output matches clean run"
 
+# --only view check: a view selected without its producer (fig14 reads
+# fig13's runs) must pull those runs through its own run list and
+# print exactly its block of the full run above.
+echo "==> --only view check"
+./target/release/all_experiments --only fig14 --scale 0.01 --jobs 2 \
+    > "$JDIR/only-fig14.txt" 2> /dev/null
+diff <(grep -v 'took' "$JDIR/only-fig14.txt") \
+     <(grep -v 'took' "$JDIR/clean.txt" | sed -n '/^# Fig 14:/,/^$/p')
+echo "    --only fig14 matches its block of the clean run"
+
 # Simulated-access pin: a runner invocation simulates each distinct run
 # once (run lists), so the suite's access total is deterministic and
 # independent of --jobs. A duplicate simulation that comes back, or a
