@@ -42,7 +42,8 @@
 //! not stop the others, and the run prints a `FAILURES:` section and
 //! exits 1. A requested report (`--trace-out`, `<journal>/metrics.json`)
 //! that cannot be written also exits 1, after the status line. A
-//! malformed command line exits 2 before anything runs.
+//! malformed command line, an unknown argument included, exits 2 before
+//! anything runs.
 //!
 //! The printed experiment output is byte-identical for every `--jobs`
 //! value — and for a journaled run whether it completed in one go or
@@ -53,8 +54,8 @@ use std::time::{Duration, Instant};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::{
-    exit_error, flag_value, run_all, select, warn_unknown, Experiment, ExperimentResult, Opts,
-    EXPERIMENTS,
+    exit_error, flag_value, run_all, select, Experiment, ExperimentResult, Opts, EXPERIMENTS,
+    OPTS_FLAGS,
 };
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 
@@ -89,7 +90,6 @@ fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
         ..BenchFlags::default()
     };
     let mut journal_only = None;
-    let mut rest = Vec::new();
     let mut i = 0;
     while i < unknown.len() {
         let flag = unknown[i].as_str();
@@ -114,7 +114,14 @@ fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
                 let plan = IoFaultPlan::parse(&v).map_err(|e| format!("--io-faults {v}: {e}"))?;
                 flags.io_faults = Some(plan);
             }
-            other => rest.push(other.to_string()),
+            other => {
+                return Err(format!(
+                    "unknown argument `{other}` (known: {OPTS_FLAGS}, --only <names>, \
+                     --force-panic <name>, --trace-out <path>, --profile, --journal <dir>, \
+                     --resume, --deadline <secs>, --retries <n>, --crash-after-units <n>, \
+                     --io-faults <plan>)"
+                ))
+            }
         }
         if JOURNAL_ONLY.contains(&flag) {
             journal_only = Some(flag);
@@ -129,7 +136,6 @@ fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
             return Err(format!("--force-panic {name}: not a selected experiment"));
         }
     }
-    warn_unknown(&rest);
     Ok(flags)
 }
 

@@ -40,7 +40,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
-use tako_bench::{doctor, exit_error, flag_value_or_exit, run_variants, Experiment, Opts};
+use tako_bench::{
+    doctor, exit_error, flag_value_or_exit, run_once, run_variants, Experiment, Opts,
+};
 use tako_sim::digest::Sha256;
 use tako_sim::storage::CRASH_MARKER;
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan, Storage};
@@ -48,24 +50,28 @@ use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFault
 // --- the synthetic campaign under test -------------------------------
 
 fn exp_squares(o: Opts) -> String {
-    let out = run_variants(o, &[1u64, 2, 3, 4], |v| v * v + o.seed);
+    let out = run_variants(o, &[1u64, 2, 3, 4], |v| {
+        run_once(("squares", v), || v * v + o.seed)
+    });
     format!("squares {out:?}\n")
 }
 
 fn exp_fib(o: Opts) -> String {
     let out = run_variants(o, &[5u64, 8, 13], |v| {
-        let (mut a, mut b) = (0u64, 1u64);
-        for _ in 0..v {
-            (a, b) = (b, a.wrapping_add(b));
-        }
-        a ^ o.seed
+        run_once(("fib", v), || {
+            let (mut a, mut b) = (0u64, 1u64);
+            for _ in 0..v {
+                (a, b) = (b, a.wrapping_add(b));
+            }
+            a ^ o.seed
+        })
     });
     format!("fib {out:?}\n")
 }
 
 fn exp_twophase(o: Opts) -> String {
-    let first = run_variants(o, &[2u64, 3], |v| v << 4);
-    let second = run_variants(o, &[7u64], |v| v * o.seed);
+    let first = run_variants(o, &[2u64, 3], |v| run_once(("shift", v), || v << 4));
+    let second = run_variants(o, &[7u64], |v| run_once(("scale", v), || v * o.seed));
     format!("twophase {first:?} {second:?}\n")
 }
 

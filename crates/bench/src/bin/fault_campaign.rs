@@ -24,9 +24,10 @@
 //!                        plan (kinds: overrun illegal fabric mshr dram mix)
 //! ```
 //!
-//! A missing or malformed value exits 2 before anything runs.
+//! A missing or malformed value, or an unknown argument, exits 2 before
+//! anything runs.
 
-use tako_bench::{exit_error, flag_value_or_exit as value, run_variants, warn_unknown, Opts};
+use tako_bench::{exit_error, flag_value_or_exit as value, run_variants, Opts, OPTS_FLAGS};
 use tako_core::TakoSystem;
 use tako_cpu::{
     run_multicore, AccessKind, BranchPredictor, CoreEnv, CoreTiming, MemSystem, StepResult,
@@ -115,7 +116,6 @@ fn parse_campaign_flags(unknown: Vec<String>) -> CampaignFlags {
         watchdog_cycles: WatchdogConfig::default().stall_cycles,
         adhoc: None,
     };
-    let mut rest = Vec::new();
     let mut i = 0;
     while i < unknown.len() {
         match unknown[i].as_str() {
@@ -125,11 +125,13 @@ fn parse_campaign_flags(unknown: Vec<String>) -> CampaignFlags {
                 let spec: String = value(&unknown, &mut i);
                 flags.adhoc = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| exit_error(&e)));
             }
-            other => rest.push(other.to_string()),
+            other => exit_error(&format!(
+                "unknown argument `{other}` (known: {OPTS_FLAGS}, --scenarios <n>, \
+                 --watchdog-cycles <n>, --faults <seed:kind[:count]>)"
+            )),
         }
         i += 1;
     }
-    warn_unknown(&rest);
     flags
 }
 
@@ -174,21 +176,6 @@ fn arm(plan: &mut FaultPlan, watchdog_cycles: u64) {
 struct Verdict {
     label: String,
     problems: Vec<String>,
-}
-
-impl tako_sim::checkpoint::Record for Verdict {
-    fn record(&self, w: &mut tako_sim::checkpoint::SnapWriter) {
-        self.label.record(w);
-        self.problems.record(w);
-    }
-    fn replay(
-        r: &mut tako_sim::checkpoint::SnapReader<'_>,
-    ) -> Result<Self, tako_sim::checkpoint::SnapError> {
-        Ok(Verdict {
-            label: String::replay(r)?,
-            problems: Vec::replay(r)?,
-        })
-    }
 }
 
 fn check_scenario(

@@ -16,11 +16,16 @@
 //!   of re-running (the output contract is byte-identical either way);
 //!   a record that fails its checksum or names a different campaign is
 //!   ignored and the experiment re-runs.
-//! * `<name>.units` — in-experiment checkpoints: a fingerprinted
-//!   header followed by one self-checking record per completed
-//!   [`run_variants`](crate::run_variants) unit. An interrupted
-//!   experiment resumes *mid-run*: completed units replay bit-exactly,
-//!   only the remainder simulates.
+//! * `<name>.units` — the run list's on-disk image: a fingerprinted
+//!   header followed by one self-checking record per *unit*, one
+//!   simulation this experiment's worker ran through
+//!   [`run_once`](crate::run_once), keyed by the 16-byte digest of its
+//!   run-list key. A run is journaled once, by the worker that
+//!   simulated it, so a view that finds its producer's runs journals
+//!   nothing. A resume seeds the run list with the intact records of
+//!   every selected experiment: an interrupted experiment resumes
+//!   *mid-run*, and a view whose producer replays from `.done` finds
+//!   the producer's runs; only what no journal holds simulates.
 //! * `<name>.triage.txt` — written when an attempt dies (panic or
 //!   deadline kill): the panic payload — which for a deadline kill is
 //!   the hierarchy's triage bundle (diagnostic snapshot, fault-plan
@@ -56,13 +61,12 @@
 //! thread or signal machinery.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tako_sim::checkpoint::{decode, encode, Record, SnapError, SnapReader, SnapWriter, Snapshot};
+use tako_sim::checkpoint::{decode, encode, SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::digest::Sha256;
 use tako_sim::parallel::parallel_map_catch;
 use tako_sim::rng::Rng;
@@ -71,7 +75,7 @@ use tako_sim::storage::{
 };
 use tako_sim::supervise;
 
-use crate::{run_experiment, start_order, Experiment, ExperimentResult, Opts, RunList};
+use crate::{run_experiment, start_order, Experiment, ExperimentResult, Opts, RunKey, RunList};
 
 // ---------------------------------------------------------------------
 // In-experiment unit journal
@@ -89,12 +93,8 @@ pub(crate) const UNIT_HEADER_MAGIC: [u8; 4] = *b"UJH1";
 pub(crate) const UNIT_HEADER_LEN: usize = 4 + 8;
 
 struct UnitJournal {
-    /// Completed units from a previous attempt, keyed by
-    /// (run_variants call sequence within the experiment, variant index).
-    replay: HashMap<(u64, u64), Vec<u8>>,
     storage: Arc<dyn Storage>,
     path: PathBuf,
-    next_call: u64,
     crash_after: Option<u64>,
 }
 
@@ -131,11 +131,11 @@ impl Drop for UnitScope {
     }
 }
 
-/// Arm the calling thread's unit journal on `path` under `storage`,
-/// replaying any complete records a previous attempt left there.
-/// `fingerprint` identifies the campaign; a journal written by a
-/// different campaign (or with no header at all) is discarded instead
-/// of replayed.
+/// Arm the calling thread's unit journal on `path` under `storage`.
+/// The intact records a previous attempt left there stay; they already
+/// seeded the run list. `fingerprint` identifies the campaign; a
+/// journal written by a different campaign (or with no header at all)
+/// is discarded.
 ///
 /// # Errors
 ///
@@ -148,18 +148,10 @@ fn unit_journal(
     path: &Path,
     fingerprint: u64,
 ) -> std::io::Result<UnitScope> {
-    let mut replay = HashMap::new();
     if storage.exists(path) {
         let buf = retrying(|| storage.read(path))?;
-        let mut intact = 0u64;
-        if let Some(rest) = unit_header_matches(&buf, fingerprint) {
-            let mut at = 0usize;
-            while let Some((call, idx, payload, next)) = read_unit(rest, at) {
-                replay.insert((call, idx), payload);
-                at = next;
-            }
-            intact = (UNIT_HEADER_LEN + at) as u64;
-        }
+        let intact = unit_header_matches(&buf, fingerprint)
+            .map_or(0, |rest| UNIT_HEADER_LEN + read_units(rest).1) as u64;
         // Drop the crash tail (or an entire foreign/headerless journal)
         // so appends start at a record boundary.
         retrying(|| storage.truncate(path, intact))?;
@@ -171,10 +163,8 @@ fn unit_journal(
     }
     JOURNAL.with(|j| {
         *j.borrow_mut() = Some(UnitJournal {
-            replay,
             storage,
             path: path.to_path_buf(),
-            next_call: 0,
             crash_after: None,
         })
     });
@@ -202,28 +192,32 @@ pub(crate) fn unit_header_matches(buf: &[u8], fingerprint: u64) -> Option<&[u8]>
     Some(&buf[UNIT_HEADER_LEN..])
 }
 
-/// Parse one unit record at `at`; `None` on truncation or corruption
-/// (the reader stops there and the tail is discarded).
-pub(crate) fn read_unit(buf: &[u8], at: usize) -> Option<(u64, u64, Vec<u8>, usize)> {
-    let hdr = 4 + 8 + 8 + 8;
-    if buf.len() < at + hdr {
-        return None;
+/// Parse the unit records after a journal header: every intact record
+/// as (run key, payload), and the length of the prefix they fill. The
+/// reader stops at the first truncated or corrupt record; everything
+/// from there on is crash debris.
+pub(crate) fn read_units(buf: &[u8]) -> (Vec<(RunKey, &[u8])>, usize) {
+    const HDR: usize = 4 + 16 + 8;
+    let mut units = Vec::new();
+    let mut at = 0;
+    while buf.len() >= at + HDR && buf[at..at + 4] == UNIT_MAGIC {
+        let key: RunKey = buf[at + 4..at + 20].try_into().unwrap();
+        let len = u64::from_le_bytes(buf[at + 20..at + HDR].try_into().unwrap());
+        let start = at + HDR;
+        let Some(end) = usize::try_from(len).ok().and_then(|l| start.checked_add(l)) else {
+            break;
+        };
+        if buf.len() < end || buf.len() - end < 8 {
+            break;
+        }
+        let payload = &buf[start..end];
+        if unit_checksum(payload).to_le_bytes() != buf[end..end + 8] {
+            break;
+        }
+        units.push((key, payload));
+        at = end + 8;
     }
-    if buf[at..at + 4] != UNIT_MAGIC {
-        return None;
-    }
-    let g = |o: usize| u64::from_le_bytes(buf[at + o..at + o + 8].try_into().unwrap());
-    let (call, idx, len) = (g(4), g(12), g(20) as usize);
-    let start = at + hdr;
-    if buf.len() < start + len || buf.len() - start - len < 8 {
-        return None;
-    }
-    let payload = &buf[start..start + len];
-    let want = u64::from_le_bytes(buf[start + len..start + len + 8].try_into().unwrap());
-    if unit_checksum(payload) != want {
-        return None;
-    }
-    Some((call, idx, payload.to_vec(), start + len + 8))
+    (units, at)
 }
 
 /// First 8 bytes of the payload's SHA-256, as the per-record checksum.
@@ -233,53 +227,26 @@ fn unit_checksum(payload: &[u8]) -> u64 {
     u64::from_le_bytes(h.finish()[..8].try_into().unwrap())
 }
 
-/// Hand out the next `run_variants` call id, or `None` when no journal
-/// is armed on this thread (the common, non-campaign path).
-pub(crate) fn next_call_id() -> Option<u64> {
-    JOURNAL.with(|j| {
-        j.borrow_mut().as_mut().map(|j| {
-            let c = j.next_call;
-            j.next_call += 1;
-            c
-        })
-    })
-}
-
-/// Replay unit `(call, idx)` from a previous attempt, if it completed.
-pub(crate) fn replay_unit<R: Record>(call: u64, idx: u64) -> Option<R> {
-    let bytes = JOURNAL.with(|j| {
-        j.borrow()
-            .as_ref()
-            .and_then(|j| j.replay.get(&(call, idx)).cloned())
-    })?;
-    let mut r = SnapReader::new(&bytes);
-    // A record that decodes wrong is treated as absent: the unit
-    // recomputes, which is always correct (just slower).
-    R::replay(&mut r).and_then(|v| r.finish().map(|()| v)).ok()
-}
-
-/// Append a completed unit to the journal, sync it, and note it as the
-/// experiment's most recent checkpoint (named in deadline triage).
+/// Append the run `key` this worker just simulated to the armed unit
+/// journal, sync it, and note it as the experiment's most recent
+/// checkpoint (named in deadline triage). A no-op when no journal is
+/// armed on this thread (the common, non-campaign path).
 ///
 /// A *transient* append failure is retried in place; if it persists,
-/// checkpointing degrades (the unit will recompute on resume) but the
+/// checkpointing degrades (the run will recompute on resume) but the
 /// simulation continues. A *permanent* failure aborts the attempt with
 /// a [`PERMANENT_MARKER`] panic, which the campaign runner reports
 /// without retrying.
-pub(crate) fn record_unit<R: Record>(call: u64, idx: u64, value: &R) {
-    let mut w = SnapWriter::new();
-    value.record(&mut w);
-    let payload = w.into_bytes();
+pub(crate) fn record_unit(key: &RunKey, payload: &[u8]) {
     let crash = JOURNAL.with(|j| {
         let mut j = j.borrow_mut();
-        let Some(j) = j.as_mut() else { return false };
+        let j = j.as_mut()?;
         let mut rec = Vec::with_capacity(payload.len() + 36);
         rec.extend_from_slice(&UNIT_MAGIC);
-        rec.extend_from_slice(&call.to_le_bytes());
-        rec.extend_from_slice(&idx.to_le_bytes());
+        rec.extend_from_slice(key);
         rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        rec.extend_from_slice(&payload);
-        rec.extend_from_slice(&unit_checksum(&payload).to_le_bytes());
+        rec.extend_from_slice(payload);
+        rec.extend_from_slice(&unit_checksum(payload).to_le_bytes());
         match retrying(|| j.storage.append(&j.path, &rec)) {
             Ok(()) => {
                 // A failed sync is at worst a lost checkpoint; the
@@ -296,21 +263,23 @@ pub(crate) fn record_unit<R: Record>(call: u64, idx: u64, value: &R) {
                 // Transient: checkpointing degraded, simulation goes on.
             }
         }
-        match &mut j.crash_after {
+        Some(match &mut j.crash_after {
             Some(0) => true,
             Some(n) => {
                 *n -= 1;
                 *n == 0
             }
             None => false,
-        }
+        })
     });
-    supervise::note_checkpoint(&format!("unit {call}.{idx}"));
+    let Some(crash) = crash else { return };
+    let id: String = key[..6].iter().map(|b| format!("{b:02x}")).collect();
+    supervise::note_checkpoint(&format!("unit {id}"));
     if crash {
         // The deterministic interrupt hook (--crash-after-units): dies
         // *after* the unit is journaled, like a machine losing power
         // between a checkpoint and the next one.
-        panic!("crashed by --crash-after-units (unit {call}.{idx} journaled)");
+        panic!("crashed by --crash-after-units (unit {id} journaled)");
     }
 }
 
@@ -334,8 +303,8 @@ pub fn crash_after_units(n: u64) {
 pub struct CampaignOpts {
     /// Journal directory.
     pub dir: PathBuf,
-    /// Resume: keep completed experiments and in-experiment units from
-    /// a previous run of the same campaign.
+    /// Resume: keep completed experiments and journaled units from a
+    /// previous run of the same campaign.
     pub resume: bool,
     /// Wall-clock budget per experiment attempt; exceeded → the
     /// hierarchy kills the run at its next epoch with a triage panic.
@@ -347,7 +316,8 @@ pub struct CampaignOpts {
     /// succeeds — which is exactly what the retry test wants.
     pub force_panic: Option<String>,
     /// Die after this many journaled units in each experiment that
-    /// runs (test hook behind `--crash-after-units`).
+    /// runs, counting only the runs its worker simulates (test hook
+    /// behind `--crash-after-units`).
     pub crash_after_units: Option<u64>,
     /// The persistence backend every journal byte flows through. The
     /// default is the real filesystem; the crash-point sweep passes a
@@ -697,8 +667,27 @@ pub fn run_campaign(
     let mut todo = start_order(&todo);
     let inner = opts.serial();
     // One run list for the whole call: retries and views reuse what
-    // earlier attempts and producers simulated.
+    // earlier attempts and producers simulated. A resume seeds it with
+    // every run the selected experiments journaled, so nothing on disk
+    // is simulated again, whichever experiment asks for it.
     let runs = Arc::new(RunList::default());
+    if c.resume {
+        for (name, _) in experiments {
+            let path = c.dir.join(format!("{name}.units"));
+            if !c.storage.exists(&path) {
+                continue;
+            }
+            // An unreadable journal seeds nothing: its runs recompute.
+            let Ok(buf) = retrying(|| c.storage.read(&path)) else {
+                continue;
+            };
+            if let Some(rest) = unit_header_matches(&buf, fingerprint) {
+                for (key, payload) in read_units(rest).0 {
+                    runs.seed(key, payload.to_vec());
+                }
+            }
+        }
+    }
     let log = c.dir.join("attempts.log");
     let mut attempts = 0u64;
     for attempt in 1..=(1 + c.retries) {
@@ -843,18 +832,9 @@ pub fn run_campaign(
 }
 
 /// Count the intact unit records in a journal file (for triage).
-fn units_on_disk(storage: &dyn Storage, path: &Path, fingerprint: u64) -> u64 {
+fn units_on_disk(storage: &dyn Storage, path: &Path, fingerprint: u64) -> usize {
     let Ok(buf) = storage.read(path) else {
         return 0;
     };
-    let Some(rest) = unit_header_matches(&buf, fingerprint) else {
-        return 0;
-    };
-    let mut n = 0u64;
-    let mut at = 0usize;
-    while let Some((_, _, _, next)) = read_unit(rest, at) {
-        n += 1;
-        at = next;
-    }
-    n
+    unit_header_matches(&buf, fingerprint).map_or(0, |rest| read_units(rest).0.len())
 }

@@ -30,7 +30,7 @@ use tako_sim::checkpoint::decode;
 use tako_sim::storage::{DiskStorage, Storage};
 
 use crate::campaign::{
-    parse_manifest, read_unit, unit_header_matches, DoneRecord, ManifestState, UNIT_HEADER_LEN,
+    parse_manifest, read_units, unit_header_matches, DoneRecord, ManifestState, UNIT_HEADER_LEN,
     UNIT_HEADER_MAGIC,
 };
 
@@ -141,13 +141,8 @@ fn check_units(bytes: &[u8]) -> Verdict {
         return Verdict::Corrupt("missing or mangled UJH1 header".into());
     }
     let fp = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-    let rest = unit_header_matches(bytes, fp).unwrap();
-    let mut intact = 0u64;
-    let mut at = 0usize;
-    while let Some((_, _, _, next)) = read_unit(rest, at) {
-        intact += 1;
-        at = next;
-    }
+    let (units, at) = read_units(unit_header_matches(bytes, fp).unwrap());
+    let intact = units.len() as u64;
     let keep = (UNIT_HEADER_LEN + at) as u64;
     if keep == bytes.len() as u64 {
         Verdict::Clean

@@ -10,16 +10,15 @@
 //! single-threaded `TakoSystem`, and results are collected in input
 //! order, so the printed output does not depend on the job count.
 //!
-//! Decompression, PHI and HATS simulations go through the runner
-//! invocation's run list (`run_once`), because several harnesses ask
-//! for the same ones: Fig 7, Fig 14 and Fig 17 are views over the run
-//! lists of Fig 6, Fig 13 and Fig 16; Fig 22 and Fig 23 share one
-//! vertex-ordered baseline; Fig 22's 5x5 point, Fig 23's 1-cycle
-//! point, the 256-entry rTLB point and the with-prefetch ablation are
-//! one HATS run; and Fig 24's 3-wide point is Fig 25's 16-core,
-//! larger-graph point.
+//! Every simulation goes through the runner invocation's run list
+//! ([`run_once`]), which simulates each distinct run once and, under a
+//! campaign, journals it. Several harnesses ask for the same runs:
+//! Fig 7, Fig 14 and Fig 17 are views over the run lists of Fig 6,
+//! Fig 13 and Fig 16; Fig 22 and Fig 23 share one vertex-ordered
+//! baseline; Fig 22's 5x5 point, Fig 23's 1-cycle point, the 256-entry
+//! rTLB point and the with-prefetch ablation are one HATS run; and
+//! Fig 24's 3-wide point is Fig 25's 16-core, larger-graph point.
 
-use tako_sim::checkpoint::Record;
 use tako_sim::config::{CoreConfig, EngineConfig, SystemConfig};
 use tako_sim::stats::Counter;
 use tako_workloads::{decompress, hats, nvm, phi, sidechannel, soa, with_ideal_engine, RunResult};
@@ -40,15 +39,11 @@ fn baseline_relative(out: &mut String, label: &str, run: &RunResult, base: &RunR
 
 /// Run a figure's labelled rows ([`with_ideal_engine`]) through
 /// [`run_variants`], pairing each result with its row label.
-fn run_rows<V, R>(
+fn run_rows<V: Clone + Send, R: Send>(
     opts: Opts,
     rows: Vec<(&'static str, V, SystemConfig)>,
     f: impl Fn(V, &SystemConfig) -> R + Sync,
-) -> Vec<(&'static str, R)>
-where
-    V: Clone + Send,
-    R: Record + Send,
-{
+) -> Vec<(&'static str, R)> {
     let results = run_variants(opts, &rows, |(_, v, cfg)| f(v, &cfg));
     rows.iter().map(|row| row.0).zip(results).collect()
 }
@@ -308,6 +303,11 @@ pub fn fig17_hats_breakdown(opts: Opts) -> String {
 // Fig 19 / Fig 20 — NVM transactions
 // ----------------------------------------------------------------------
 
+/// One NVM simulation through the run list.
+fn nvm_run(v: nvm::Variant, params: nvm::Params, cfg: &SystemConfig) -> nvm::NvmResult {
+    run_once((v, params, cfg), || nvm::run(v, params, cfg))
+}
+
 /// Fig 19: NVM transaction speedup & energy vs transaction size
 /// (paper: up to 2.1x under the L2 capacity, falling back beyond).
 pub fn fig19_nvm(opts: Opts) -> String {
@@ -322,8 +322,8 @@ pub fn fig19_nvm(opts: Opts) -> String {
             txns: (opts.sized(4 << 20) as u64 / (kb * 1024)).clamp(4, 256),
             seed: opts.seed,
         };
-        let base = nvm::run(nvm::Variant::Journaling, params, &cfg);
-        let tako = nvm::run(nvm::Variant::Tako, params, &cfg);
+        let base = nvm_run(nvm::Variant::Journaling, params, &cfg);
+        let tako = nvm_run(nvm::Variant::Tako, params, &cfg);
         (base, tako)
     });
     for (kb, (base, tako)) in sizes.iter().zip(&results) {
@@ -354,7 +354,7 @@ pub fn fig20_nvm_instrs(opts: Opts) -> String {
     };
     let mut out = String::from("# Fig 20: instructions per 8 B written (16 KB txns)\n");
     let rows = with_ideal_engine(&Variant::ALL, Variant::label, Variant::Tako, &cfg);
-    for (label, r) in run_rows(opts, rows, |v, cfg| nvm::run(v, params, cfg)) {
+    for (label, r) in run_rows(opts, rows, |v, cfg| nvm_run(v, params, cfg)) {
         out.push_str(&row(
             label,
             &[
@@ -387,7 +387,9 @@ pub fn fig21_sidechannel(opts: Opts) -> String {
         ("baseline", sidechannel::Variant::Baseline),
         ("tako", sidechannel::Variant::Tako),
     ];
-    let results = run_variants(opts, &variants, |(_, v)| sidechannel::run(v, params, &cfg));
+    let results = run_variants(opts, &variants, |(_, v)| {
+        run_once((v, params, &cfg), || sidechannel::run(v, params, &cfg))
+    });
     for ((label, _), r) in variants.iter().zip(&results) {
         let trace: String = r
             .touched
@@ -572,7 +574,7 @@ pub fn sens_callback_buffer(opts: Opts) -> String {
         txns: opts.sized(32) as u64,
         seed: opts.seed,
     };
-    let base = nvm::run(
+    let base = nvm_run(
         nvm::Variant::Journaling,
         params,
         &SystemConfig::default_16core(),
@@ -581,7 +583,7 @@ pub fn sens_callback_buffer(opts: Opts) -> String {
     let results = run_variants(opts, &entries, |n| {
         let mut cfg = SystemConfig::default_16core();
         cfg.engine.callback_buffer = n;
-        nvm::run(nvm::Variant::Tako, params, &cfg)
+        nvm_run(nvm::Variant::Tako, params, &cfg)
     });
     for (n, r) in entries.iter().zip(&results) {
         out.push_str(&row(
@@ -650,7 +652,7 @@ pub fn ablations(opts: Opts) -> String {
     ];
     let soa_results = run_variants(opts, &soa_points, |(_, v, no_trrip)| {
         let c = if no_trrip { &no_trrip_cfg } else { &cfg };
-        soa::run(v, sp, c)
+        run_once((v, sp, c), || soa::run(v, sp, c))
     });
     let aos_cycles = soa_results[0].run.cycles;
     for ((label, _, _), r) in soa_points.iter().zip(&soa_results) {

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use tako_sim::checkpoint::{Record, SnapReader, SnapWriter};
 use tako_sim::config::SystemConfig;
+use tako_sim::digest::Sha256;
 use tako_sim::parallel::{default_jobs, parallel_map, parallel_map_catch};
 
 pub mod campaign;
@@ -70,7 +71,7 @@ impl Default for Opts {
 impl Opts {
     /// Parse `args` (without the program name). Returns the options and
     /// any arguments that were not recognized, so binaries with extra
-    /// flags can consume the leftovers before warning.
+    /// flags can consume the leftovers and reject the rest.
     ///
     /// # Errors
     ///
@@ -152,22 +153,35 @@ pub fn exit_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Print a warning for each unrecognized command-line argument.
-pub fn warn_unknown(unknown: &[String]) {
-    for u in unknown {
-        eprintln!(
-            "warning: unknown argument `{u}` \
-             (known: --scale <f>, --paper, --seed <n>, --jobs <n>)"
-        );
-    }
-}
+/// The shared [`Opts`] flags, for the usage line of a binary that
+/// rejects an unknown argument.
+pub const OPTS_FLAGS: &str = "--scale <f>, --paper, --seed <n>, --jobs <n>";
+
+/// The key of a simulation in the run list and in the unit journal: the
+/// first 16 bytes of the SHA-256 of its key text.
+pub(crate) type RunKey = [u8; 16];
 
 /// The run list of one runner invocation: the kept record of every
-/// distinct simulation the invocation has run, by key. A runner
-/// invocation is one [`run_all`] or [`campaign::run_campaign`] call;
-/// its run list lives exactly as long as the call.
+/// distinct simulation the invocation has run or found journaled, by
+/// key. A runner invocation is one [`run_all`] or
+/// [`campaign::run_campaign`] call; its run list lives exactly as long
+/// as the call.
 #[derive(Default)]
-pub(crate) struct RunList(Mutex<HashMap<String, Arc<OnceLock<Vec<u8>>>>>);
+pub(crate) struct RunList(Mutex<HashMap<RunKey, Arc<OnceLock<Vec<u8>>>>>);
+
+impl RunList {
+    fn slot(&self, key: RunKey) -> Arc<OnceLock<Vec<u8>>> {
+        let mut slots = self.0.lock().expect("run list poisoned");
+        Arc::clone(slots.entry(key).or_default())
+    }
+
+    /// Keep `record` as the result of run `key`, as if this invocation
+    /// had simulated it (a resumed campaign seeds its journaled runs).
+    pub(crate) fn seed(&self, key: RunKey, record: Vec<u8>) {
+        // A duplicated journal record holds the same bytes.
+        let _ = self.slot(key).set(record);
+    }
+}
 
 thread_local! {
     static RUN_LIST: RefCell<Option<Arc<RunList>>> = const { RefCell::new(None) };
@@ -194,64 +208,56 @@ fn current_run_list() -> Option<Arc<RunList>> {
 }
 
 /// The kept record of the simulation `key` names: `run` simulates it
-/// only if this runner invocation has not yet done so, and a caller
-/// that asks while another worker is simulating it waits for that
-/// result. `key` must name everything the simulation depends on
-/// (variant, params, config); the kept record's type, which names the
-/// workload, is part of the key. Outside a runner invocation (a harness
-/// called directly) every call simulates.
+/// only if this runner invocation has neither simulated it yet nor found
+/// it journaled, and a caller that asks while another worker is
+/// simulating it waits for that result. `key` must name everything the
+/// simulation depends on (variant, params, config); the kept record's
+/// type, which names the workload, is part of the key. Outside a runner
+/// invocation (a harness called directly) every call simulates.
 ///
-/// Every caller gets the record's [`Record`] round trip, so a fresh and
-/// a shared result are bit-identical, as a journal replay is.
-pub(crate) fn run_once<R: Record>(key: impl Debug, run: impl FnOnce() -> R) -> R {
+/// Under a supervised campaign, the worker that simulates a run appends
+/// it to its experiment's unit journal, so every simulation is one
+/// journaled unit. Every caller gets the record's [`Record`] round
+/// trip, so a fresh, a shared and a journaled result are bit-identical.
+pub fn run_once<R: Record>(key: impl Debug, run: impl FnOnce() -> R) -> R {
     let Some(list) = current_run_list() else {
         return run();
     };
-    let key = format!("{}:{key:?}", std::any::type_name::<R>());
-    let slot = {
-        let mut slots = list.0.lock().expect("run list poisoned");
-        Arc::clone(slots.entry(key).or_default())
-    };
+    let mut h = Sha256::new();
+    h.update(format!("{}:{key:?}", std::any::type_name::<R>()).as_bytes());
+    let key: RunKey = h.finish()[..16].try_into().expect("16-byte prefix");
+    let slot = list.slot(key);
+    let mut run = Some(run);
     let bytes = slot.get_or_init(|| {
         let mut w = SnapWriter::new();
-        run().record(&mut w);
+        (run.take().expect("simulated once"))().record(&mut w);
         w.into_bytes()
     });
-    R::replay(&mut SnapReader::new(bytes)).expect("run list record round-trips")
+    if run.is_none() {
+        // Journaled after the slot is kept, so a crash hook that fires
+        // here leaves the run shared with the retry.
+        campaign::record_unit(&key, bytes);
+    }
+    let mut r = SnapReader::new(bytes);
+    match (R::replay(&mut r).and_then(|v| r.finish().map(|()| v)), run) {
+        (Ok(v), _) => v,
+        // A journaled record that does not decode (written by another
+        // build) is recomputed, which is always correct.
+        (Err(_), Some(run)) => run(),
+        (Err(e), None) => panic!("run list record does not round-trip: {e}"),
+    }
 }
 
 /// Run `f` over each variant on `opts.jobs` workers, returning results
 /// in `variants` order. Each simulation owns its `TakoSystem`, so runs
 /// are independent and the output is identical to the serial loop.
 /// Workers share the caller's run list.
-///
-/// Under a supervised campaign (a [`campaign`] unit journal armed on
-/// this thread), every completed variant is journaled as a checkpoint
-/// unit and the loop runs serially: a crashed experiment resumes here
-/// by replaying already-journaled units bit-exactly and simulating only
-/// the remainder. Experiments run `opts.serial()` inside the campaign
-/// fan-out anyway, so the serial journaled loop changes nothing else.
 pub fn run_variants<V, R, F>(opts: Opts, variants: &[V], f: F) -> Vec<R>
 where
     V: Clone + Send,
-    R: Record + Send,
+    R: Send,
     F: Fn(V) -> R + Sync,
 {
-    if let Some(call) = campaign::next_call_id() {
-        return variants
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, v)| match campaign::replay_unit::<R>(call, i as u64) {
-                Some(r) => r,
-                None => {
-                    let r = f(v);
-                    campaign::record_unit(call, i as u64, &r);
-                    r
-                }
-            })
-            .collect();
-    }
     let runs = current_run_list();
     parallel_map(opts.jobs, variants.to_vec(), |_, v| {
         let _runs = RunListScope::enter(runs.clone());

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use tako_bench::campaign::{backoff_ms, run_campaign, CampaignOpts, CampaignOutcome};
-use tako_bench::{experiments, run_variants, Experiment, Opts};
+use tako_bench::{experiments, run_once, run_variants, Experiment, Opts};
 use tako_core::TakoSystem;
 use tako_cpu::{AccessKind, MemSystem};
 use tako_sim::config::SystemConfig;
@@ -41,12 +41,12 @@ static ALPHA_RUNS: AtomicU64 = AtomicU64::new(0);
 
 fn exp_alpha(o: Opts) -> String {
     ALPHA_RUNS.fetch_add(1, Ordering::SeqCst);
-    let out = run_variants(o, &[1u64, 2, 3], |v| v * v);
+    let out = run_variants(o, &[1u64, 2, 3], |v| run_once(("square", v), || v * v));
     format!("alpha {out:?}\n")
 }
 
 fn exp_beta(o: Opts) -> String {
-    let out = run_variants(o, &[10u64, 20], |v| v + o.seed);
+    let out = run_variants(o, &[10u64, 20], |v| run_once(("add", v), || v + o.seed));
     format!("beta {out:?}\n")
 }
 
@@ -109,8 +109,10 @@ static GAMMA_UNITS: AtomicU64 = AtomicU64::new(0);
 
 fn exp_gamma(o: Opts) -> String {
     let out = run_variants(o, &[0u64, 1, 2, 3, 4, 5], |v| {
-        GAMMA_UNITS.fetch_add(1, Ordering::SeqCst);
-        v * 7
+        run_once(("times7", v), || {
+            GAMMA_UNITS.fetch_add(1, Ordering::SeqCst);
+            v * 7
+        })
     });
     format!("gamma {out:?}\n")
 }
@@ -126,8 +128,9 @@ fn crash_mid_experiment_resumes_from_journaled_units() {
     let res = out.results[0].1.as_ref().expect("gamma recovered on retry");
     assert_eq!(res.output, "gamma [0, 7, 14, 21, 28, 35]\n");
     assert_eq!(out.attempts, 2, "one crash + one successful retry");
-    // 3 units computed before the crash, 3 after: the journaled ones
-    // replayed instead of recomputing (else this would be 9).
+    // 3 units computed before the crash, 3 after: the retry found the
+    // first 3 in the run list instead of recomputing (else this would
+    // be 9).
     assert_eq!(GAMMA_UNITS.load(Ordering::SeqCst) - before, 6);
     let triage = std::fs::read_to_string(dir.join("gamma.triage.txt")).expect("triage");
     assert!(triage.contains("journaled units: 3"), "triage: {triage}");
@@ -263,7 +266,7 @@ fn backoff_is_deterministic_bounded_and_growing() {
 // --- I/O degradation classification ---------------------------------
 
 fn exp_delta(o: Opts) -> String {
-    let out = run_variants(o, &[7u64, 8, 9], |v| v * 2);
+    let out = run_variants(o, &[7u64, 8, 9], |v| run_once(("double", v), || v * 2));
     format!("delta {out:?}\n")
 }
 
@@ -414,8 +417,8 @@ fn crash_between_producer_and_view_resumes_byte_identical() {
     );
 
     // Crash at every I/O site, then resume. The resumed invocation's run
-    // list starts empty: a producer resumed from its journal replays its
-    // runs without simulating, so its view must simulate them itself.
+    // list starts with whatever runs reached the journal; the view
+    // simulates only the rest.
     let mut between = 0;
     for at_op in 0..counting.ops_performed() {
         let _ = std::fs::remove_dir_all(&dir);
@@ -439,5 +442,64 @@ fn crash_between_producer_and_view_resumes_byte_identical() {
         );
     }
     assert!(between > 0, "no crash fell between producer and view");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- a resumed view reads its producer's journaled runs ----------------
+
+static PRODUCER_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// The producer's runs, each one journaled unit.
+fn producer_runs(o: Opts) -> Vec<u64> {
+    run_variants(o, &[3u64, 5, 7], |v| {
+        run_once(("cube", v), || {
+            PRODUCER_RUNS.fetch_add(1, Ordering::SeqCst);
+            v * v * v
+        })
+    })
+}
+
+fn exp_producer(o: Opts) -> String {
+    format!("producer {:?}\n", producer_runs(o))
+}
+
+fn exp_view(o: Opts) -> String {
+    let sum: u64 = producer_runs(o).iter().sum();
+    format!("view {sum}\n")
+}
+
+const PRODUCER_VIEW: &[(&str, Experiment)] = &[
+    ("producer", exp_producer as Experiment),
+    ("view", exp_view as Experiment),
+];
+
+#[test]
+fn forced_panic_view_resumes_without_rerunning_its_producers_runs() {
+    let dir = tmp("view-resume");
+    let mut c = CampaignOpts::fresh(&dir);
+    c.force_panic = Some("view".into());
+    let before = PRODUCER_RUNS.load(Ordering::SeqCst);
+    let first = run_campaign(opts(), &c, PRODUCER_VIEW).expect("campaign");
+    assert!(first.results[1].1.is_err(), "view must die on entry");
+    assert_eq!(PRODUCER_RUNS.load(Ordering::SeqCst) - before, 3);
+
+    // The producer replays from its .done record; the view finds the
+    // producer's runs in the run list seeded from producer.units.
+    let mut c = CampaignOpts::fresh(&dir);
+    c.resume = true;
+    let second = run_campaign(opts(), &c, PRODUCER_VIEW).expect("resume");
+    assert_eq!(second.replayed, 1);
+    assert_eq!(
+        outputs(&second),
+        ["producer [27, 125, 343]\n", "view 495\n"]
+    );
+    assert_eq!(
+        PRODUCER_RUNS.load(Ordering::SeqCst) - before,
+        3,
+        "the resumed view re-ran its producer's journaled runs"
+    );
+    // A run is journaled once, by the worker that simulated it.
+    let view_units = std::fs::read(dir.join("view.units")).expect("view journal");
+    assert_eq!(view_units.len(), 12, "the view journaled runs: header only");
     let _ = std::fs::remove_dir_all(&dir);
 }

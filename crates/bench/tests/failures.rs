@@ -80,6 +80,8 @@ fn malformed_command_lines_exit_two_before_running() {
         // A harness that is not selected cannot fail, so the failure
         // contract would pass vacuously.
         &["--only", "fig06", "--force-panic", "fig14"],
+        // A misspelled flag is not ignored: it would run all 17.
+        &["--olny", "fig13"],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -89,6 +91,9 @@ fn malformed_command_lines_exit_two_before_running() {
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         if flag == "--only" {
             assert!(stderr.contains("fig06,fig07,"), "known names: {stderr}");
+        }
+        if flag == "--olny" {
+            assert!(stderr.contains("--only <names>"), "known flags: {stderr}");
         }
     }
 }
@@ -107,7 +112,7 @@ fn only_runs_the_selection_in_table_order() {
 
 #[test]
 fn malformed_campaign_command_lines_exit_two_before_running() {
-    let cases: [(&str, &[&str]); 5] = [
+    let cases: [(&str, &[&str]); 6] = [
         (env!("CARGO_BIN_EXE_crash_campaign"), &["--kinds", ""]),
         (env!("CARGO_BIN_EXE_crash_campaign"), &["--seed", "x"]),
         (
@@ -119,6 +124,7 @@ fn malformed_campaign_command_lines_exit_two_before_running() {
             env!("CARGO_BIN_EXE_fault_campaign"),
             &["--watchdog-cycles", "abc"],
         ),
+        (env!("CARGO_BIN_EXE_fault_campaign"), &["--scenario", "2"]),
     ];
     for (bin, args) in cases {
         let out = Command::new(bin)

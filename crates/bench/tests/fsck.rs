@@ -22,11 +22,11 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::doctor::{self, Verdict};
-use tako_bench::{run_variants, Experiment, Opts};
+use tako_bench::{run_once, run_variants, Experiment, Opts};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("regressions/fsck")
@@ -43,13 +43,21 @@ fn opts() -> Opts {
 
 static BETA_PANICS: AtomicBool = AtomicBool::new(false);
 
+/// Beta units simulated (not found in the run list).
+static BETA_UNITS: AtomicU64 = AtomicU64::new(0);
+
 fn exp_alpha(o: Opts) -> String {
-    let out = run_variants(o, &[1u64, 2, 3], |v| v + o.seed);
+    let out = run_variants(o, &[1u64, 2, 3], |v| run_once(("add", v), || v + o.seed));
     format!("alpha {out:?}\n")
 }
 
 fn exp_beta(o: Opts) -> String {
-    let out = run_variants(o, &[4u64, 5, 6], |v| v * v);
+    let out = run_variants(o, &[4u64, 5, 6], |v| {
+        run_once(("square", v), || {
+            BETA_UNITS.fetch_add(1, Ordering::SeqCst);
+            v * v
+        })
+    });
     if BETA_PANICS.swap(false, Ordering::SeqCst) {
         panic!("beta dies after journaling its units (fixture generator)");
     }
@@ -171,11 +179,14 @@ fn repair_salvages_documented_prefix_and_campaign_resumes() {
     assert!(ok, "verify must pass after repair");
 
     // ...and resumable: alpha re-runs (its .done was quarantined),
-    // beta resumes from the 2 salvaged units, the manifest is rebuilt,
-    // and the outputs match the uninterrupted run exactly.
+    // beta resumes from the 2 salvaged units and simulates only the
+    // torn third, the manifest is rebuilt, and the outputs match the
+    // uninterrupted run exactly.
     let mut c = CampaignOpts::fresh(&dir);
     c.resume = true;
+    let before = BETA_UNITS.load(Ordering::SeqCst);
     let outcome = run_campaign(opts(), &c, EXPS).expect("resume after repair");
+    assert_eq!(BETA_UNITS.load(Ordering::SeqCst) - before, 1);
     assert_eq!(
         outcome.results[0].1.as_ref().expect("alpha").output,
         ALPHA_OUT

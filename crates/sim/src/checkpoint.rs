@@ -40,10 +40,10 @@
 //! instead of silently shearing fields.
 //!
 //! [`Record`] is the sibling trait for *campaign unit* checkpoints: the
-//! benchmark runner journals each completed unit of experiment work
-//! (value-level, not machine-level) so an interrupted experiment resumes
-//! without recomputing finished units. `f64` round-trips through its
-//! exact bit pattern, preserving byte-identical rendered output.
+//! benchmark runner keeps and journals each simulation's result record
+//! (value-level, not machine-level) so a resumed campaign does not
+//! recompute finished simulations. `f64` round-trips through its exact
+//! bit pattern, preserving byte-identical rendered output.
 
 use std::fmt;
 
@@ -448,13 +448,13 @@ pub fn snapshot_id(envelope: &[u8]) -> String {
 // Campaign unit records
 // ---------------------------------------------------------------------
 
-/// A value that can be journaled as one completed unit of experiment
-/// work and replayed on resume.
+/// A simulation result that can be kept in a run list, journaled as one
+/// campaign unit, and replayed on resume.
 ///
 /// Implementations must round-trip exactly: `decode(encode(x)) == x`
 /// bit-for-bit, because replayed units feed the same output formatting
 /// as freshly computed ones and the rendered output is pinned by the
-/// golden digest.
+/// golden digests.
 pub trait Record: Sized {
     /// Append this value to `w`.
     fn record(&self, w: &mut SnapWriter);
@@ -480,7 +480,7 @@ macro_rules! record_uint {
     )*};
 }
 
-record_uint!(u8, u16, u32, u64, usize);
+record_uint!(u32, u64, usize);
 
 impl Record for bool {
     fn record(&self, w: &mut SnapWriter) {
@@ -491,30 +491,12 @@ impl Record for bool {
     }
 }
 
-impl Record for i64 {
-    fn record(&self, w: &mut SnapWriter) {
-        w.put_i64(*self);
-    }
-    fn replay(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_i64()
-    }
-}
-
 impl Record for f64 {
     fn record(&self, w: &mut SnapWriter) {
         w.put_f64(*self);
     }
     fn replay(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         r.get_f64()
-    }
-}
-
-impl Record for String {
-    fn record(&self, w: &mut SnapWriter) {
-        w.put_str(self);
-    }
-    fn replay(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_str()
     }
 }
 
@@ -550,24 +532,6 @@ impl<T: Record> Record for Vec<T> {
         Ok(out)
     }
 }
-
-macro_rules! record_tuple {
-    ($($name:ident : $idx:tt),+) => {
-        impl<$($name: Record),+> Record for ($($name,)+) {
-            fn record(&self, w: &mut SnapWriter) {
-                $(self.$idx.record(w);)+
-            }
-            fn replay(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                Ok(($($name::replay(r)?,)+))
-            }
-        }
-    };
-}
-
-record_tuple!(A: 0);
-record_tuple!(A: 0, B: 1);
-record_tuple!(A: 0, B: 1, C: 2);
-record_tuple!(A: 0, B: 1, C: 2, D: 3);
 
 #[cfg(test)]
 mod tests {
@@ -707,20 +671,16 @@ mod tests {
     #[test]
     fn records_roundtrip_bit_exactly() {
         let mut w = SnapWriter::new();
-        (42u64, -7i64, 0.1f64).record(&mut w);
-        Some("abc".to_string()).record(&mut w);
+        42u64.record(&mut w);
+        0.1f64.record(&mut w);
+        Some(7usize).record(&mut w);
         vec![1u32, 2, 3].record(&mut w);
         true.record(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let t = <(u64, i64, f64)>::replay(&mut r).unwrap();
-        assert_eq!(t.0, 42);
-        assert_eq!(t.1, -7);
-        assert_eq!(t.2.to_bits(), 0.1f64.to_bits());
-        assert_eq!(
-            Option::<String>::replay(&mut r).unwrap(),
-            Some("abc".to_string())
-        );
+        assert_eq!(u64::replay(&mut r).unwrap(), 42);
+        assert_eq!(f64::replay(&mut r).unwrap().to_bits(), 0.1f64.to_bits());
+        assert_eq!(Option::<usize>::replay(&mut r).unwrap(), Some(7));
         assert_eq!(Vec::<u32>::replay(&mut r).unwrap(), vec![1, 2, 3]);
         assert!(bool::replay(&mut r).unwrap());
         assert_eq!(r.remaining(), 0);

@@ -101,12 +101,33 @@ echo "    --only fig14 matches its block of the clean run"
 # view that stops sharing its producer's runs, moves it. This is a
 # count, not a throughput floor.
 echo "==> simulated-access pin"
-if ! grep -q ' 4960518 simulated accesses ' "$JDIR/clean.log"; then
-  echo "error: suite simulated-access total moved (want 4960518):" >&2
+if ! grep -q ' 4951041 simulated accesses ' "$JDIR/clean.log"; then
+  echo "error: suite simulated-access total moved (want 4951041):" >&2
   tail -n 1 "$JDIR/clean.log" >&2
   exit 1
 fi
-echo "    4960518 simulated accesses at --scale 0.01"
+echo "    4951041 simulated accesses at --scale 0.01"
+
+# Journaled-view resume: the unit journal is the run list's on-disk
+# image, so a view whose first attempt died resumes from its producer's
+# journaled runs and simulates nothing.
+echo "==> journaled view resume"
+if ./target/release/all_experiments --only fig13,fig14 --scale 0.01 --jobs 2 \
+    --journal "$JDIR/view-journal" --force-panic fig14 > /dev/null 2>&1; then
+  echo "error: a forced panic should exit nonzero" >&2
+  exit 1
+fi
+./target/release/all_experiments --only fig13,fig14 --scale 0.01 --jobs 2 \
+    --journal "$JDIR/view-journal" --resume > "$JDIR/view-resumed.txt" \
+    2> "$JDIR/view-resumed.log"
+if ! grep -q ' 0 simulated accesses ' "$JDIR/view-resumed.log"; then
+  echo "error: the resumed view re-simulated journaled runs:" >&2
+  tail -n 1 "$JDIR/view-resumed.log" >&2
+  exit 1
+fi
+diff <(grep -v 'took' "$JDIR/view-resumed.txt") \
+     <(grep -v 'took' "$JDIR/clean.txt" | sed -n '/^# Fig 13:/,/^# Fig 16:/p' | sed '$d')
+echo "    resumed fig14 simulated 0 accesses and matches the clean run"
 
 # Crash-point sweep smoke: every I/O site of a small journaled
 # campaign, for every deterministic fault kind, must resume to the
