@@ -628,7 +628,8 @@ pub fn sens_rtlb(opts: Opts) -> String {
 // ----------------------------------------------------------------------
 
 /// Ablations: (1) trrîp's distant-priority engine accesses on the
-/// AoS→SoA Morph (Sec 5.2 claims >4x from pollution avoidance);
+/// AoS→SoA Morph (Sec 5.2 claims >4x from pollution avoidance), with
+/// the allocating gather whose shared-cache fills trrîp acts on;
 /// (2) HATS without the stride prefetcher (no decoupling — the core
 /// waits for every onMiss).
 pub fn ablations(opts: Opts) -> String {
@@ -647,8 +648,8 @@ pub fn ablations(opts: Opts) -> String {
     no_trrip_cfg.engine.trrip = false;
     let soa_points = [
         ("aos-baseline", soa::Variant::Aos, false),
-        ("tako-trrip", soa::Variant::Tako, false),
-        ("tako-no-trrip", soa::Variant::Tako, true),
+        ("tako-trrip", soa::Variant::TakoAllocating, false),
+        ("tako-no-trrip", soa::Variant::TakoAllocating, true),
     ];
     let soa_results = run_variants(opts, &soa_points, |(_, v, no_trrip)| {
         let c = if no_trrip { &no_trrip_cfg } else { &cfg };

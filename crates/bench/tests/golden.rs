@@ -36,7 +36,7 @@ fig25     aa5cadb1b95693aba8d8ed7c7a06e3e4587186951898a7a750592a4683e410bf
 table2    afccc6d4ac37bc33ff7497123b8059abed8e726064fafca399b31970906b4a08
 sens_cb   034dd60911f11f96d5a8c156a8f7d597ae70e54874d727bf03aca9e11dbd9b6f
 sens_rtlb 0f504090f1c7a5e27b85131bb9cd6e30f182d0e110b073206e23d72b2f92d349
-ablations 542c04534918df7b2350f1ed9372e5baaa4d9bc1378783dc5a0a3033e41cc665
+ablations 65f7112017e0d883fc4de54d699f14c48f09847d9b6fbccd85fc74c162cfc808
 ";
 
 fn tiny(jobs: usize) -> Opts {
