@@ -21,10 +21,12 @@
 //! but `--journal` needs `--journal`:
 //!
 //! ```text
-//! --journal <dir>           journal the run: per-experiment .done
-//!                           records and in-experiment unit checkpoints
-//! --resume                  resume an interrupted campaign from the
-//!                           journal instead of starting fresh
+//! --journal <dir>           journal the run: one unit record per
+//!                           simulation, in per-experiment .units files
+//! --resume                  resume a campaign from the journal instead
+//!                           of starting fresh: every experiment
+//!                           re-renders from the journaled runs and
+//!                           simulates only what no journal holds
 //! --deadline <secs>         wall-clock budget per experiment attempt;
 //!                           exceeded -> triage bundle + retry
 //! --retries <n>             retries per failed experiment, with a
@@ -47,7 +49,9 @@
 //!
 //! The printed experiment output is byte-identical for every `--jobs`
 //! value — and for a journaled run whether it completed in one go or
-//! was interrupted and resumed; only the timing annotations vary.
+//! was interrupted and resumed; only the timing annotations vary. A
+//! resumed experiment's `[… took …]` is the time it took to re-render
+//! from the journal plus whatever it had left to simulate.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -167,10 +171,7 @@ fn main() {
         };
         match run_campaign(opts, &c, &flags.experiments) {
             Ok(outcome) => {
-                eprintln!(
-                    "campaign: {} replayed from journal, {} attempts executed",
-                    outcome.replayed, outcome.attempts
-                );
+                eprintln!("campaign: {} attempts executed", outcome.attempts);
                 if !outcome.io.is_clean() {
                     eprintln!("campaign: storage degraded: {}", outcome.io);
                 }

@@ -22,8 +22,8 @@
 //! The campaign under the sweep is a trio of small synthetic
 //! experiments (the same shape as `tests/campaign.rs` uses) so the
 //! sweep exhausts in seconds; the I/O path it exercises — manifest,
-//! unit journals, `.done` envelopes — is byte-identical to what the
-//! full `all_experiments --journal` run uses.
+//! unit journals, attempt log — is byte-identical to what the full
+//! `all_experiments --journal` run uses.
 //!
 //! ```text
 //! crash_campaign [--root <dir>] [--kinds a,b,c] [--seed n] [--verbose]

@@ -10,22 +10,18 @@
 //!   resume into a differently parameterized campaign is rejected
 //!   before anything runs; a corrupt manifest is refused with a
 //!   pointer at `tako_fsck --repair`.
-//! * `<name>.done` — one versioned, checksummed record per completed
-//!   experiment: its full printed output, wall time, and the campaign
-//!   fingerprint it belongs to. Resume replays these verbatim instead
-//!   of re-running (the output contract is byte-identical either way);
-//!   a record that fails its checksum or names a different campaign is
-//!   ignored and the experiment re-runs.
-//! * `<name>.units` — the run list's on-disk image: a fingerprinted
-//!   header followed by one self-checking record per *unit*, one
-//!   simulation this experiment's worker ran through
-//!   [`run_once`](crate::run_once), keyed by the 16-byte digest of its
-//!   run-list key. A run is journaled once, by the worker that
-//!   simulated it, so a view that finds its producer's runs journals
-//!   nothing. A resume seeds the run list with the intact records of
-//!   every selected experiment: an interrupted experiment resumes
-//!   *mid-run*, and a view whose producer replays from `.done` finds
-//!   the producer's runs; only what no journal holds simulates.
+//! * `<name>.units` — the run list's on-disk image and the campaign's
+//!   only durable result store: a fingerprinted header followed by one
+//!   self-checking record per *unit*, one simulation this experiment's
+//!   worker ran through [`run_once`](crate::run_once), keyed by the
+//!   16-byte digest of its run-list key. A run is journaled once, by
+//!   the worker that simulated it, so a view that finds its producer's
+//!   runs journals nothing. A resume seeds the run list with the intact
+//!   records of every selected experiment and runs every selected
+//!   experiment against it: a completed experiment re-renders its
+//!   output from its journaled runs, an interrupted one resumes
+//!   *mid-run*, and a view finds its producer's runs; only what no
+//!   journal holds simulates. Completion is not recorded in a file.
 //! * `<name>.triage.txt` — written when an attempt dies (panic or
 //!   deadline kill): the panic payload — which for a deadline kill is
 //!   the hierarchy's triage bundle (diagnostic snapshot, fault-plan
@@ -66,7 +62,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tako_sim::checkpoint::{decode, encode, SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::digest::Sha256;
 use tako_sim::parallel::parallel_map_catch;
 use tako_sim::rng::Rng;
@@ -303,8 +298,8 @@ pub fn crash_after_units(n: u64) {
 pub struct CampaignOpts {
     /// Journal directory.
     pub dir: PathBuf,
-    /// Resume: keep completed experiments and journaled units from a
-    /// previous run of the same campaign.
+    /// Resume: keep the units a previous run of the same campaign
+    /// journaled, and re-render every experiment from them.
     pub resume: bool,
     /// Wall-clock budget per experiment attempt; exceeded → the
     /// hierarchy kills the run at its next epoch with a triage panic.
@@ -361,47 +356,12 @@ pub struct CampaignOutcome {
     /// Per-experiment outcomes in table order. `Err` carries the final
     /// failure message after all retries were exhausted.
     pub results: Vec<(&'static str, Result<ExperimentResult, String>)>,
-    /// Experiments replayed from `.done` records without re-running.
-    pub replayed: usize,
     /// Attempts actually executed (first tries + retries).
     pub attempts: u64,
     /// The storage backend's failure tally for this run —
     /// transient-vs-permanent I/O degradation, surfaced in the
     /// campaign status line.
     pub io: IoHealth,
-}
-
-/// One completed experiment, journaled as a `.done` envelope.
-#[derive(Default)]
-pub(crate) struct DoneRecord {
-    pub(crate) name: String,
-    pub(crate) output: String,
-    pub(crate) wall_nanos: u64,
-    pub(crate) attempt: u32,
-    /// The campaign this record belongs to; a mismatch (stale journal
-    /// dir, skewed manifest) means the record is ignored and the
-    /// experiment re-runs rather than replaying foreign output.
-    pub(crate) fingerprint: u64,
-}
-
-impl Snapshot for DoneRecord {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section("done");
-        w.put_str(&self.name);
-        w.put_str(&self.output);
-        w.put_u64(self.wall_nanos);
-        w.put_u32(self.attempt);
-        w.put_u64(self.fingerprint);
-    }
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("done")?;
-        self.name = r.get_str()?;
-        self.output = r.get_str()?;
-        self.wall_nanos = r.get_u64()?;
-        self.attempt = r.get_u32()?;
-        self.fingerprint = r.get_u64()?;
-        Ok(())
-    }
 }
 
 fn manifest_params(opts: Opts, experiments: &[(&'static str, Experiment)]) -> String {
@@ -413,13 +373,6 @@ fn manifest_params(opts: Opts, experiments: &[(&'static str, Experiment)]) -> St
         opts.seed,
         names.join(",")
     )
-}
-
-/// The campaign fingerprint: FNV-1a of the manifest parameter block.
-/// Stamped into every `.done` record and unit-journal header so the
-/// records are self-describing even if the manifest is lost.
-pub fn campaign_fingerprint(params: &str) -> u64 {
-    name_hash(params)
 }
 
 /// Render a full manifest: parameters, generation, content checksum.
@@ -465,9 +418,12 @@ pub(crate) fn parse_manifest(text: &str) -> ManifestState {
     }
 }
 
-/// FNV-1a of an experiment name, for the per-experiment backoff seed.
-fn name_hash(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |a, b| {
+/// FNV-1a of `text`. Of an experiment name it seeds that experiment's
+/// backoff; of the manifest parameter block it is the campaign
+/// fingerprint stamped into every unit-journal header, so the journals
+/// are self-describing even if the manifest is lost.
+fn name_hash(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |a, b| {
         (a ^ b as u64).wrapping_mul(0x1_0000_0000_01b3)
     })
 }
@@ -535,7 +491,7 @@ fn retrying<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
 /// fingerprint. Fresh campaigns clear stale records; resumes verify
 /// the parameters and bump the generation. A resume whose manifest
 /// vanished (e.g. quarantined by `tako_fsck`) proceeds on the strength
-/// of the per-record fingerprints and rewrites the manifest.
+/// of the journal-header fingerprints and rewrites the manifest.
 fn prepare_manifest(
     opts: Opts,
     c: &CampaignOpts,
@@ -543,7 +499,7 @@ fn prepare_manifest(
 ) -> std::io::Result<u64> {
     let manifest_path = c.dir.join("manifest.txt");
     let params = manifest_params(opts, experiments);
-    let fingerprint = campaign_fingerprint(&params);
+    let fingerprint = name_hash(&params);
     if c.resume {
         let generation = if c.storage.exists(&manifest_path) {
             let text =
@@ -578,7 +534,7 @@ fn prepare_manifest(
             }
         } else {
             // Manifest lost (crash before it landed, or quarantined).
-            // The .done/.units records carry the fingerprint, so resume
+            // The unit journals carry the fingerprint, so resume
             // is still safe; restore the manifest for the next reader.
             0
         };
@@ -591,7 +547,7 @@ fn prepare_manifest(
     } else {
         // Fresh campaign: clear any stale records so nothing replays.
         for (name, _) in experiments {
-            for ext in ["done", "units", "triage.txt"] {
+            for ext in ["units", "triage.txt"] {
                 let stale = c.dir.join(format!("{name}.{ext}"));
                 retrying(|| c.storage.remove(&stale))?;
             }
@@ -629,42 +585,12 @@ pub fn run_campaign(
     let fingerprint = prepare_manifest(opts, c, experiments)?;
     let names: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
 
-    let mut results: Vec<(&'static str, Result<ExperimentResult, String>)> = Vec::new();
-    let mut todo: Vec<(&'static str, Experiment)> = Vec::new();
-    let mut replayed = 0usize;
-    for &(name, f) in experiments {
-        let done_path = c.dir.join(format!("{name}.done"));
-        let rec = if c.storage.exists(&done_path) {
-            retrying(|| c.storage.read(&done_path))
-                .ok()
-                .and_then(|bytes| {
-                    let mut rec = DoneRecord::default();
-                    decode(&bytes, &mut rec).ok().map(|()| rec)
-                })
-        } else {
-            None
-        };
-        match rec {
-            Some(rec) if rec.name == name && rec.fingerprint == fingerprint => {
-                replayed += 1;
-                results.push((
-                    name,
-                    Ok(ExperimentResult {
-                        name,
-                        output: rec.output,
-                        wall: Duration::from_nanos(rec.wall_nanos),
-                    }),
-                ));
-            }
-            _ => {
-                // Placeholder keeps table order; filled below.
-                results.push((name, Err(String::from("never attempted"))));
-                todo.push((name, f));
-            }
-        }
-    }
-
-    let mut todo = start_order(&todo);
+    // Placeholders keep table order; every experiment runs.
+    let mut results: Vec<(&'static str, Result<ExperimentResult, String>)> = experiments
+        .iter()
+        .map(|&(name, _)| (name, Err(String::from("never attempted"))))
+        .collect();
+    let mut todo = start_order(experiments);
     let inner = opts.serial();
     // One run list for the whole call: retries and views reuse what
     // earlier attempts and producers simulated. A resume seeds it with
@@ -752,15 +678,6 @@ pub fn run_campaign(
         for ((name, f), r) in todo.into_iter().zip(batch) {
             match r {
                 Ok(res) => {
-                    let rec = DoneRecord {
-                        name: name.to_string(),
-                        output: res.output.clone(),
-                        wall_nanos: res.wall.as_nanos() as u64,
-                        attempt,
-                        fingerprint,
-                    };
-                    let done_path = c.dir.join(format!("{name}.done"));
-                    retrying(|| c.storage.write_atomic(&done_path, &encode(&rec)))?;
                     append_line(
                         c.storage.as_ref(),
                         &log,
@@ -825,7 +742,6 @@ pub fn run_campaign(
 
     Ok(CampaignOutcome {
         results,
-        replayed,
         attempts,
         io: c.storage.health(),
     })

@@ -9,28 +9,26 @@
 //! * **verify** — scan, then exit nonzero if anything is not clean;
 //!   the CI hook over the committed corrupt fixtures.
 //! * **repair** — make the journal safe to resume: truncate unit
-//!   journals to their longest valid prefix, move corrupt envelopes
-//!   and the manifest (if bad) into `quarantine/`, delete `.tmp`
+//!   journals to their longest valid prefix, move corrupt unit
+//!   journals and the manifest (if bad) into `quarantine/`, delete `.tmp`
 //!   debris, and write a `quarantine/report.txt` describing every
 //!   action. Repair never deletes payload bytes: anything it cannot
 //!   keep in place is preserved in quarantine.
 //!
-//! The doctor validates *structure*, not *semantics*: a `.done` record
-//! must decode and checksum, a `.units` file must carry its header and
-//! a chain of checksummed records, the manifest must hash to its
-//! trailing checksum. Whether the surviving records belong to the
-//! campaign the user intends to resume is decided at resume time by
-//! the fingerprint embedded in each record.
+//! The doctor validates *structure*, not *semantics*: a `.units` file
+//! must carry its header and a chain of checksummed records, the
+//! manifest must hash to its trailing checksum. Whether the surviving
+//! records belong to the campaign the user intends to resume is decided
+//! at resume time by the fingerprint in each journal's header.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use tako_sim::checkpoint::decode;
 use tako_sim::storage::{DiskStorage, Storage};
 
 use crate::campaign::{
-    parse_manifest, read_units, unit_header_matches, DoneRecord, ManifestState, UNIT_HEADER_LEN,
+    parse_manifest, read_units, unit_header_matches, ManifestState, UNIT_HEADER_LEN,
     UNIT_HEADER_MAGIC,
 };
 
@@ -126,15 +124,6 @@ impl Report {
     }
 }
 
-/// Classify one `.done` envelope.
-fn check_done(bytes: &[u8]) -> Verdict {
-    let mut rec = DoneRecord::default();
-    match decode(bytes, &mut rec) {
-        Ok(()) => Verdict::Clean,
-        Err(e) => Verdict::Corrupt(format!("done record: {e}")),
-    }
-}
-
 /// Classify one `.units` journal.
 fn check_units(bytes: &[u8]) -> Verdict {
     if bytes.len() < UNIT_HEADER_LEN || bytes[..4] != UNIT_HEADER_MAGIC {
@@ -185,8 +174,6 @@ pub fn scan(dir: &Path) -> io::Result<Report> {
             ("tmp", Verdict::Debris)
         } else if fname == "manifest.txt" {
             ("manifest", check_manifest(&storage.read(&path)?))
-        } else if fname.ends_with(".done") {
-            ("done", check_done(&storage.read(&path)?))
         } else if fname.ends_with(".units") {
             ("units", check_units(&storage.read(&path)?))
         } else {

@@ -4,8 +4,8 @@
 //!
 //! The experiments here are synthetic `fn(Opts) -> String` harnesses
 //! with observable side effects (atomic counters), so the tests can
-//! prove the resume contract — *completed work is replayed, never
-//! recomputed* — rather than just eyeballing output equality. One test
+//! prove the resume contract — *a journaled run is re-rendered, never
+//! re-simulated* — rather than just eyeballing output equality. One test
 //! drives a real `TakoSystem` so the deadline kill exercises the
 //! hierarchy's watchdog-epoch probe and its triage bundle.
 
@@ -37,11 +37,16 @@ fn opts() -> Opts {
 
 // --- experiment-granularity resume ----------------------------------
 
+/// Alpha runs simulated (not found in the run list).
 static ALPHA_RUNS: AtomicU64 = AtomicU64::new(0);
 
 fn exp_alpha(o: Opts) -> String {
-    ALPHA_RUNS.fetch_add(1, Ordering::SeqCst);
-    let out = run_variants(o, &[1u64, 2, 3], |v| run_once(("square", v), || v * v));
+    let out = run_variants(o, &[1u64, 2, 3], |v| {
+        run_once(("square", v), || {
+            ALPHA_RUNS.fetch_add(1, Ordering::SeqCst);
+            v * v
+        })
+    });
     format!("alpha {out:?}\n")
 }
 
@@ -81,17 +86,17 @@ fn failed_experiment_is_triaged_and_resume_skips_completed_work() {
     assert!(triage.contains("--resume"), "no resume line: {triage}");
     assert!(triage.contains("--journal"), "no journal path: {triage}");
 
-    // Resume: alpha replays from its .done record (no re-run), beta
-    // executes and the campaign completes with byte-identical output.
+    // Resume: alpha re-renders from its journaled runs (no run is
+    // simulated again), beta executes and the campaign completes with
+    // byte-identical output.
     let alpha_runs_before = ALPHA_RUNS.load(Ordering::SeqCst);
     let mut c2 = CampaignOpts::fresh(&dir);
     c2.resume = true;
     let second = run_campaign(opts(), &c2, RESUME_EXPS).expect("resume");
-    assert_eq!(second.replayed, 1, "alpha should replay from the journal");
     assert_eq!(
         ALPHA_RUNS.load(Ordering::SeqCst),
         alpha_runs_before,
-        "completed experiment was re-run on resume"
+        "a completed experiment's runs were simulated again on resume"
     );
     assert_eq!(
         second.results[0].1.as_ref().expect("alpha").output,
@@ -330,7 +335,7 @@ fn permanent_fault_mid_experiment_fails_fast_without_retries() {
     // experiment attempt (a unit-journal op): the attempt must die
     // classified `permanent-io` with retries suppressed — exactly one
     // attempt despite the retry budget. Sites in campaign bookkeeping
-    // (manifest prep, done-record write) surface as a structured error
+    // (manifest prep, triage write) surface as a structured error
     // instead; both shapes are fail-fast, only the first is in-attempt.
     let mut classified = false;
     for at_op in 0..sites {
@@ -483,12 +488,11 @@ fn forced_panic_view_resumes_without_rerunning_its_producers_runs() {
     assert!(first.results[1].1.is_err(), "view must die on entry");
     assert_eq!(PRODUCER_RUNS.load(Ordering::SeqCst) - before, 3);
 
-    // The producer replays from its .done record; the view finds the
-    // producer's runs in the run list seeded from producer.units.
+    // The producer re-renders and the view renders from the run list
+    // seeded from producer.units; neither simulates a run.
     let mut c = CampaignOpts::fresh(&dir);
     c.resume = true;
     let second = run_campaign(opts(), &c, PRODUCER_VIEW).expect("resume");
-    assert_eq!(second.replayed, 1);
     assert_eq!(
         outputs(&second),
         ["producer [27, 125, 343]\n", "view 495\n"]
@@ -501,5 +505,50 @@ fn forced_panic_view_resumes_without_rerunning_its_producers_runs() {
     // A run is journaled once, by the worker that simulated it.
     let view_units = std::fs::read(dir.join("view.units")).expect("view journal");
     assert_eq!(view_units.len(), 12, "the view journaled runs: header only");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- resuming a completed campaign ------------------------------------
+
+#[test]
+fn resuming_a_completed_campaign_simulates_and_journals_nothing() {
+    let dir = tmp("completed");
+    let journal = dir.to_str().expect("utf-8 temp path");
+    let run = |resume: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_all_experiments"));
+        cmd.args(["--only", "fig06,fig07", "--scale", "0.01", "--jobs", "1"]);
+        cmd.args(["--journal", journal]);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("spawn all_experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.contains(" took "))
+            .collect::<Vec<_>>()
+            .join("\n");
+        (stdout, stderr)
+    };
+    let sizes = || {
+        ["fig06.units", "fig07.units"].map(|f| {
+            std::fs::metadata(dir.join(f))
+                .unwrap_or_else(|e| panic!("{f}: {e}"))
+                .len()
+        })
+    };
+    let (clean, clean_log) = run(false);
+    assert!(!clean_log.contains(" 0 simulated accesses "), "{clean_log}");
+    let journaled = sizes();
+    // Every experiment re-renders from the journal: the same output,
+    // no simulation, and not one unit record appended.
+    let (resumed, resumed_log) = run(true);
+    assert_eq!(resumed, clean);
+    assert!(
+        resumed_log.contains(" 0 simulated accesses "),
+        "{resumed_log}"
+    );
+    assert_eq!(sizes(), journaled, "a resume appended unit records");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,24 +5,25 @@
 //! experiments, seed 42) that was deliberately damaged after the run:
 //!
 //! * `manifest.txt` — one checksum hex digit flipped (corrupt);
-//! * `alpha.done` — one payload byte flipped, so the envelope digest
-//!   fails (corrupt);
+//! * `alpha.units` — its `UJH1` header magic mangled (corrupt);
 //! * `beta.units` — last 10 bytes chopped off, tearing the third unit
 //!   record; the documented salvage prefix is **2 intact units**;
-//! * `alpha.done.tmp` — stranded atomic-write staging debris;
-//! * `beta.triage.txt`, `attempts.log`, `alpha.units` — legitimate
-//!   survivors the doctor must leave alone.
+//! * `manifest.txt.tmp` — stranded atomic-write staging debris;
+//! * `beta.triage.txt`, `attempts.log` — legitimate survivors the
+//!   doctor must leave alone.
 //!
 //! `--verify` must flag exactly the four damaged files; `--repair`
 //! must quarantine the corrupt two, truncate the torn journal to its
 //! documented prefix, delete the debris — and leave a journal a
 //! `--resume` campaign completes correctly from. The `#[ignore]`d
 //! `regenerate_fsck_fixtures` test rebuilds the fixtures after a
-//! format change (`cargo test -p tako-bench --test fsck -- --ignored`).
+//! format change (`cargo test -p tako-bench --test fsck -- --ignored`);
+//! the generator writes the same bytes wherever it runs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::doctor::{self, Verdict};
@@ -43,11 +44,24 @@ fn opts() -> Opts {
 
 static BETA_PANICS: AtomicBool = AtomicBool::new(false);
 
-/// Beta units simulated (not found in the run list).
+/// Alpha and beta units simulated (not found in the run list).
+static ALPHA_UNITS: AtomicU64 = AtomicU64::new(0);
 static BETA_UNITS: AtomicU64 = AtomicU64::new(0);
 
+/// Held by every test that runs the campaign below, so one test's
+/// `BETA_PANICS` and unit counts never leak into another's.
+fn campaign_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn exp_alpha(o: Opts) -> String {
-    let out = run_variants(o, &[1u64, 2, 3], |v| run_once(("add", v), || v + o.seed));
+    let out = run_variants(o, &[1u64, 2, 3], |v| {
+        run_once(("add", v), || {
+            ALPHA_UNITS.fetch_add(1, Ordering::SeqCst);
+            v + o.seed
+        })
+    });
     format!("alpha {out:?}\n")
 }
 
@@ -72,7 +86,12 @@ const EXPS: &[(&str, Experiment)] = &[
 const ALPHA_OUT: &str = "alpha [43, 44, 45]\n";
 const BETA_OUT: &str = "beta [16, 25, 36]\n";
 
-/// Build the damaged fixture journal at `dir` (see module docs).
+/// The fixture directory as the committed triage bundle's resume line
+/// names it, whichever directory the generator ran in.
+const FIXTURE_JOURNAL: &str = "crates/bench/regressions/fsck";
+
+/// Build the damaged fixture journal at `dir` (see module docs). The
+/// caller holds [`campaign_lock`].
 fn build_fixture(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
     BETA_PANICS.store(true, Ordering::SeqCst);
@@ -91,11 +110,11 @@ fn build_fixture(dir: &Path) {
     text.replace_range(last..=last, if c == b'0' { "1" } else { "0" });
     std::fs::write(&manifest, text).unwrap();
 
-    // alpha.done: flip one payload byte (envelope header is 52 bytes).
-    let done = dir.join("alpha.done");
-    let mut bytes = std::fs::read(&done).unwrap();
-    bytes[60] ^= 0x10;
-    std::fs::write(&done, bytes).unwrap();
+    // alpha.units: mangle the header magic.
+    let alpha = dir.join("alpha.units");
+    let mut bytes = std::fs::read(&alpha).unwrap();
+    bytes[0] ^= 0x20;
+    std::fs::write(&alpha, bytes).unwrap();
 
     // beta.units: tear the third record's tail.
     let units = dir.join("beta.units");
@@ -103,13 +122,61 @@ fn build_fixture(dir: &Path) {
     std::fs::write(&units, &bytes[..bytes.len() - 10]).unwrap();
 
     // Stranded staging file from an interrupted atomic write.
-    std::fs::write(dir.join("alpha.done.tmp"), b"interrupted staging write").unwrap();
+    std::fs::write(dir.join("manifest.txt.tmp"), b"interrupted staging write").unwrap();
+
+    // The resume line names the journal by its absolute path; name the
+    // committed fixture instead, so the bytes do not depend on `dir`.
+    let triage = dir.join("beta.triage.txt");
+    let text = std::fs::read_to_string(&triage).unwrap();
+    std::fs::write(
+        &triage,
+        text.replace(&dir.display().to_string(), FIXTURE_JOURNAL),
+    )
+    .unwrap();
 }
 
 #[test]
 #[ignore = "regenerates the committed fixtures; run after a format change"]
 fn regenerate_fsck_fixtures() {
+    let _serial = campaign_lock();
     build_fixture(&fixture_dir());
+}
+
+/// Every file in `dir` (not recursive), by name.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn fixture_generator_is_reproducible() {
+    let _serial = campaign_lock();
+    let root = std::env::temp_dir().join(format!("tako-fsck-{}-regen", std::process::id()));
+    let (a, b) = (root.join("a"), root.join("elsewhere/b"));
+    build_fixture(&a);
+    build_fixture(&b);
+    let built = files(&a);
+    assert_eq!(
+        built,
+        files(&b),
+        "the fixture depends on where it was built"
+    );
+    assert_eq!(
+        built,
+        files(&fixture_dir()),
+        "the committed fixtures are stale; regenerate them \
+         (cargo test -p tako-bench --test fsck -- --ignored)"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn copy_fixture_to_tmp(name: &str) -> PathBuf {
@@ -146,25 +213,31 @@ fn verify_flags_every_committed_corruption() {
     );
     for needle in [
         "manifest.txt  CORRUPT: checksum mismatch",
-        "alpha.done  CORRUPT: done record",
+        "alpha.units  CORRUPT: missing or mangled UJH1 header",
         "beta.units  salvageable: 2 intact units",
-        "alpha.done.tmp  tmp debris",
+        "manifest.txt.tmp  tmp debris",
     ] {
         assert!(stdout.contains(needle), "missing `{needle}` in:\n{stdout}");
     }
     // The survivors stay unflagged.
-    assert!(stdout.contains("alpha.units  clean"), "{stdout}");
+    assert!(stdout.contains("beta.triage.txt  unchecked"), "{stdout}");
 }
 
 #[test]
 fn repair_salvages_documented_prefix_and_campaign_resumes() {
+    let _serial = campaign_lock();
     let dir = copy_fixture_to_tmp("repair");
     let summary = doctor::repair(&dir).expect("repair");
     assert_eq!(summary.quarantined.len(), 2, "{summary:?}");
     assert_eq!(summary.truncated.len(), 1, "{summary:?}");
     assert_eq!(summary.removed.len(), 1, "{summary:?}");
     let report = std::fs::read_to_string(dir.join("quarantine/report.txt")).unwrap();
-    for needle in ["manifest.txt", "alpha.done", "beta.units", "alpha.done.tmp"] {
+    for needle in [
+        "manifest.txt ->",
+        "alpha.units ->",
+        "beta.units to",
+        "manifest.txt.tmp",
+    ] {
         assert!(report.contains(needle), "report misses {needle}:\n{report}");
     }
 
@@ -178,15 +251,17 @@ fn repair_salvages_documented_prefix_and_campaign_resumes() {
     let (ok, _) = fsck(&["--verify", dir.to_str().unwrap()]);
     assert!(ok, "verify must pass after repair");
 
-    // ...and resumable: alpha re-runs (its .done was quarantined),
-    // beta resumes from the 2 salvaged units and simulates only the
-    // torn third, the manifest is rebuilt, and the outputs match the
-    // uninterrupted run exactly.
+    // ...and resumable: alpha simulates all 3 of its units again (its
+    // journal was quarantined), beta resumes from the 2 salvaged units
+    // and simulates only the torn third, the manifest is rebuilt, and
+    // the outputs match the uninterrupted run exactly.
     let mut c = CampaignOpts::fresh(&dir);
     c.resume = true;
-    let before = BETA_UNITS.load(Ordering::SeqCst);
+    let alpha_before = ALPHA_UNITS.load(Ordering::SeqCst);
+    let beta_before = BETA_UNITS.load(Ordering::SeqCst);
     let outcome = run_campaign(opts(), &c, EXPS).expect("resume after repair");
-    assert_eq!(BETA_UNITS.load(Ordering::SeqCst) - before, 1);
+    assert_eq!(ALPHA_UNITS.load(Ordering::SeqCst) - alpha_before, 3);
+    assert_eq!(BETA_UNITS.load(Ordering::SeqCst) - beta_before, 1);
     assert_eq!(
         outcome.results[0].1.as_ref().expect("alpha").output,
         ALPHA_OUT

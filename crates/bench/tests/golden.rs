@@ -91,8 +91,8 @@ fn every_experiment_matches_its_golden_digest() {
 /// The resume contract, pinned against the same table: a campaign
 /// whose every experiment is crashed mid-run (after two journaled
 /// units) and then resumed must reproduce the golden output *exactly* —
-/// journaled runs, recomputed ones, and replayed `.done` records are
-/// all byte-identical to an uninterrupted run.
+/// output rendered from journaled runs and from recomputed ones is
+/// byte-identical to an uninterrupted run's.
 #[test]
 fn interrupted_and_resumed_campaign_matches_golden_digests() {
     let dir = std::env::temp_dir().join(format!("tako-golden-campaign-{}", std::process::id()));

@@ -30,12 +30,6 @@ pub fn line_of(addr: Addr) -> Addr {
     addr & !(LINE_BYTES - 1)
 }
 
-/// Byte offset of `addr` within its cache line.
-#[inline]
-pub fn line_offset(addr: Addr) -> usize {
-    (addr & (LINE_BYTES - 1)) as usize
-}
-
 /// A half-open address range `[base, base + size)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddrRange {
@@ -197,7 +191,6 @@ mod tests {
         assert_eq!(line_of(0), 0);
         assert_eq!(line_of(63), 0);
         assert_eq!(line_of(64), 64);
-        assert_eq!(line_offset(130), 2);
     }
 
     #[test]

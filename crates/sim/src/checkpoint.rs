@@ -62,13 +62,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TAKOSNP\0";
 /// line and its LLC `(bank, set)` location.
 ///
 /// The hierarchy section later dropped its trailing observer flag and
-/// observer (the observer is not machine state) without a bump, for two
-/// reasons. Campaign `.done` envelopes share this version, so a bump
-/// would orphan every committed journal and fsck fixture although
-/// their layout did not change. And the change only removed the
-/// hierarchy's last field, so an older system snapshot still fails to
-/// decode, with [`SnapError::TrailingBytes`], instead of being
-/// misread.
+/// observer (the observer is not machine state) without a bump: the
+/// change only removed the hierarchy's last field, so an older system
+/// snapshot still fails to decode, with [`SnapError::TrailingBytes`],
+/// instead of being misread. And no file holds an envelope (campaign
+/// unit journals carry bare [`Record`] payloads), so every snapshot is
+/// read back by the build that wrote it.
 pub const SNAP_VERSION: u32 = 4;
 
 /// Errors surfaced while decoding a snapshot.
@@ -435,15 +434,6 @@ pub fn decode(envelope: &[u8], root: &mut dyn Snapshot) -> Result<(), SnapError>
     r.finish()
 }
 
-/// A short, stable identifier for a snapshot: the first 12 hex digits
-/// of the envelope's SHA-256. Used in journal records and triage
-/// bundles to say *which* checkpoint a resume should start from.
-pub fn snapshot_id(envelope: &[u8]) -> String {
-    let mut h = Sha256::new();
-    h.update(envelope);
-    h.finish_hex()[..12].to_string()
-}
-
 // ---------------------------------------------------------------------
 // Campaign unit records
 // ---------------------------------------------------------------------
@@ -586,14 +576,6 @@ mod tests {
         assert_eq!(out.a, b.a);
         assert_eq!(out.b, b.b);
         assert_eq!(out.s, b.s);
-    }
-
-    #[test]
-    fn snapshot_ids_are_stable_and_short() {
-        let env = encode(&blob());
-        let id = snapshot_id(&env);
-        assert_eq!(id.len(), 12);
-        assert_eq!(id, snapshot_id(&encode(&blob())));
     }
 
     #[test]

@@ -574,11 +574,6 @@ impl SystemConfig {
         cfg
     }
 
-    /// Total LLC capacity across banks.
-    pub fn llc_total_bytes(&self) -> u64 {
-        self.llc_bank.size_bytes * self.tiles as u64
-    }
-
     /// Reject nonsense configurations with a typed error before any
     /// simulation state is built. `TakoSystem::new` calls this, and
     /// every bench binary calls it at startup.
@@ -683,7 +678,7 @@ mod tests {
         assert_eq!(cfg.l1d.size_bytes, 32 * 1024);
         assert_eq!(cfg.l2.size_bytes, 128 * 1024);
         assert_eq!(cfg.llc_bank.size_bytes, 512 * 1024);
-        assert_eq!(cfg.llc_total_bytes(), 8 * 1024 * 1024);
+        assert_eq!(cfg.llc_bank.size_bytes * cfg.tiles as u64, 8 * 1024 * 1024);
         assert_eq!(cfg.mem.controllers, 4);
         assert_eq!(DRAM_LATENCY, 100);
         assert_eq!(DRAM_BYTES_PER_CYCLE, 4.9);

@@ -1,7 +1,7 @@
 //! Crash-safe persistence fabric with deterministic I/O fault injection.
 //!
-//! Every durable write in the stack — campaign manifests, journal
-//! appends, `.done` envelopes, triage bundles, `metrics.json` — goes
+//! Every durable write in the stack — campaign manifests, unit-journal
+//! appends, triage bundles, attempt logs, `metrics.json` — goes
 //! through a [`Storage`] backend instead of calling `std::fs` directly.
 //! Two backends exist:
 //!

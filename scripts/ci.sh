@@ -66,8 +66,10 @@ rm -rf "$MUTDIR"
 
 # Interrupt/resume smoke: journal a campaign, crash every experiment
 # after two checkpointed units, resume it, and require the resumed
-# output byte-identical to a clean (unjournaled) run. Timing lines
-# ("[name took ...]") are stripped before the diff.
+# output byte-identical to a clean (unjournaled) run. Then resume the
+# now-complete journal once more: the unit journals are the only result
+# store, so every experiment re-renders from them, simulating nothing.
+# Timing lines ("[name took ...]") are stripped before the diff.
 echo "==> campaign interrupt/resume smoke"
 JDIR=$(mktemp -d)
 trap 'rm -rf "$JDIR"' EXIT
@@ -84,6 +86,17 @@ fi
 diff <(grep -v 'took' "$JDIR/clean.txt") \
      <(grep -v 'took' "$JDIR/resumed.txt")
 echo "    resumed campaign output matches clean run"
+./target/release/all_experiments --scale 0.01 --jobs 2 \
+    --journal "$JDIR/journal" --resume > "$JDIR/re-resumed.txt" \
+    2> "$JDIR/re-resumed.log"
+if ! grep -q ' 0 simulated accesses ' "$JDIR/re-resumed.log"; then
+  echo "error: resuming a completed campaign simulated again:" >&2
+  tail -n 1 "$JDIR/re-resumed.log" >&2
+  exit 1
+fi
+diff <(grep -v 'took' "$JDIR/clean.txt") \
+     <(grep -v 'took' "$JDIR/re-resumed.txt")
+echo "    completed campaign re-rendered from its journal: 0 simulated accesses"
 
 # --only view check: a view selected without its producer (fig14 reads
 # fig13's runs) must pull those runs through its own run list and
@@ -134,12 +147,12 @@ echo "    resumed fig14 simulated 0 accesses and matches the clean run"
 # uninterrupted run's golden digest (DESIGN.md §7d). Takes ~1s.
 # The I/O-site count is pinned like the simulated-access total: the
 # unit journal syncs after every unit, and a sync is an I/O site, so a
-# change that batches (or drops) syncs moves it.
+# change that batches (or drops) syncs, or adds a durable file, moves it.
 echo "==> crash-point sweep smoke"
 ./target/release/crash_campaign --root "$JDIR/sweep" > "$JDIR/sweep.txt"
 cat "$JDIR/sweep.txt"
-if ! grep -q ' over 40 I/O sites, seed 42$' "$JDIR/sweep.txt"; then
-  echo "error: crash sweep I/O-site count moved (want 40):" >&2
+if ! grep -q ' over 34 I/O sites, seed 42$' "$JDIR/sweep.txt"; then
+  echo "error: crash sweep I/O-site count moved (want 34):" >&2
   head -n 1 "$JDIR/sweep.txt" >&2
   exit 1
 fi
