@@ -27,17 +27,10 @@
 //!                           of starting fresh: every experiment
 //!                           re-renders from the journaled runs and
 //!                           simulates only what no journal holds
-//! --deadline <secs>         wall-clock budget per experiment attempt;
-//!                           exceeded -> triage bundle + retry
-//! --retries <n>             retries per failed experiment, with a
-//!                           seeded deterministic backoff schedule
+//! --deadline <secs>         wall-clock budget per experiment;
+//!                           exceeded -> triage bundle, then --resume
 //! --crash-after-units <n>   die after n journaled units (the
 //!                           interrupt/resume smoke's crash hook)
-//! --io-faults <plan>        run the journal on the fault-injecting
-//!                           storage backend; plan is
-//!                           `seed:kind[:count]` with kind one of
-//!                           crash, crash-after, torn, drop-rename,
-//!                           dup-append, flip, transient, permanent
 //! ```
 //!
 //! Every harness runs behind a panic guard: a panicking harness does
@@ -53,7 +46,6 @@
 //! resumed experiment's `[… took …]` is the time it took to re-render
 //! from the journal plus whatever it had left to simulate.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
@@ -61,7 +53,7 @@ use tako_bench::{
     exit_error, flag_value, run_all, select, Experiment, ExperimentResult, Opts, EXPERIMENTS,
     OPTS_FLAGS,
 };
-use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
+use tako_sim::storage::{DiskStorage, Storage};
 
 /// Flags specific to this binary, parsed from the leftovers of
 /// [`Opts::parse`].
@@ -74,19 +66,11 @@ struct BenchFlags {
     journal: Option<String>,
     resume: bool,
     deadline: Option<f64>,
-    retries: u32,
     crash_after_units: Option<u64>,
-    io_faults: Option<IoFaultPlan>,
 }
 
 /// Flags that only mean something to a journaled campaign.
-const JOURNAL_ONLY: [&str; 5] = [
-    "--resume",
-    "--deadline",
-    "--retries",
-    "--crash-after-units",
-    "--io-faults",
-];
+const JOURNAL_ONLY: [&str; 3] = ["--resume", "--deadline", "--crash-after-units"];
 
 fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
     let mut flags = BenchFlags {
@@ -111,19 +95,12 @@ fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
                 }
                 flags.deadline = Some(secs);
             }
-            "--retries" => flags.retries = flag_value(unknown, &mut i)?,
             "--crash-after-units" => flags.crash_after_units = Some(flag_value(unknown, &mut i)?),
-            "--io-faults" => {
-                let v: String = flag_value(unknown, &mut i)?;
-                let plan = IoFaultPlan::parse(&v).map_err(|e| format!("--io-faults {v}: {e}"))?;
-                flags.io_faults = Some(plan);
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (known: {OPTS_FLAGS}, --only <names>, \
                      --force-panic <name>, --trace-out <path>, --profile, --journal <dir>, \
-                     --resume, --deadline <secs>, --retries <n>, --crash-after-units <n>, \
-                     --io-faults <plan>)"
+                     --resume, --deadline <secs>, --crash-after-units <n>)"
                 ))
             }
         }
@@ -156,22 +133,15 @@ fn main() {
 
     let t0 = Instant::now();
     let results: Vec<(&str, Result<ExperimentResult, String>)> = if let Some(dir) = &flags.journal {
-        let storage: Arc<dyn Storage> = match flags.io_faults.clone() {
-            Some(plan) => Arc::new(FaultStorage::new(Arc::new(DiskStorage::new()), plan)),
-            None => Arc::new(DiskStorage::new()),
-        };
         let c = CampaignOpts {
-            dir: dir.into(),
             resume: flags.resume,
             deadline: flags.deadline.map(Duration::from_secs_f64),
-            retries: flags.retries,
             force_panic: flags.force_panic.clone(),
             crash_after_units: flags.crash_after_units,
-            storage,
+            ..CampaignOpts::fresh(dir)
         };
         match run_campaign(opts, &c, &flags.experiments) {
             Ok(outcome) => {
-                eprintln!("campaign: {} attempts executed", outcome.attempts);
                 if !outcome.io.is_clean() {
                     eprintln!("campaign: storage degraded: {}", outcome.io);
                 }

@@ -22,7 +22,7 @@
 //! The campaign under the sweep is a trio of small synthetic
 //! experiments (the same shape as `tests/campaign.rs` uses) so the
 //! sweep exhausts in seconds; the I/O path it exercises — manifest,
-//! unit journals, attempt log — is byte-identical to what the full
+//! unit journals, triage bundles — is byte-identical to what the full
 //! `all_experiments --journal` run uses.
 //!
 //! ```text

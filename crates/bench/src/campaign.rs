@@ -1,5 +1,5 @@
 //! Supervised campaign runner: persistent journal, resume, deadlines,
-//! bounded deterministic retries, and crash triage.
+//! and crash triage.
 //!
 //! A *campaign* is one `all_experiments` invocation with `--journal`.
 //! The journal directory holds:
@@ -22,13 +22,11 @@
 //!   output from its journaled runs, an interrupted one resumes
 //!   *mid-run*, and a view finds its producer's runs; only what no
 //!   journal holds simulates. Completion is not recorded in a file.
-//! * `<name>.triage.txt` — written when an attempt dies (panic or
+//! * `<name>.triage.txt` — written when an experiment dies (panic or
 //!   deadline kill): the panic payload — which for a deadline kill is
 //!   the hierarchy's triage bundle (diagnostic snapshot, fault-plan
 //!   cursor, observer event tail, last checkpoint id) — plus the unit
 //!   cursor and the exact command line that resumes the campaign.
-//! * `attempts.log` — one line per attempt with its outcome and the
-//!   deterministic backoff that preceded it.
 //!
 //! **Every durable write goes through [`tako_sim::storage`]**: whole
 //! files are written atomically (temp + sync + rename), appends carry
@@ -40,14 +38,12 @@
 //! retried in place at every campaign-level I/O site; only failures
 //! that outlive the retry budget surface.
 //!
-//! Failed experiments are retried up to `--retries` times with bounded
-//! exponential backoff. The schedule is *seeded and deterministic*:
-//! derived from the campaign seed, the experiment name, and the attempt
-//! number, never from wall-clock state, so a re-run of the same failing
-//! campaign produces the same journaled schedule. Retries apply only to
-//! failures that might go away: an attempt that died on a *permanent*
-//! storage error (see [`tako_sim::storage::IoClass`]) is reported
-//! immediately instead of burning the backoff schedule.
+//! Recovery is `--resume` and nothing else: a failed experiment is
+//! reported with its triage bundle, never re-run in-process. The
+//! simulations are deterministic, so re-running one in the same process
+//! only repeats its failure; a resume continues from what the journals
+//! hold, whatever ended the run — a panic, a deadline kill, a storage
+//! fault, or the process itself.
 //!
 //! Deadlines ride the watchdog: the worker arms
 //! [`tako_sim::supervise`] before entering the experiment, and the
@@ -63,14 +59,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tako_sim::digest::Sha256;
-use tako_sim::parallel::parallel_map_catch;
-use tako_sim::rng::Rng;
-use tako_sim::storage::{
-    classify, DiskStorage, IoClass, IoHealth, Storage, CRASH_MARKER, PERMANENT_MARKER,
-};
+use tako_sim::storage::{classify, DiskStorage, IoClass, IoHealth, Storage, CRASH_MARKER};
 use tako_sim::supervise;
 
-use crate::{run_experiment, start_order, Experiment, ExperimentResult, Opts, RunKey, RunList};
+use crate::{fan_out, run_experiment, Experiment, ExperimentResult, Opts, RunKey, RunList};
 
 // ---------------------------------------------------------------------
 // In-experiment unit journal
@@ -98,7 +90,7 @@ thread_local! {
 }
 
 /// RAII scope for armed supervision; dropping disarms (including
-/// during a panic unwind, so a dead attempt's deadline never bleeds
+/// during a panic unwind, so a dead experiment's deadline never bleeds
 /// into the next experiment scheduled on the same worker thread).
 struct SuperviseScope(());
 
@@ -116,7 +108,7 @@ impl Drop for SuperviseScope {
 }
 
 /// RAII scope for an armed unit journal; dropping disarms (including
-/// during a panic unwind, so a dead attempt never leaks its journal
+/// during a panic unwind, so a dead experiment never leaks its journal
 /// into the next experiment scheduled on the same worker thread).
 struct UnitScope(());
 
@@ -127,8 +119,8 @@ impl Drop for UnitScope {
 }
 
 /// Arm the calling thread's unit journal on `path` under `storage`.
-/// The intact records a previous attempt left there stay; they already
-/// seeded the run list. `fingerprint` identifies the campaign; a
+/// The intact records a previous run left there stay; a resume already
+/// seeded the run list with them. `fingerprint` identifies the campaign; a
 /// journal written by a different campaign (or with no header at all)
 /// is discarded.
 ///
@@ -229,9 +221,8 @@ fn unit_checksum(payload: &[u8]) -> u64 {
 ///
 /// A *transient* append failure is retried in place; if it persists,
 /// checkpointing degrades (the run will recompute on resume) but the
-/// simulation continues. A *permanent* failure aborts the attempt with
-/// a [`PERMANENT_MARKER`] panic, which the campaign runner reports
-/// without retrying.
+/// simulation continues. A *permanent* failure aborts the experiment
+/// with a panic, which the campaign runner reports and triages.
 pub(crate) fn record_unit(key: &RunKey, payload: &[u8]) {
     let crash = JOURNAL.with(|j| {
         let mut j = j.borrow_mut();
@@ -250,10 +241,7 @@ pub(crate) fn record_unit(key: &RunKey, payload: &[u8]) {
             }
             Err(e) => {
                 if classify(&e) == IoClass::Permanent {
-                    panic!(
-                        "{PERMANENT_MARKER} unit journal append to {}: {e}",
-                        j.path.display()
-                    );
+                    panic!("unit journal append to {}: {e}", j.path.display());
                 }
                 // Transient: checkpointing degraded, simulation goes on.
             }
@@ -301,14 +289,11 @@ pub struct CampaignOpts {
     /// Resume: keep the units a previous run of the same campaign
     /// journaled, and re-render every experiment from them.
     pub resume: bool,
-    /// Wall-clock budget per experiment attempt; exceeded → the
-    /// hierarchy kills the run at its next epoch with a triage panic.
+    /// Wall-clock budget per experiment; exceeded → the hierarchy
+    /// kills the run at its next epoch with a triage panic.
     pub deadline: Option<Duration>,
-    /// Retries after the first failed attempt.
-    pub retries: u32,
     /// Panic on entry of the named experiment (test hook, mirrors
-    /// `--force-panic`). Only the first attempt panics, so a retry
-    /// succeeds — which is exactly what the retry test wants.
+    /// `--force-panic`).
     pub force_panic: Option<String>,
     /// Die after this many journaled units in each experiment that
     /// runs, counting only the runs its worker simulates (test hook
@@ -326,7 +311,6 @@ impl fmt::Debug for CampaignOpts {
             .field("dir", &self.dir)
             .field("resume", &self.resume)
             .field("deadline", &self.deadline)
-            .field("retries", &self.retries)
             .field("force_panic", &self.force_panic)
             .field("crash_after_units", &self.crash_after_units)
             .finish_non_exhaustive()
@@ -335,14 +319,12 @@ impl fmt::Debug for CampaignOpts {
 
 impl CampaignOpts {
     /// A campaign journaling into `dir` with everything else default:
-    /// fresh (no resume), no deadline, no retries, real-filesystem
-    /// storage.
+    /// fresh (no resume), no deadline, real-filesystem storage.
     pub fn fresh(dir: impl Into<PathBuf>) -> Self {
         CampaignOpts {
             dir: dir.into(),
             resume: false,
             deadline: None,
-            retries: 0,
             force_panic: None,
             crash_after_units: None,
             storage: Arc::new(DiskStorage::new()),
@@ -353,11 +335,9 @@ impl CampaignOpts {
 /// What [`run_campaign`] hands back, beyond the per-experiment results.
 #[derive(Debug)]
 pub struct CampaignOutcome {
-    /// Per-experiment outcomes in table order. `Err` carries the final
-    /// failure message after all retries were exhausted.
+    /// Per-experiment outcomes in table order. `Err` carries the
+    /// failure message, which the experiment's triage bundle also holds.
     pub results: Vec<(&'static str, Result<ExperimentResult, String>)>,
-    /// Attempts actually executed (first tries + retries).
-    pub attempts: u64,
     /// The storage backend's failure tally for this run —
     /// transient-vs-permanent I/O degradation, surfaced in the
     /// campaign status line.
@@ -418,22 +398,13 @@ pub(crate) fn parse_manifest(text: &str) -> ManifestState {
     }
 }
 
-/// FNV-1a of `text`. Of an experiment name it seeds that experiment's
-/// backoff; of the manifest parameter block it is the campaign
-/// fingerprint stamped into every unit-journal header, so the journals
-/// are self-describing even if the manifest is lost.
-fn name_hash(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |a, b| {
+/// The campaign fingerprint stamped into every unit-journal header: the
+/// FNV-1a of the manifest parameter block, so the journals are
+/// self-describing even if the manifest is lost.
+fn campaign_fingerprint(params: &str) -> u64 {
+    params.bytes().fold(0xcbf2_9ce4_8422_2325u64, |a, b| {
         (a ^ b as u64).wrapping_mul(0x1_0000_0000_01b3)
     })
-}
-
-/// The deterministic backoff (ms) that precedes `attempt` (1-based) of
-/// `name`: bounded exponential plus seeded jitter. Pure function of its
-/// arguments — a re-run journals the identical schedule.
-pub fn backoff_ms(seed: u64, name: &str, attempt: u32) -> u64 {
-    let base = (25u64 << (attempt - 1).min(6)).min(800);
-    base + Rng::new(seed ^ name_hash(name) ^ attempt as u64).below(25)
 }
 
 /// The command line that resumes this campaign, embedded in every
@@ -454,14 +425,7 @@ fn resume_cmdline(opts: Opts, c: &CampaignOpts, names: &[&str]) -> String {
     if let Some(d) = c.deadline {
         s.push_str(&format!(" --deadline {}", d.as_secs_f64()));
     }
-    if c.retries > 0 {
-        s.push_str(&format!(" --retries {}", c.retries));
-    }
     s
-}
-
-fn append_line(storage: &dyn Storage, path: &Path, line: &str) {
-    let _ = retrying(|| storage.append(path, format!("{line}\n").as_bytes()));
 }
 
 /// Retry budget for transient I/O failures at campaign-level sites.
@@ -499,7 +463,7 @@ fn prepare_manifest(
 ) -> std::io::Result<u64> {
     let manifest_path = c.dir.join("manifest.txt");
     let params = manifest_params(opts, experiments);
-    let fingerprint = name_hash(&params);
+    let fingerprint = campaign_fingerprint(&params);
     if c.resume {
         let generation = if c.storage.exists(&manifest_path) {
             let text =
@@ -552,7 +516,6 @@ fn prepare_manifest(
                 retrying(|| c.storage.remove(&stale))?;
             }
         }
-        retrying(|| c.storage.remove(&c.dir.join("attempts.log")))?;
         retrying(|| {
             c.storage
                 .write_atomic(&manifest_path, render_manifest(&params, 1).as_bytes())
@@ -568,8 +531,8 @@ fn prepare_manifest(
 /// I/O errors on the journal directory, a manifest mismatch when
 /// resuming into a campaign run with different parameters, and a
 /// corrupt manifest (pointer at `tako_fsck --repair`). Individual
-/// experiment failures are *not* errors: they are journaled, retried,
-/// and reported per-experiment in the outcome.
+/// experiment failures are *not* errors: they are triaged and reported
+/// per-experiment in the outcome.
 ///
 /// # Panics
 ///
@@ -583,19 +546,11 @@ pub fn run_campaign(
 ) -> std::io::Result<CampaignOutcome> {
     std::fs::create_dir_all(&c.dir)?;
     let fingerprint = prepare_manifest(opts, c, experiments)?;
-    let names: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
 
-    // Placeholders keep table order; every experiment runs.
-    let mut results: Vec<(&'static str, Result<ExperimentResult, String>)> = experiments
-        .iter()
-        .map(|&(name, _)| (name, Err(String::from("never attempted"))))
-        .collect();
-    let mut todo = start_order(experiments);
-    let inner = opts.serial();
-    // One run list for the whole call: retries and views reuse what
-    // earlier attempts and producers simulated. A resume seeds it with
-    // every run the selected experiments journaled, so nothing on disk
-    // is simulated again, whichever experiment asks for it.
+    // One run list for the whole call: views reuse what their producers
+    // simulated. A resume seeds it with every run the selected
+    // experiments journaled, so nothing on disk is simulated again,
+    // whichever experiment asks for it.
     let runs = Arc::new(RunList::default());
     if c.resume {
         for (name, _) in experiments {
@@ -614,135 +569,50 @@ pub fn run_campaign(
             }
         }
     }
-    let log = c.dir.join("attempts.log");
-    let mut attempts = 0u64;
-    for attempt in 1..=(1 + c.retries) {
-        if todo.is_empty() {
-            break;
-        }
-        if attempt > 1 {
-            // Deterministic, bounded exponential backoff before each
-            // retry wave; the schedule is journaled so a post-mortem
-            // can see exactly when each attempt was eligible to run.
-            let mut wait = 0u64;
-            for (name, _) in &todo {
-                let b = backoff_ms(opts.seed, name, attempt);
-                append_line(
-                    c.storage.as_ref(),
-                    &log,
-                    &format!("{name} attempt={attempt} backoff_ms={b}"),
-                );
-                wait = wait.max(b);
-            }
-            std::thread::sleep(Duration::from_millis(wait));
-        }
-        attempts += todo.len() as u64;
-        let force = if attempt == 1 {
-            c.force_panic.clone()
-        } else {
-            None
-        };
-        let dir = c.dir.clone();
-        let deadline = c.deadline;
-        let storage = Arc::clone(&c.storage);
-        let runs = Arc::clone(&runs);
-        let crash = if attempt == 1 {
-            c.crash_after_units
-        } else {
-            None
-        };
-        let batch = parallel_map_catch(opts.jobs, todo.clone(), move |_, (name, f)| {
-            let units_path = dir.join(format!("{name}.units"));
-            let _units = unit_journal(Arc::clone(&storage), &units_path, fingerprint)
-                .unwrap_or_else(|e| {
-                    // Carry the classification into the panic payload so
-                    // the runner suppresses retries iff the failure is
-                    // permanent (transient ones already got their
-                    // in-place retries and may clear by the next wave).
-                    if classify(&e) == IoClass::Permanent {
-                        panic!(
-                            "{PERMANENT_MARKER} unit journal open {}: {e}",
-                            units_path.display()
-                        );
-                    }
-                    panic!("unit journal open {}: {e}", units_path.display());
-                });
-            if let Some(n) = crash {
-                crash_after_units(n);
-            }
-            let _sup = SuperviseScope::arm(deadline);
-            run_experiment(name, f, inner, &runs, Some(name) == force.as_deref())
-        });
 
-        let mut still_failing = Vec::new();
-        for ((name, f), r) in todo.into_iter().zip(batch) {
-            match r {
-                Ok(res) => {
-                    append_line(
-                        c.storage.as_ref(),
-                        &log,
-                        &format!("{name} attempt={attempt} outcome=ok"),
-                    );
-                    let slot = results.iter_mut().find(|(n, _)| *n == name).unwrap();
-                    slot.1 = Ok(res);
-                }
-                Err(msg) if msg.contains(CRASH_MARKER) => {
-                    // An injected storage crash is a simulated power
-                    // loss: the process is gone, nothing else runs.
-                    // Re-raise so the sweep harness sees a dead
-                    // campaign, not a tidy failure report.
-                    std::panic::panic_any(msg);
-                }
-                Err(msg) => {
-                    let permanent = msg.contains(PERMANENT_MARKER);
-                    let units = units_on_disk(
-                        c.storage.as_ref(),
-                        &c.dir.join(format!("{name}.units")),
-                        fingerprint,
-                    );
-                    let triage = format!(
-                        "experiment: {name}\nattempt: {attempt} of {}\n\
-                         journaled units: {units}\n--- failure ---\n{msg}\n\
-                         --- resume ---\n{}\n",
-                        1 + c.retries,
-                        resume_cmdline(opts, c, &names),
-                    );
-                    let triage_path = c.dir.join(format!("{name}.triage.txt"));
-                    retrying(|| c.storage.write_atomic(&triage_path, triage.as_bytes()))?;
-                    append_line(
-                        c.storage.as_ref(),
-                        &log,
-                        &format!(
-                            "{name} attempt={attempt} outcome=failed class={}",
-                            if permanent {
-                                "permanent-io"
-                            } else {
-                                "retryable"
-                            }
-                        ),
-                    );
-                    let slot = results.iter_mut().find(|(n, _)| *n == name).unwrap();
-                    slot.1 = Err(msg);
-                    if permanent {
-                        // Backoff only helps transient faults; a
-                        // permanent storage error fails fast.
-                        append_line(
-                            c.storage.as_ref(),
-                            &log,
-                            &format!("{name} retries=suppressed (permanent storage error)"),
-                        );
-                    } else {
-                        still_failing.push((name, f));
-                    }
-                }
-            }
+    // The unit journal and the deadline are thread-locals of the
+    // experiment's worker, so an experiment runs its variants there.
+    let inner = opts.serial();
+    let results = fan_out(opts.jobs, experiments, |name, f| {
+        let units_path = c.dir.join(format!("{name}.units"));
+        let _units = unit_journal(Arc::clone(&c.storage), &units_path, fingerprint)
+            .unwrap_or_else(|e| panic!("unit journal open {}: {e}", units_path.display()));
+        if let Some(n) = c.crash_after_units {
+            crash_after_units(n);
         }
-        todo = still_failing;
+        let _sup = SuperviseScope::arm(c.deadline);
+        let force_panic = c.force_panic.as_deref() == Some(name);
+        run_experiment(name, f, inner, &runs, force_panic)
+    });
+
+    // An injected storage crash is a simulated power loss: the process
+    // is gone, nothing else runs. Re-raise so the sweep harness sees a
+    // dead campaign, not a tidy failure report.
+    if let Some(msg) = results
+        .iter()
+        .find_map(|(_, r)| r.as_ref().err().filter(|msg| msg.contains(CRASH_MARKER)))
+    {
+        std::panic::panic_any(msg.clone());
+    }
+    let names: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
+    for (name, r) in &results {
+        let Err(msg) = r else { continue };
+        let units = units_on_disk(
+            c.storage.as_ref(),
+            &c.dir.join(format!("{name}.units")),
+            fingerprint,
+        );
+        let triage = format!(
+            "experiment: {name}\njournaled units: {units}\n--- failure ---\n{msg}\n\
+             --- resume ---\n{}\n",
+            resume_cmdline(opts, c, &names),
+        );
+        let triage_path = c.dir.join(format!("{name}.triage.txt"));
+        retrying(|| c.storage.write_atomic(&triage_path, triage.as_bytes()))?;
     }
 
     Ok(CampaignOutcome {
         results,
-        attempts,
         io: c.storage.health(),
     })
 }

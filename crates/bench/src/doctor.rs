@@ -53,8 +53,8 @@ pub enum Verdict {
     /// write; repair deletes it (the rename never happened, so the
     /// final file was never at risk).
     Debris,
-    /// Free-form evidence (triage bundles, attempt logs) the doctor
-    /// has no structure to check.
+    /// Free-form evidence (triage bundles) the doctor has no structure
+    /// to check.
     Unchecked,
 }
 

@@ -235,7 +235,7 @@ pub fn run_once<R: Record>(key: impl Debug, run: impl FnOnce() -> R) -> R {
     });
     if run.is_none() {
         // Journaled after the slot is kept, so a crash hook that fires
-        // here leaves the run shared with the retry.
+        // here still leaves the run to every worker that asks for it.
         campaign::record_unit(&key, bytes);
     }
     let mut r = SnapReader::new(bytes);
@@ -332,14 +332,22 @@ pub struct ExperimentResult {
 /// their runs done instead of holding a worker while they wait.
 const VIEWS: [&str; 3] = ["fig07", "fig14", "fig17"];
 
-/// `experiments` in the order runners start them: table order, views
-/// last.
-pub(crate) fn start_order(
+/// Run `experiments` on `jobs` workers, [`VIEWS`] last, each behind a
+/// panic guard, and return the results in `experiments` order: a
+/// panicking experiment becomes `Err(panic payload)` while every other
+/// one still runs to completion. `run` runs one experiment on its
+/// worker.
+pub(crate) fn fan_out(
+    jobs: usize,
     experiments: &[(&'static str, Experiment)],
-) -> Vec<(&'static str, Experiment)> {
+    run: impl Fn(&'static str, Experiment) -> ExperimentResult + Sync,
+) -> Vec<(&'static str, Result<ExperimentResult, String>)> {
     let mut order = experiments.to_vec();
     order.sort_by_key(|(name, _)| VIEWS.contains(name));
-    order
+    let results = parallel_map_catch(jobs, order.clone(), |_, (name, f)| run(name, f));
+    let mut results: Vec<_> = order.iter().map(|(name, _)| *name).zip(results).collect();
+    results.sort_by_key(|(name, _)| experiments.iter().position(|(n, _)| n == name));
+    results
 }
 
 /// Run harness `name` on `runs`, timed; `force_panic` makes it panic on
@@ -386,13 +394,9 @@ pub fn run_all(
         opts.serial()
     };
     let runs = Arc::new(RunList::default());
-    let order = start_order(experiments);
-    let results = parallel_map_catch(opts.jobs, order.clone(), move |_, (name, f)| {
+    fan_out(opts.jobs, experiments, |name, f| {
         run_experiment(name, f, inner, &runs, Some(name) == force_panic)
-    });
-    let mut results: Vec<_> = order.iter().map(|(name, _)| *name).zip(results).collect();
-    results.sort_by_key(|(name, _)| experiments.iter().position(|(n, _)| n == name));
-    results
+    })
 }
 
 /// Render one labelled row of `(label, value)` pairs.

@@ -1,6 +1,8 @@
 //! End-to-end tests for the supervised campaign runner: journaled
 //! resume at experiment and unit granularity, deadline kills with
-//! triage bundles, deterministic retry schedules, and manifest guards.
+//! triage bundles, storage-fault handling, and manifest guards. Every
+//! recovery here is a second `run_campaign` call with `resume = true`,
+//! so it reads the journals back from disk.
 //!
 //! The experiments here are synthetic `fn(Opts) -> String` harnesses
 //! with observable side effects (atomic counters), so the tests can
@@ -13,7 +15,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tako_bench::campaign::{backoff_ms, run_campaign, CampaignOpts, CampaignOutcome};
+use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
 use tako_bench::{experiments, run_once, run_variants, Experiment, Opts};
 use tako_core::TakoSystem;
 use tako_cpu::{AccessKind, MemSystem};
@@ -125,20 +127,25 @@ fn exp_gamma(o: Opts) -> String {
 #[test]
 fn crash_mid_experiment_resumes_from_journaled_units() {
     let dir = tmp("units");
+    let exps = &[("gamma", exp_gamma as Experiment)];
     let mut c = CampaignOpts::fresh(&dir);
     c.crash_after_units = Some(3); // die with half the units journaled
-    c.retries = 1;
     let before = GAMMA_UNITS.load(Ordering::SeqCst);
-    let out = run_campaign(opts(), &c, &[("gamma", exp_gamma as Experiment)]).expect("campaign");
-    let res = out.results[0].1.as_ref().expect("gamma recovered on retry");
-    assert_eq!(res.output, "gamma [0, 7, 14, 21, 28, 35]\n");
-    assert_eq!(out.attempts, 2, "one crash + one successful retry");
-    // 3 units computed before the crash, 3 after: the retry found the
-    // first 3 in the run list instead of recomputing (else this would
-    // be 9).
-    assert_eq!(GAMMA_UNITS.load(Ordering::SeqCst) - before, 6);
+    let crashed = run_campaign(opts(), &c, exps).expect("campaign");
+    let err = crashed.results[0].1.as_ref().expect_err("gamma crashed");
+    assert!(err.contains("--crash-after-units"), "error: {err}");
     let triage = std::fs::read_to_string(dir.join("gamma.triage.txt")).expect("triage");
     assert!(triage.contains("journaled units: 3"), "triage: {triage}");
+
+    let mut c = CampaignOpts::fresh(&dir);
+    c.resume = true;
+    let resumed = run_campaign(opts(), &c, exps).expect("resume");
+    let res = resumed.results[0].1.as_ref().expect("gamma resumed");
+    assert_eq!(res.output, "gamma [0, 7, 14, 21, 28, 35]\n");
+    // 3 units computed before the crash, 3 after: the resume read the
+    // first 3 from gamma.units instead of recomputing (else this would
+    // be 9).
+    assert_eq!(GAMMA_UNITS.load(Ordering::SeqCst) - before, 6);
 }
 
 // --- deadline kill through the hierarchy ----------------------------
@@ -162,13 +169,12 @@ fn exp_slowpoke(_: Opts) -> String {
 }
 
 #[test]
-fn deadline_kill_leaves_triage_bundle_and_deterministic_backoff() {
+fn deadline_kill_leaves_triage_bundle() {
     let dir = tmp("deadline");
-    let o = opts();
     let mut c = CampaignOpts::fresh(&dir);
     c.deadline = Some(Duration::ZERO);
-    c.retries = 1;
-    let out = run_campaign(o, &c, &[("slowpoke", exp_slowpoke as Experiment)]).expect("campaign");
+    let out =
+        run_campaign(opts(), &c, &[("slowpoke", exp_slowpoke as Experiment)]).expect("campaign");
     let err = out.results[0].1.as_ref().expect_err("deadline must kill");
     assert!(err.contains("deadline exceeded"), "error: {err}");
 
@@ -183,24 +189,16 @@ fn deadline_kill_leaves_triage_bundle_and_deterministic_backoff() {
         "event tail",
         "--resume",
         "--only slowpoke",
+        "--deadline 0",
     ] {
         assert!(
             triage.contains(needle),
             "triage missing {needle:?}: {triage}"
         );
     }
-
-    // The retry schedule is journaled and derivable from the seed: a
-    // post-mortem (or a re-run) sees the identical backoff.
-    let log = std::fs::read_to_string(dir.join("attempts.log")).expect("attempts log");
-    let expect = format!(
-        "slowpoke attempt=2 backoff_ms={}",
-        backoff_ms(o.seed, "slowpoke", 2)
-    );
-    assert!(log.contains(&expect), "log missing {expect:?}: {log}");
 }
 
-// --- manifest guard and backoff properties --------------------------
+// --- manifest guard ---------------------------------------------------
 
 fn exp_trivial(_: Opts) -> String {
     "trivial\n".to_string()
@@ -242,30 +240,6 @@ fn resume_with_a_different_selection_is_rejected() {
     );
     // The same selection resumes.
     assert_eq!(run("table2", true).status.code(), Some(0));
-}
-
-#[test]
-fn backoff_is_deterministic_bounded_and_growing() {
-    for attempt in 1..=8u32 {
-        let a = backoff_ms(42, "fig06", attempt);
-        let b = backoff_ms(42, "fig06", attempt);
-        assert_eq!(a, b, "backoff must be a pure function");
-        assert!(a < 1_000, "backoff unbounded: {a}ms at attempt {attempt}");
-    }
-    assert!(backoff_ms(42, "fig06", 4) > backoff_ms(42, "fig06", 1));
-    // Per-experiment jitter decorrelates retry waves: two experiments'
-    // full schedules should not be identical (a single attempt may
-    // collide — the jitter has only 25 buckets).
-    let sched = |name| {
-        (1..=6u32)
-            .map(|a| backoff_ms(42, name, a))
-            .collect::<Vec<_>>()
-    };
-    assert_ne!(
-        sched("fig06"),
-        sched("fig07"),
-        "per-experiment jitter should decorrelate retry waves"
-    );
 }
 
 // --- I/O degradation classification ---------------------------------
@@ -320,7 +294,7 @@ fn transient_faults_are_retried_in_place_and_tallied() {
 }
 
 #[test]
-fn permanent_fault_mid_experiment_fails_fast_without_retries() {
+fn permanent_fault_mid_experiment_is_triaged_and_resume_completes() {
     use std::sync::Arc;
     use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan};
 
@@ -332,16 +306,14 @@ fn permanent_fault_mid_experiment_fails_fast_without_retries() {
     let sites = counting.ops_performed();
 
     // Walk the sites until the permanent fault lands inside the
-    // experiment attempt (a unit-journal op): the attempt must die
-    // classified `permanent-io` with retries suppressed — exactly one
-    // attempt despite the retry budget. Sites in campaign bookkeeping
-    // (manifest prep, triage write) surface as a structured error
-    // instead; both shapes are fail-fast, only the first is in-attempt.
-    let mut classified = false;
+    // experiment (a unit-journal op): the experiment must die with the
+    // injected error and leave a triage bundle. Sites in campaign
+    // bookkeeping (manifest prep, triage write) surface as a structured
+    // error instead, and a fault on a sync only costs a checkpoint.
+    let mut failed_inside = 0;
     for at_op in 0..sites {
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = CampaignOpts::fresh(&dir);
-        c.retries = 2;
         c.storage = Arc::new(FaultStorage::new(
             Arc::new(DiskStorage::new()),
             IoFaultPlan {
@@ -355,25 +327,31 @@ fn permanent_fault_mid_experiment_fails_fast_without_retries() {
         let Ok(outcome) = run_campaign(opts(), &c, FAULT_EXPS) else {
             continue;
         };
-        let log = std::fs::read_to_string(dir.join("attempts.log")).unwrap_or_default();
-        if !log.contains("class=permanent-io") {
+        let Err(err) = &outcome.results[0].1 else {
             continue;
-        }
-        assert!(log.contains("retries=suppressed"), "log:\n{log}");
-        assert_eq!(
-            log.matches("delta attempt=").count(),
-            1,
-            "a permanent failure must burn no retries:\n{log}"
-        );
-        let err = outcome.results[0].1.as_ref().expect_err("delta failed");
+        };
         assert!(err.contains("injected permanent"), "payload: {err}");
-        classified = true;
-        break;
+        assert!(outcome.io.permanent > 0, "{}", outcome.io);
+        let triage = std::fs::read_to_string(dir.join("delta.triage.txt")).expect("triage");
+        assert!(triage.contains("injected permanent"), "triage: {triage}");
+        assert!(triage.contains("--resume"), "triage: {triage}");
+
+        // Recovery is a resume on clean storage.
+        let mut c = CampaignOpts::fresh(&dir);
+        c.resume = true;
+        let resumed = run_campaign(opts(), &c, FAULT_EXPS).expect("resume");
+        assert_eq!(
+            resumed.results[0].1.as_ref().expect("delta resumed").output,
+            "delta [14, 16, 18]\n",
+            "resume after a permanent fault at site {at_op}"
+        );
+        failed_inside += 1;
     }
     assert!(
-        classified,
-        "no site landed a permanent fault inside an attempt ({sites} sites swept)"
+        failed_inside > 0,
+        "no site landed a permanent fault inside an experiment ({sites} sites swept)"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- a run list's producer and its view -----------------------------

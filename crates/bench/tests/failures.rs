@@ -71,6 +71,8 @@ fn an_unwritable_report_fails_the_run() {
 
 #[test]
 fn malformed_command_lines_exit_two_before_running() {
+    let journal = std::env::temp_dir().join(format!("tako-failures-{}", std::process::id()));
+    let journal = journal.to_str().expect("utf-8 temp path");
     for args in [
         &["--scale", "abc"][..],
         &["--deadline", "5"],
@@ -82,6 +84,9 @@ fn malformed_command_lines_exit_two_before_running() {
         &["--only", "fig06", "--force-panic", "fig14"],
         // A misspelled flag is not ignored: it would run all 17.
         &["--olny", "fig13"],
+        // Recovery is `--resume`: neither is a flag.
+        &["--journal", journal, "--retries", "1"],
+        &["--journal", journal, "--io-faults", "1:crash"],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -92,10 +97,15 @@ fn malformed_command_lines_exit_two_before_running() {
         if flag == "--only" {
             assert!(stderr.contains("fig06,fig07,"), "known names: {stderr}");
         }
-        if flag == "--olny" {
+        if ["--olny", "--retries", "--io-faults"].contains(&flag) {
+            assert!(stderr.contains("unknown argument"), "{args:?}: {stderr}");
             assert!(stderr.contains("--only <names>"), "known flags: {stderr}");
         }
     }
+    assert!(
+        !std::path::Path::new(journal).exists(),
+        "a rejected command line created its journal"
+    );
 }
 
 #[test]

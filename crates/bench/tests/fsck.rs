@@ -9,8 +9,8 @@
 //! * `beta.units` — last 10 bytes chopped off, tearing the third unit
 //!   record; the documented salvage prefix is **2 intact units**;
 //! * `manifest.txt.tmp` — stranded atomic-write staging debris;
-//! * `beta.triage.txt`, `attempts.log` — legitimate survivors the
-//!   doctor must leave alone.
+//! * `beta.triage.txt` — a legitimate survivor the doctor must leave
+//!   alone.
 //!
 //! `--verify` must flag exactly the four damaged files; `--repair`
 //! must quarantine the corrupt two, truncate the torn journal to its

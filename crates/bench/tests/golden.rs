@@ -90,17 +90,62 @@ fn every_experiment_matches_its_golden_digest() {
 
 /// The resume contract, pinned against the same table: a campaign
 /// whose every experiment is crashed mid-run (after two journaled
-/// units) and then resumed must reproduce the golden output *exactly* —
-/// output rendered from journaled runs and from recomputed ones is
-/// byte-identical to an uninterrupted run's.
+/// units) and then resumed from its journals by a second invocation
+/// must reproduce the golden output *exactly* — output rendered from
+/// journaled runs and from recomputed ones is byte-identical to an
+/// uninterrupted run's. The resume simulates only what no journal
+/// holds, so every run is journaled exactly once.
 #[test]
 fn interrupted_and_resumed_campaign_matches_golden_digests() {
     let dir = std::env::temp_dir().join(format!("tako-golden-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = CampaignOpts::fresh(&dir);
     c.crash_after_units = Some(2);
-    c.retries = 1;
-    let out = run_campaign(tiny(2), &c, EXPERIMENTS).expect("campaign");
+    let crashed = run_campaign(tiny(2), &c, EXPERIMENTS).expect("crashed campaign");
+    assert!(
+        crashed.results.iter().any(|(_, r)| r.is_err()),
+        "no experiment crashed"
+    );
+    let journaled = journaled_keys(&dir);
+    assert!(
+        !journaled.is_empty(),
+        "the crashed campaign journaled nothing"
+    );
+
+    let mut c = CampaignOpts::fresh(&dir);
+    c.resume = true;
+    let out = run_campaign(tiny(2), &c, EXPERIMENTS).expect("resumed campaign");
     assert_golden("resumed campaign", &out.results);
+    let mut keys = journaled_keys(&dir);
+    let total = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(
+        keys.len(),
+        total,
+        "the resume simulated and journaled runs a journal already held"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The run key of every unit record in the `.units` journals in `dir`.
+/// A journal is a 12-byte `UJH1` header (magic, campaign fingerprint)
+/// followed by `UNT1` records: magic, 16-byte key, payload length,
+/// payload, 8-byte checksum.
+fn journaled_keys(dir: &std::path::Path) -> Vec<[u8; 16]> {
+    let mut keys = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("journal dir") {
+        let path = entry.expect("journal entry").path();
+        if path.extension().is_none_or(|e| e != "units") {
+            continue;
+        }
+        let buf = std::fs::read(&path).expect("unit journal");
+        let mut at = 12;
+        while at < buf.len() {
+            keys.push(buf[at + 4..at + 20].try_into().unwrap());
+            let len = u64::from_le_bytes(buf[at + 20..at + 28].try_into().unwrap());
+            at += 28 + len as usize + 8;
+        }
+    }
+    keys
 }

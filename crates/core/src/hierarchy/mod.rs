@@ -79,7 +79,7 @@ use tako_mem::dram::Dram;
 use tako_noc::Mesh;
 use tako_sim::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::config::{SystemConfig, LINE_BYTES};
-use tako_sim::event::{AccountingBus, CbPhase, TxnEvent, TxnSink};
+use tako_sim::event::{AccountingBus, TxnEvent, TxnSink};
 use tako_sim::fault::{FaultInjector, FaultKind};
 use tako_sim::{Cycle, TileId};
 
@@ -364,11 +364,7 @@ impl Hierarchy {
         let is_temp = taken.is_none();
         let mut engine = taken.unwrap_or_else(|| Engine::new(self.cfg.engine));
         let start = engine.admit(morph_id, line, arrival, serialize, &mut self.bus.stats);
-        self.bus.emit(TxnEvent::CallbackRun(match kind {
-            CallbackKind::OnMiss => CbPhase::OnMiss,
-            CallbackKind::OnEviction => CbPhase::OnEviction,
-            CallbackKind::OnWriteback => CbPhase::OnWriteback,
-        }));
+        self.bus.emit(TxnEvent::CallbackRun(kind));
         // Injected callback misbehavior, applied through the same ctx the
         // Morph uses so the timing and suppression paths are the real ones.
         let overrun = self

@@ -10,6 +10,9 @@ use tako_mem::addr::{Addr, AddrRange};
 
 use crate::ctx::EngineCtx;
 
+// Defined with the accounting events, which tag callback dispatch with it.
+pub use tako_sim::event::CallbackKind;
+
 /// Identifier of a registered Morph.
 pub type MorphId = usize;
 
@@ -23,21 +26,6 @@ pub enum MorphLevel {
     /// Registered at the shared LLC (callbacks run at the owning bank's
     /// engine).
     Shared,
-}
-
-/// Which cache event triggered a callback (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CallbackKind {
-    /// A miss: the callback generates data for the requested address.
-    /// On phantom ranges it defines the result of the load; on real
-    /// ranges it runs in parallel with reading memory. Must be free of
-    /// side effects.
-    OnMiss,
-    /// Eviction of unmodified data. Must be free of side effects.
-    OnEviction,
-    /// Eviction of modified data. May have side effects — modified data
-    /// corresponds to a committed store in some software thread.
-    OnWriteback,
 }
 
 /// A polymorphic cache hierarchy instance: callbacks plus local state.

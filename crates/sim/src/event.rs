@@ -51,15 +51,18 @@ pub enum LevelId {
     Llc,
 }
 
-/// Which callback a Morph ran (mirrors `tako_core::CallbackKind`
-/// without the dependency inversion).
+/// Which cache event triggered a callback (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CbPhase {
-    /// `onMiss` — a miss on the Morph's range.
+pub enum CallbackKind {
+    /// A miss: the callback generates data for the requested address.
+    /// On phantom ranges it defines the result of the load; on real
+    /// ranges it runs in parallel with reading memory. Must be free of
+    /// side effects.
     OnMiss,
-    /// `onEviction` — a clean line of the range was evicted.
+    /// Eviction of unmodified data. Must be free of side effects.
     OnEviction,
-    /// `onWriteback` — a dirty line of the range was evicted.
+    /// Eviction of modified data. May have side effects — modified data
+    /// corresponds to a committed store in some software thread.
     OnWriteback,
 }
 
@@ -102,8 +105,8 @@ pub enum TxnEvent {
     /// A scheduled fault fired (emitted by the bus itself on a
     /// successful [`AccountingBus::poll_fault`]).
     FaultInjected,
-    /// A callback of the given phase was dispatched to an engine.
-    CallbackRun(CbPhase),
+    /// A callback of the given kind was dispatched to an engine.
+    CallbackRun(CallbackKind),
     /// A callback was skipped because its Morph is quarantined.
     CallbackDegraded,
     /// A Morph was quarantined.
@@ -171,9 +174,9 @@ impl TxnSink for Stats {
             TxnEvent::MshrStall => self.bump(Counter::MshrStall),
             TxnEvent::FlushedLine => self.bump(Counter::FlushedLines),
             TxnEvent::FaultInjected => self.bump(Counter::FaultInjected),
-            TxnEvent::CallbackRun(CbPhase::OnMiss) => self.bump(Counter::CbOnMiss),
-            TxnEvent::CallbackRun(CbPhase::OnEviction) => self.bump(Counter::CbOnEviction),
-            TxnEvent::CallbackRun(CbPhase::OnWriteback) => self.bump(Counter::CbOnWriteback),
+            TxnEvent::CallbackRun(CallbackKind::OnMiss) => self.bump(Counter::CbOnMiss),
+            TxnEvent::CallbackRun(CallbackKind::OnEviction) => self.bump(Counter::CbOnEviction),
+            TxnEvent::CallbackRun(CallbackKind::OnWriteback) => self.bump(Counter::CbOnWriteback),
             TxnEvent::CallbackDegraded => self.bump(Counter::CbDegraded),
             TxnEvent::MorphQuarantined => self.bump(Counter::MorphQuarantined),
             TxnEvent::EngineWork { instrs, mem_ops } => {

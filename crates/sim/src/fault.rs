@@ -184,11 +184,12 @@ impl<E: Scheduled> Schedule<E> {
         E::ALL.iter().copied().find(|&k| E::name(k) == name)
     }
 
-    /// Parse the `--faults`/`--io-faults` flag syntax `seed:kind[:count]`,
-    /// e.g. `7:dram`, `3:torn:4`, or `11:mix:10` (`mix`/`all` cycles
-    /// through every kind). Points are spread over [`Scheduled::WINDOW`]
-    /// (the first million cycles, or the first 64 I/O sites); callers
-    /// that know the run horizon should use [`Schedule::seeded`].
+    /// Parse the plan syntax `seed:kind[:count]` (`fault_campaign
+    /// --faults`), e.g. `7:dram`, `3:torn:4`, or `11:mix:10`
+    /// (`mix`/`all` cycles through every kind). Points are spread over
+    /// [`Scheduled::WINDOW`] (the first million cycles, or the first 64
+    /// I/O sites); callers that know the run horizon should use
+    /// [`Schedule::seeded`].
     pub fn parse(s: &str) -> Result<Self, String> {
         let noun = E::NOUN;
         let parts: Vec<&str> = s.split(':').collect();

@@ -1,7 +1,7 @@
 //! Crash-safe persistence fabric with deterministic I/O fault injection.
 //!
 //! Every durable write in the stack — campaign manifests, unit-journal
-//! appends, triage bundles, attempt logs, `metrics.json` — goes
+//! appends, triage bundles, `metrics.json` — goes
 //! through a [`Storage`] backend instead of calling `std::fs` directly.
 //! Two backends exist:
 //!
@@ -43,31 +43,25 @@ use std::sync::{Arc, Mutex};
 use crate::fault::{FaultCursor, Schedule, Scheduled};
 
 /// Panic-payload prefix for injected storage crashes; sweep harnesses
-/// and the campaign runner recognize interrupted attempts by it.
+/// and the campaign runner recognize an interrupted run by it.
 pub const CRASH_MARKER: &str = "io-crash:";
-
-/// Message prefix for permanent storage failures surfaced as panics by
-/// code that cannot return an error (the unit-journal append path).
-/// The campaign runner suppresses retries when it sees this marker —
-/// backoff only helps transient faults.
-pub const PERMANENT_MARKER: &str = "storage[permanent]:";
 
 // ---------------------------------------------------------------------
 // Error classification & health accounting
 // ---------------------------------------------------------------------
 
-/// Whether an I/O error is worth retrying.
+/// Whether an I/O error is worth re-issuing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoClass {
     /// Plausibly goes away on its own (interrupted syscall, timeout,
-    /// resource pressure): the seeded retry backoff applies.
+    /// resource pressure): the operation is re-issued in place.
     Transient,
-    /// Will not improve with retries (corrupt data, missing file,
-    /// permission denied, disk full): fail fast, no backoff.
+    /// Will not improve on re-issue (corrupt data, missing file,
+    /// permission denied, disk full): fail fast.
     Permanent,
 }
 
-/// Classify an `io::Error` for retry purposes.
+/// Classify an `io::Error` as worth re-issuing or not.
 pub fn classify(e: &io::Error) -> IoClass {
     use io::ErrorKind::*;
     match e.kind() {
@@ -337,7 +331,8 @@ impl IoFaultKind {
         IoFaultKind::PermanentError,
     ];
 
-    /// Short name used by the `--io-faults seed:kind[:count]` flag.
+    /// Short name, as `crash_campaign --kinds` and
+    /// [`Schedule::parse`] spell it.
     pub fn name(self) -> &'static str {
         match self {
             IoFaultKind::Crash => "crash",

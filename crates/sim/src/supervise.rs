@@ -18,8 +18,8 @@
 //! simulated state, so arming supervision cannot perturb simulated
 //! cycles, counters, or output (the noninterference contract). The
 //! deadline *kill point* is inherently nondeterministic — what is
-//! deterministic is the simulation itself and the retry schedule the
-//! runner derives from its seed.
+//! deterministic is the simulation itself, so a resume after a kill
+//! renders the same output as an uninterrupted run.
 
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};

@@ -9,7 +9,7 @@
 //! an index — and the index-coverage assertion then forces it into
 //! [`all_variants`], the list actually driven through the bus.
 
-use tako_sim::event::{AccountingBus, CbPhase, LevelId, TxnEvent, TxnSink};
+use tako_sim::event::{AccountingBus, CallbackKind, LevelId, TxnEvent, TxnSink};
 use tako_sim::fault::FaultInjector;
 use tako_sim::stats::Counter;
 use tako_sim::trace::Observer;
@@ -63,7 +63,7 @@ fn all_variants() -> [TxnEvent; VARIANT_COUNT] {
         TxnEvent::MshrStall,
         TxnEvent::FlushedLine,
         TxnEvent::FaultInjected,
-        TxnEvent::CallbackRun(CbPhase::OnEviction),
+        TxnEvent::CallbackRun(CallbackKind::OnEviction),
         TxnEvent::CallbackDegraded,
         TxnEvent::MorphQuarantined,
         TxnEvent::EngineWork {

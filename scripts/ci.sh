@@ -151,8 +151,8 @@ echo "    resumed fig14 simulated 0 accesses and matches the clean run"
 echo "==> crash-point sweep smoke"
 ./target/release/crash_campaign --root "$JDIR/sweep" > "$JDIR/sweep.txt"
 cat "$JDIR/sweep.txt"
-if ! grep -q ' over 34 I/O sites, seed 42$' "$JDIR/sweep.txt"; then
-  echo "error: crash sweep I/O-site count moved (want 34):" >&2
+if ! grep -q ' over 30 I/O sites, seed 42$' "$JDIR/sweep.txt"; then
+  echo "error: crash sweep I/O-site count moved (want 30):" >&2
   head -n 1 "$JDIR/sweep.txt" >&2
   exit 1
 fi
