@@ -141,12 +141,7 @@ fn main() {
             ..CampaignOpts::fresh(dir)
         };
         match run_campaign(opts, &c, &flags.experiments) {
-            Ok(outcome) => {
-                if !outcome.io.is_clean() {
-                    eprintln!("campaign: storage degraded: {}", outcome.io);
-                }
-                outcome.results
-            }
+            Ok(results) => results,
             Err(e) => {
                 eprintln!("error: campaign journal: {e}");
                 std::process::exit(2);
@@ -178,7 +173,7 @@ fn main() {
         // Reports are evidence: write them atomically so a crash
         // mid-write can't leave a half-formed file masquerading as a
         // real one.
-        let report_store = DiskStorage::new();
+        let report_store = DiskStorage;
         if let Some(path) = &flags.trace_out {
             match report_store.write_atomic(
                 std::path::Path::new(path),

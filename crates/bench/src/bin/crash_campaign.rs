@@ -29,8 +29,10 @@
 //! crash_campaign [--root <dir>] [--kinds a,b,c] [--seed n] [--verbose]
 //! ```
 //!
-//! Default kinds: `crash,crash-after,torn,drop-rename,flip,dup-append`
-//! (every deterministic corruption the backend can inject). Exits 1 if
+//! Default kinds: `crash,crash-after,torn,drop-rename,flip,dup-append,error`
+//! (every deterministic fault the backend can inject; an `error` fails
+//! the experiment or the campaign call it hits, and the resume recovers
+//! it like any other failure). Exits 1 if
 //! any site fails to recover, and 2 on a malformed command line (a
 //! missing or malformed value, an unknown flag or fault kind, an empty
 //! `--kinds` list) before anything runs.
@@ -39,13 +41,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
+use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::{
-    doctor, exit_error, flag_value_or_exit, run_once, run_variants, Experiment, Opts,
+    doctor, exit_error, flag_value_or_exit, run_once, run_variants, Experiment, ExperimentResult,
+    Opts,
 };
 use tako_sim::digest::Sha256;
-use tako_sim::storage::CRASH_MARKER;
-use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan, Storage};
+use tako_sim::storage::{
+    DiskStorage, FaultStorage, IoFaultKind, Storage, CRASH_MARKER, INJECTED_ERROR,
+};
 
 // --- the synthetic campaign under test -------------------------------
 
@@ -95,9 +99,9 @@ fn sweep_opts(seed: u64) -> Opts {
 
 /// Digest of a campaign's observable output: every experiment name and
 /// its full printed output, in table order. Timing never enters.
-fn outcome_digest(outcome: &CampaignOutcome) -> Result<String, String> {
+fn outcome_digest(results: &[(&str, Result<ExperimentResult, String>)]) -> Result<String, String> {
     let mut h = Sha256::new();
-    for (name, r) in &outcome.results {
+    for (name, r) in results {
         match r {
             Ok(res) => {
                 h.update(name.as_bytes());
@@ -118,17 +122,21 @@ fn campaign_opts(dir: &Path, resume: bool, storage: Arc<dyn Storage>) -> Campaig
     c
 }
 
+type Outcome = Vec<(&'static str, Result<ExperimentResult, String>)>;
+
 /// Run one campaign, turning an injected-crash panic into `Err(msg)`.
 /// Any *other* panic is a sweep failure and propagates.
-fn run_guarded(opts: Opts, c: &CampaignOpts) -> Result<std::io::Result<CampaignOutcome>, String> {
+fn run_guarded(opts: Opts, c: &CampaignOpts) -> Result<std::io::Result<Outcome>, String> {
     let prior = std::panic::take_hook();
-    // The sweep injects hundreds of crashes on purpose; keep the
+    // The sweep injects hundreds of crashes and I/O errors on purpose
+    // (an injected error fails its experiment with a panic); keep the
     // default hook from spraying a backtrace for each while letting
     // genuine panics through untouched.
     std::panic::set_hook(Box::new(|info| {
         let msg = info.payload().downcast_ref::<String>().map(String::as_str);
         let msg = msg.or_else(|| info.payload().downcast_ref::<&str>().copied());
-        if !msg.unwrap_or("").contains(CRASH_MARKER) {
+        let msg = msg.unwrap_or("");
+        if !(msg.contains(CRASH_MARKER) || msg.contains(INJECTED_ERROR)) {
             eprintln!("panic: {info}");
         }
     }));
@@ -173,13 +181,8 @@ fn sweep_kind(
     for k in 0..sites {
         let dir = root.join(format!("{}-{k}", kind.name()));
         let _ = std::fs::remove_dir_all(&dir);
-        let plan = IoFaultPlan {
-            seed,
-            events: vec![IoFault { at_op: k, kind }],
-        };
-        let faulty: Arc<dyn Storage> =
-            Arc::new(FaultStorage::new(Arc::new(DiskStorage::new()), plan));
-        let first = run_guarded(seed_opts(seed), &campaign_opts(&dir, false, faulty));
+        let faulty: Arc<dyn Storage> = Arc::new(FaultStorage::new(k, kind));
+        let first = run_guarded(sweep_opts(seed), &campaign_opts(&dir, false, faulty));
         match &first {
             Err(msg) if msg.contains(CRASH_MARKER) => {} // died as planned
             Err(msg) => {
@@ -188,8 +191,8 @@ fn sweep_kind(
                     .push(format!("site {k}: unexpected panic in faulted run: {msg}"));
                 continue;
             }
-            // Silent-corruption kinds (flip, dup-append) and I/O-error
-            // kinds let the run finish or fail tidily; both are fine —
+            // Silent-corruption kinds (flip, dup-append) and the error
+            // kind let the run finish or fail tidily; both are fine —
             // the property under test is what resume does next.
             Ok(_) => tally.survived_run += 1,
         }
@@ -197,8 +200,8 @@ fn sweep_kind(
         // Recovery: resume on clean storage. A refusal (corrupt
         // manifest) is repaired by the journal doctor and retried; a
         // panic at any point is an immediate sweep failure.
-        let clean: Arc<dyn Storage> = Arc::new(DiskStorage::new());
-        let resumed = match run_guarded(seed_opts(seed), &campaign_opts(&dir, true, clean)) {
+        let clean: Arc<dyn Storage> = Arc::new(DiskStorage);
+        let resumed = match run_guarded(sweep_opts(seed), &campaign_opts(&dir, true, clean)) {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(_refusal)) => {
                 tally.repairs += 1;
@@ -209,8 +212,8 @@ fn sweep_kind(
                         continue;
                     }
                 }
-                let clean: Arc<dyn Storage> = Arc::new(DiskStorage::new());
-                match run_guarded(seed_opts(seed), &campaign_opts(&dir, true, clean)) {
+                let clean: Arc<dyn Storage> = Arc::new(DiskStorage);
+                match run_guarded(sweep_opts(seed), &campaign_opts(&dir, true, clean)) {
                     Ok(Ok(outcome)) => outcome,
                     Ok(Err(e)) => {
                         tally
@@ -250,10 +253,6 @@ fn sweep_kind(
     tally
 }
 
-fn seed_opts(seed: u64) -> Opts {
-    sweep_opts(seed)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
@@ -266,6 +265,7 @@ fn main() {
         IoFaultKind::DropRename,
         IoFaultKind::BitFlip { offset: 5, bit: 3 },
         IoFaultKind::DuplicateAppend,
+        IoFaultKind::Error,
     ];
     let mut i = 0;
     while i < args.len() {
@@ -278,7 +278,9 @@ fn main() {
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| {
-                        IoFaultPlan::kind_named(s)
+                        IoFaultKind::ALL
+                            .into_iter()
+                            .find(|k| k.name() == s)
                             .unwrap_or_else(|| exit_error(&format!("unknown fault kind `{s}`")))
                     })
                     .collect();
@@ -304,8 +306,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&golden_dir);
     let counter = Arc::new(FaultStorage::counting());
     let storage: Arc<dyn Storage> = Arc::clone(&counter) as Arc<dyn Storage>;
-    let outcome = match run_campaign(
-        seed_opts(seed),
+    let results = match run_campaign(
+        sweep_opts(seed),
         &campaign_opts(&golden_dir, false, storage),
         SWEEP_EXPS,
     ) {
@@ -315,7 +317,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let golden = match outcome_digest(&outcome) {
+    let golden = match outcome_digest(&results) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("crash_campaign: golden run not fully ok: {e}");

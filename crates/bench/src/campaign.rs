@@ -22,28 +22,30 @@
 //!   output from its journaled runs, an interrupted one resumes
 //!   *mid-run*, and a view finds its producer's runs; only what no
 //!   journal holds simulates. Completion is not recorded in a file.
-//! * `<name>.triage.txt` — written when an experiment dies (panic or
-//!   deadline kill): the panic payload — which for a deadline kill is
-//!   the hierarchy's triage bundle (diagnostic snapshot, fault-plan
-//!   cursor, observer event tail, last checkpoint id) — plus the unit
-//!   cursor and the exact command line that resumes the campaign.
+//! * `<name>.triage.txt` — written when an experiment dies (panic,
+//!   deadline kill or unit-journal I/O error): the panic payload —
+//!   which for a deadline kill is the hierarchy's triage bundle
+//!   (diagnostic snapshot, fault-plan cursor, observer event tail, last
+//!   checkpoint id) — plus the unit cursor and the exact command line
+//!   that resumes the campaign. A run that completes the experiment
+//!   removes it.
 //!
 //! **Every durable write goes through [`tako_sim::storage`]**: whole
 //! files are written atomically (temp + sync + rename), appends carry
 //! per-record checksums, and the fault-injecting backend can crash the
 //! campaign at any I/O site — the crash-point sweep (`crash_campaign`)
 //! proves that resume from *every* such crash reproduces the
-//! uninterrupted run's output byte-for-byte. Failures that classify as
-//! *transient* (interrupted syscall, timeout, resource pressure) are
-//! retried in place at every campaign-level I/O site; only failures
-//! that outlive the retry budget surface.
+//! uninterrupted run's output byte-for-byte.
 //!
-//! Recovery is `--resume` and nothing else: a failed experiment is
-//! reported with its triage bundle, never re-run in-process. The
-//! simulations are deterministic, so re-running one in the same process
-//! only repeats its failure; a resume continues from what the journals
-//! hold, whatever ended the run — a panic, a deadline kill, a storage
-//! fault, or the process itself.
+//! Recovery is `--resume` and nothing else. A storage error is never
+//! re-issued in place: at a campaign-level site (manifest, journal
+//! seeding, triage bundle) [`run_campaign`] returns it, and in an
+//! experiment's unit journal (open, append or sync) it fails that
+//! experiment, which is reported with its triage bundle, never re-run
+//! in-process. The simulations are deterministic, so re-running one in
+//! the same process only repeats its failure; a resume continues from
+//! what the journals hold, whatever ended the run — a panic, a deadline
+//! kill, a storage error, or the process itself.
 //!
 //! Deadlines ride the watchdog: the worker arms
 //! [`tako_sim::supervise`] before entering the experiment, and the
@@ -59,7 +61,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tako_sim::digest::Sha256;
-use tako_sim::storage::{classify, DiskStorage, IoClass, IoHealth, Storage, CRASH_MARKER};
+use tako_sim::storage::{DiskStorage, Storage, CRASH_MARKER};
 use tako_sim::supervise;
 
 use crate::{fan_out, run_experiment, Experiment, ExperimentResult, Opts, RunKey, RunList};
@@ -136,17 +138,17 @@ fn unit_journal(
     fingerprint: u64,
 ) -> std::io::Result<UnitScope> {
     if storage.exists(path) {
-        let buf = retrying(|| storage.read(path))?;
+        let buf = storage.read(path)?;
         let intact = unit_header_matches(&buf, fingerprint)
             .map_or(0, |rest| UNIT_HEADER_LEN + read_units(rest).1) as u64;
         // Drop the crash tail (or an entire foreign/headerless journal)
         // so appends start at a record boundary.
-        retrying(|| storage.truncate(path, intact))?;
+        storage.truncate(path, intact)?;
         if intact == 0 {
-            retrying(|| storage.append(path, &unit_header(fingerprint)))?;
+            storage.append(path, &unit_header(fingerprint))?;
         }
     } else {
-        retrying(|| storage.append(path, &unit_header(fingerprint)))?;
+        storage.append(path, &unit_header(fingerprint))?;
     }
     JOURNAL.with(|j| {
         *j.borrow_mut() = Some(UnitJournal {
@@ -219,10 +221,8 @@ fn unit_checksum(payload: &[u8]) -> u64 {
 /// checkpoint (named in deadline triage). A no-op when no journal is
 /// armed on this thread (the common, non-campaign path).
 ///
-/// A *transient* append failure is retried in place; if it persists,
-/// checkpointing degrades (the run will recompute on resume) but the
-/// simulation continues. A *permanent* failure aborts the experiment
-/// with a panic, which the campaign runner reports and triages.
+/// A failed append or sync fails the experiment with a panic, which
+/// the campaign runner reports and triages; `--resume` recovers it.
 pub(crate) fn record_unit(key: &RunKey, payload: &[u8]) {
     let crash = JOURNAL.with(|j| {
         let mut j = j.borrow_mut();
@@ -233,18 +233,12 @@ pub(crate) fn record_unit(key: &RunKey, payload: &[u8]) {
         rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         rec.extend_from_slice(payload);
         rec.extend_from_slice(&unit_checksum(payload).to_le_bytes());
-        match retrying(|| j.storage.append(&j.path, &rec)) {
-            Ok(()) => {
-                // A failed sync is at worst a lost checkpoint; the
-                // backend has already classified and counted it.
-                let _ = j.storage.sync(&j.path);
-            }
-            Err(e) => {
-                if classify(&e) == IoClass::Permanent {
-                    panic!("unit journal append to {}: {e}", j.path.display());
-                }
-                // Transient: checkpointing degraded, simulation goes on.
-            }
+        if let Err(e) = j
+            .storage
+            .append(&j.path, &rec)
+            .and_then(|()| j.storage.sync(&j.path))
+        {
+            panic!("unit journal {}: {e}", j.path.display());
         }
         Some(match &mut j.crash_after {
             Some(0) => true,
@@ -327,21 +321,9 @@ impl CampaignOpts {
             deadline: None,
             force_panic: None,
             crash_after_units: None,
-            storage: Arc::new(DiskStorage::new()),
+            storage: Arc::new(DiskStorage),
         }
     }
-}
-
-/// What [`run_campaign`] hands back, beyond the per-experiment results.
-#[derive(Debug)]
-pub struct CampaignOutcome {
-    /// Per-experiment outcomes in table order. `Err` carries the
-    /// failure message, which the experiment's triage bundle also holds.
-    pub results: Vec<(&'static str, Result<ExperimentResult, String>)>,
-    /// The storage backend's failure tally for this run —
-    /// transient-vs-permanent I/O degradation, surfaced in the
-    /// campaign status line.
-    pub io: IoHealth,
 }
 
 fn manifest_params(opts: Opts, experiments: &[(&'static str, Experiment)]) -> String {
@@ -428,29 +410,6 @@ fn resume_cmdline(opts: Opts, c: &CampaignOpts, names: &[&str]) -> String {
     s
 }
 
-/// Retry budget for transient I/O failures at campaign-level sites.
-const TRANSIENT_IO_RETRIES: u32 = 3;
-
-/// Run `op`, retrying immediately on failures that classify as
-/// *transient* (interrupted syscall, timeout, resource pressure).
-/// Permanent failures propagate on first sight — retrying corrupt data
-/// or a missing file only burns time. No sleep is needed: a transient
-/// condition is one that clears on re-issue, and the fault-injecting
-/// backend models exactly that (its op cursor has moved past the
-/// injected site by the time the retry runs).
-fn retrying<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    let mut attempt = 0u32;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if attempt < TRANSIENT_IO_RETRIES && classify(&e) == IoClass::Transient => {
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Prepare the manifest for this invocation and return the campaign
 /// fingerprint. Fresh campaigns clear stale records; resumes verify
 /// the parameters and bump the generation. A resume whose manifest
@@ -466,8 +425,7 @@ fn prepare_manifest(
     let fingerprint = campaign_fingerprint(&params);
     if c.resume {
         let generation = if c.storage.exists(&manifest_path) {
-            let text =
-                String::from_utf8_lossy(&retrying(|| c.storage.read(&manifest_path))?).into_owned();
+            let text = String::from_utf8_lossy(&c.storage.read(&manifest_path)?).into_owned();
             match parse_manifest(&text) {
                 ManifestState::Valid {
                     params: prior,
@@ -502,37 +460,37 @@ fn prepare_manifest(
             // is still safe; restore the manifest for the next reader.
             0
         };
-        retrying(|| {
-            c.storage.write_atomic(
-                &manifest_path,
-                render_manifest(&params, generation + 1).as_bytes(),
-            )
-        })?;
+        c.storage.write_atomic(
+            &manifest_path,
+            render_manifest(&params, generation + 1).as_bytes(),
+        )?;
     } else {
         // Fresh campaign: clear any stale records so nothing replays.
         for (name, _) in experiments {
             for ext in ["units", "triage.txt"] {
                 let stale = c.dir.join(format!("{name}.{ext}"));
-                retrying(|| c.storage.remove(&stale))?;
+                c.storage.remove(&stale)?;
             }
         }
-        retrying(|| {
-            c.storage
-                .write_atomic(&manifest_path, render_manifest(&params, 1).as_bytes())
-        })?;
+        c.storage
+            .write_atomic(&manifest_path, render_manifest(&params, 1).as_bytes())?;
     }
     Ok(fingerprint)
 }
 
-/// Run `experiments` as a supervised, journaled campaign.
+/// Run `experiments` as a supervised, journaled campaign and return
+/// the per-experiment outcomes in table order, as [`run_all`](crate::run_all)
+/// does. `Err` carries the failure message, which the experiment's
+/// triage bundle also holds.
 ///
 /// # Errors
 ///
-/// I/O errors on the journal directory, a manifest mismatch when
-/// resuming into a campaign run with different parameters, and a
-/// corrupt manifest (pointer at `tako_fsck --repair`). Individual
-/// experiment failures are *not* errors: they are triaged and reported
-/// per-experiment in the outcome.
+/// I/O errors on the journal directory (manifest, journal seeding,
+/// triage bundles), a manifest mismatch when resuming into a campaign
+/// run with different parameters, and a corrupt manifest (pointer at
+/// `tako_fsck --repair`). Individual experiment failures, a unit-journal
+/// I/O error included, are *not* errors: they are triaged and reported
+/// per experiment.
 ///
 /// # Panics
 ///
@@ -543,7 +501,7 @@ pub fn run_campaign(
     opts: Opts,
     c: &CampaignOpts,
     experiments: &[(&'static str, Experiment)],
-) -> std::io::Result<CampaignOutcome> {
+) -> std::io::Result<Vec<(&'static str, Result<ExperimentResult, String>)>> {
     std::fs::create_dir_all(&c.dir)?;
     let fingerprint = prepare_manifest(opts, c, experiments)?;
 
@@ -558,10 +516,7 @@ pub fn run_campaign(
             if !c.storage.exists(&path) {
                 continue;
             }
-            // An unreadable journal seeds nothing: its runs recompute.
-            let Ok(buf) = retrying(|| c.storage.read(&path)) else {
-                continue;
-            };
+            let buf = c.storage.read(&path)?;
             if let Some(rest) = unit_header_matches(&buf, fingerprint) {
                 for (key, payload) in read_units(rest).0 {
                     runs.seed(key, payload.to_vec());
@@ -594,9 +549,17 @@ pub fn run_campaign(
     {
         std::panic::panic_any(msg.clone());
     }
+    // A failed experiment gets a triage bundle; one that succeeded
+    // loses the bundle an earlier run left it.
     let names: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
     for (name, r) in &results {
-        let Err(msg) = r else { continue };
+        let triage_path = c.dir.join(format!("{name}.triage.txt"));
+        let Err(msg) = r else {
+            if c.storage.exists(&triage_path) {
+                c.storage.remove(&triage_path)?;
+            }
+            continue;
+        };
         let units = units_on_disk(
             c.storage.as_ref(),
             &c.dir.join(format!("{name}.units")),
@@ -607,14 +570,9 @@ pub fn run_campaign(
              --- resume ---\n{}\n",
             resume_cmdline(opts, c, &names),
         );
-        let triage_path = c.dir.join(format!("{name}.triage.txt"));
-        retrying(|| c.storage.write_atomic(&triage_path, triage.as_bytes()))?;
+        c.storage.write_atomic(&triage_path, triage.as_bytes())?;
     }
-
-    Ok(CampaignOutcome {
-        results,
-        io: c.storage.health(),
-    })
+    Ok(results)
 }
 
 /// Count the intact unit records in a journal file (for triage).

@@ -160,7 +160,7 @@ fn check_manifest(bytes: &[u8]) -> Verdict {
 /// I/O errors listing the directory or reading a file. A *corrupt*
 /// file is a verdict, not an error.
 pub fn scan(dir: &Path) -> io::Result<Report> {
-    let storage = DiskStorage::new();
+    let storage = DiskStorage;
     let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(Result::ok)
         .map(|e| e.path())
@@ -217,7 +217,7 @@ impl RepairSummary {
 /// I/O errors performing the repairs.
 pub fn repair(dir: &Path) -> io::Result<RepairSummary> {
     let report = scan(dir)?;
-    let storage = DiskStorage::new();
+    let storage = DiskStorage;
     let quarantine = dir.join("quarantine");
     let mut summary = RepairSummary::default();
     let mut log = String::from("tako_fsck repair report\n");

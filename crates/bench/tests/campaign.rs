@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
-use tako_bench::{experiments, run_once, run_variants, Experiment, Opts};
+use tako_bench::campaign::{run_campaign, CampaignOpts};
+use tako_bench::{experiments, run_once, run_variants, Experiment, ExperimentResult, Opts};
 use tako_core::TakoSystem;
 use tako_cpu::{AccessKind, MemSystem};
 use tako_sim::config::SystemConfig;
@@ -69,14 +69,9 @@ fn failed_experiment_is_triaged_and_resume_skips_completed_work() {
     let mut c = CampaignOpts::fresh(&dir);
     c.force_panic = Some("beta".into());
     let first = run_campaign(opts(), &c, RESUME_EXPS).expect("campaign");
-    let alpha_out = first.results[0]
-        .1
-        .as_ref()
-        .expect("alpha ok")
-        .output
-        .clone();
+    let alpha_out = first[0].1.as_ref().expect("alpha ok").output.clone();
     assert_eq!(alpha_out, "alpha [1, 4, 9]\n");
-    let beta_err = first.results[1].1.as_ref().expect_err("beta failed");
+    let beta_err = first[1].1.as_ref().expect_err("beta failed");
     assert!(
         beta_err.contains("forced panic"),
         "unexpected error: {beta_err}"
@@ -100,14 +95,13 @@ fn failed_experiment_is_triaged_and_resume_skips_completed_work() {
         alpha_runs_before,
         "a completed experiment's runs were simulated again on resume"
     );
+    assert_eq!(second[0].1.as_ref().expect("alpha").output, alpha_out);
     assert_eq!(
-        second.results[0].1.as_ref().expect("alpha").output,
-        alpha_out
-    );
-    assert_eq!(
-        second.results[1].1.as_ref().expect("beta").output,
+        second[1].1.as_ref().expect("beta").output,
         format!("beta [{}, {}]\n", 10 + 42, 20 + 42)
     );
+    // The completed experiment lost its stale triage bundle.
+    assert!(!dir.join("beta.triage.txt").exists());
 }
 
 // --- unit-granularity resume ----------------------------------------
@@ -132,7 +126,7 @@ fn crash_mid_experiment_resumes_from_journaled_units() {
     c.crash_after_units = Some(3); // die with half the units journaled
     let before = GAMMA_UNITS.load(Ordering::SeqCst);
     let crashed = run_campaign(opts(), &c, exps).expect("campaign");
-    let err = crashed.results[0].1.as_ref().expect_err("gamma crashed");
+    let err = crashed[0].1.as_ref().expect_err("gamma crashed");
     assert!(err.contains("--crash-after-units"), "error: {err}");
     let triage = std::fs::read_to_string(dir.join("gamma.triage.txt")).expect("triage");
     assert!(triage.contains("journaled units: 3"), "triage: {triage}");
@@ -140,7 +134,7 @@ fn crash_mid_experiment_resumes_from_journaled_units() {
     let mut c = CampaignOpts::fresh(&dir);
     c.resume = true;
     let resumed = run_campaign(opts(), &c, exps).expect("resume");
-    let res = resumed.results[0].1.as_ref().expect("gamma resumed");
+    let res = resumed[0].1.as_ref().expect("gamma resumed");
     assert_eq!(res.output, "gamma [0, 7, 14, 21, 28, 35]\n");
     // 3 units computed before the crash, 3 after: the resume read the
     // first 3 from gamma.units instead of recomputing (else this would
@@ -175,7 +169,7 @@ fn deadline_kill_leaves_triage_bundle() {
     c.deadline = Some(Duration::ZERO);
     let out =
         run_campaign(opts(), &c, &[("slowpoke", exp_slowpoke as Experiment)]).expect("campaign");
-    let err = out.results[0].1.as_ref().expect_err("deadline must kill");
+    let err = out[0].1.as_ref().expect_err("deadline must kill");
     assert!(err.contains("deadline exceeded"), "error: {err}");
 
     // The triage bundle carries the hierarchy's diagnostics (with the
@@ -242,7 +236,7 @@ fn resume_with_a_different_selection_is_rejected() {
     assert_eq!(run("table2", true).status.code(), Some(0));
 }
 
-// --- I/O degradation classification ---------------------------------
+// --- storage errors --------------------------------------------------
 
 fn exp_delta(o: Opts) -> String {
     let out = run_variants(o, &[7u64, 8, 9], |v| run_once(("double", v), || v * 2));
@@ -252,88 +246,36 @@ fn exp_delta(o: Opts) -> String {
 const FAULT_EXPS: &[(&str, Experiment)] = &[("delta", exp_delta as Experiment)];
 
 #[test]
-fn transient_faults_are_retried_in_place_and_tallied() {
+fn io_error_mid_experiment_is_triaged_and_resume_completes() {
     use std::sync::Arc;
-    use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan};
+    use tako_sim::storage::{FaultStorage, IoFaultKind};
 
-    // Counting pass: learn how many I/O sites this campaign performs.
-    let dir = tmp("transient");
-    let counting = Arc::new(FaultStorage::counting());
-    let mut c = CampaignOpts::fresh(&dir);
-    c.storage = counting.clone();
-    run_campaign(opts(), &c, FAULT_EXPS).expect("counting pass");
-    let sites = counting.ops_performed();
-    assert!(sites >= 8, "campaign too small to be interesting: {sites}");
-
-    // A transient fault at every fifth site: each one is retried in
-    // place (the retry lands on the next, clean op), the campaign
-    // completes with exact output, and the health tally reports every
-    // hit without a single permanent failure.
-    let events: Vec<IoFault> = (0..sites)
-        .step_by(5)
-        .map(|at_op| IoFault {
-            at_op,
-            kind: IoFaultKind::TransientError,
-        })
-        .collect();
-    let injected = events.len() as u64;
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut c = CampaignOpts::fresh(&dir);
-    c.storage = Arc::new(FaultStorage::new(
-        Arc::new(DiskStorage::new()),
-        IoFaultPlan { seed: 1, events },
-    ));
-    let outcome =
-        run_campaign(opts(), &c, FAULT_EXPS).expect("campaign rides out transient faults");
-    assert_eq!(
-        outcome.results[0].1.as_ref().expect("delta ok").output,
-        "delta [14, 16, 18]\n"
-    );
-    assert_eq!(outcome.io.transient, injected, "every fault tallied");
-    assert_eq!(outcome.io.permanent, 0);
-}
-
-#[test]
-fn permanent_fault_mid_experiment_is_triaged_and_resume_completes() {
-    use std::sync::Arc;
-    use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan};
-
-    let dir = tmp("permanent");
+    let dir = tmp("io-error");
     let counting = Arc::new(FaultStorage::counting());
     let mut c = CampaignOpts::fresh(&dir);
     c.storage = counting.clone();
     run_campaign(opts(), &c, FAULT_EXPS).expect("counting pass");
     let sites = counting.ops_performed();
 
-    // Walk the sites until the permanent fault lands inside the
-    // experiment (a unit-journal op): the experiment must die with the
-    // injected error and leave a triage bundle. Sites in campaign
+    // Walk the sites until the error lands inside the experiment (a
+    // unit-journal open, append or sync): the experiment must die with
+    // the injected error and leave a triage bundle. Sites in campaign
     // bookkeeping (manifest prep, triage write) surface as a structured
-    // error instead, and a fault on a sync only costs a checkpoint.
+    // error instead.
     let mut failed_inside = 0;
     for at_op in 0..sites {
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = CampaignOpts::fresh(&dir);
-        c.storage = Arc::new(FaultStorage::new(
-            Arc::new(DiskStorage::new()),
-            IoFaultPlan {
-                seed: 1,
-                events: vec![IoFault {
-                    at_op,
-                    kind: IoFaultKind::PermanentError,
-                }],
-            },
-        ));
+        c.storage = Arc::new(FaultStorage::new(at_op, IoFaultKind::Error));
         let Ok(outcome) = run_campaign(opts(), &c, FAULT_EXPS) else {
             continue;
         };
-        let Err(err) = &outcome.results[0].1 else {
+        let Err(err) = &outcome[0].1 else {
             continue;
         };
-        assert!(err.contains("injected permanent"), "payload: {err}");
-        assert!(outcome.io.permanent > 0, "{}", outcome.io);
+        assert!(err.contains("injected I/O error"), "payload: {err}");
         let triage = std::fs::read_to_string(dir.join("delta.triage.txt")).expect("triage");
-        assert!(triage.contains("injected permanent"), "triage: {triage}");
+        assert!(triage.contains("injected I/O error"), "triage: {triage}");
         assert!(triage.contains("--resume"), "triage: {triage}");
 
         // Recovery is a resume on clean storage.
@@ -341,15 +283,15 @@ fn permanent_fault_mid_experiment_is_triaged_and_resume_completes() {
         c.resume = true;
         let resumed = run_campaign(opts(), &c, FAULT_EXPS).expect("resume");
         assert_eq!(
-            resumed.results[0].1.as_ref().expect("delta resumed").output,
+            resumed[0].1.as_ref().expect("delta resumed").output,
             "delta [14, 16, 18]\n",
-            "resume after a permanent fault at site {at_op}"
+            "resume after an I/O error at site {at_op}"
         );
         failed_inside += 1;
     }
     assert!(
         failed_inside > 0,
-        "no site landed a permanent fault inside an experiment ({sites} sites swept)"
+        "no site landed an I/O error inside an experiment ({sites} sites swept)"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -362,9 +304,8 @@ const VIEW_EXPS: &[(&str, Experiment)] = &[
     ("fig07", experiments::fig07_decompress_count as Experiment),
 ];
 
-fn outputs(outcome: &CampaignOutcome) -> Vec<String> {
-    outcome
-        .results
+fn outputs(results: &[(&str, Result<ExperimentResult, String>)]) -> Vec<String> {
+    results
         .iter()
         .map(|(name, r)| {
             r.as_ref()
@@ -379,7 +320,7 @@ fn outputs(outcome: &CampaignOutcome) -> Vec<String> {
 fn crash_between_producer_and_view_resumes_byte_identical() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
-    use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultKind, IoFaultPlan};
+    use tako_sim::storage::{FaultStorage, IoFaultKind};
 
     let o = Opts {
         scale: 0.01,
@@ -406,10 +347,7 @@ fn crash_between_producer_and_view_resumes_byte_identical() {
     for at_op in 0..counting.ops_performed() {
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = CampaignOpts::fresh(&dir);
-        c.storage = Arc::new(FaultStorage::new(
-            Arc::new(DiskStorage::new()),
-            IoFaultPlan::single(at_op, IoFaultKind::Crash),
-        ));
+        c.storage = Arc::new(FaultStorage::new(at_op, IoFaultKind::Crash));
         let crashed = catch_unwind(AssertUnwindSafe(|| run_campaign(o, &c, VIEW_EXPS)));
         assert!(crashed.is_err(), "site {at_op} did not crash");
         if dir.join("fig06.units").exists() && !dir.join("fig07.units").exists() {
@@ -463,7 +401,7 @@ fn forced_panic_view_resumes_without_rerunning_its_producers_runs() {
     c.force_panic = Some("view".into());
     let before = PRODUCER_RUNS.load(Ordering::SeqCst);
     let first = run_campaign(opts(), &c, PRODUCER_VIEW).expect("campaign");
-    assert!(first.results[1].1.is_err(), "view must die on entry");
+    assert!(first[1].1.is_err(), "view must die on entry");
     assert_eq!(PRODUCER_RUNS.load(Ordering::SeqCst) - before, 3);
 
     // The producer re-renders and the view renders from the run list

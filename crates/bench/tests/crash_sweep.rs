@@ -32,7 +32,7 @@ fn crash_point_sweep_recovers_every_site_for_every_fault_kind() {
         stdout.contains("crash sweep: every site recovered to the golden digest"),
         "{stdout}"
     );
-    // All six deterministic fault kinds swept, none with failures.
+    // All seven deterministic fault kinds swept, none with failures.
     for kind in [
         "crash",
         "crash-after",
@@ -40,6 +40,7 @@ fn crash_point_sweep_recovers_every_site_for_every_fault_kind() {
         "drop-rename",
         "flip",
         "dup-append",
+        "error",
     ] {
         let line = stdout
             .lines()

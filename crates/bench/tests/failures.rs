@@ -84,9 +84,8 @@ fn malformed_command_lines_exit_two_before_running() {
         &["--only", "fig06", "--force-panic", "fig14"],
         // A misspelled flag is not ignored: it would run all 17.
         &["--olny", "fig13"],
-        // Recovery is `--resume`: neither is a flag.
+        // Recovery is `--resume`, not a flag.
         &["--journal", journal, "--retries", "1"],
-        &["--journal", journal, "--io-faults", "1:crash"],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -97,7 +96,7 @@ fn malformed_command_lines_exit_two_before_running() {
         if flag == "--only" {
             assert!(stderr.contains("fig06,fig07,"), "known names: {stderr}");
         }
-        if ["--olny", "--retries", "--io-faults"].contains(&flag) {
+        if ["--olny", "--retries"].contains(&flag) {
             assert!(stderr.contains("unknown argument"), "{args:?}: {stderr}");
             assert!(stderr.contains("--only <names>"), "known flags: {stderr}");
         }

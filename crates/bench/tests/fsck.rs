@@ -96,11 +96,8 @@ fn build_fixture(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
     BETA_PANICS.store(true, Ordering::SeqCst);
     let outcome = run_campaign(opts(), &CampaignOpts::fresh(dir), EXPS).expect("campaign");
-    assert_eq!(
-        outcome.results[0].1.as_ref().expect("alpha ok").output,
-        ALPHA_OUT
-    );
-    assert!(outcome.results[1].1.is_err(), "beta must die in generator");
+    assert_eq!(outcome[0].1.as_ref().expect("alpha ok").output, ALPHA_OUT);
+    assert!(outcome[1].1.is_err(), "beta must die in generator");
 
     // manifest: flip the final checksum hex digit.
     let manifest = dir.join("manifest.txt");
@@ -262,14 +259,8 @@ fn repair_salvages_documented_prefix_and_campaign_resumes() {
     let outcome = run_campaign(opts(), &c, EXPS).expect("resume after repair");
     assert_eq!(ALPHA_UNITS.load(Ordering::SeqCst) - alpha_before, 3);
     assert_eq!(BETA_UNITS.load(Ordering::SeqCst) - beta_before, 1);
-    assert_eq!(
-        outcome.results[0].1.as_ref().expect("alpha").output,
-        ALPHA_OUT
-    );
-    assert_eq!(
-        outcome.results[1].1.as_ref().expect("beta").output,
-        BETA_OUT
-    );
+    assert_eq!(outcome[0].1.as_ref().expect("alpha").output, ALPHA_OUT);
+    assert_eq!(outcome[1].1.as_ref().expect("beta").output, BETA_OUT);
     assert!(dir.join("manifest.txt").exists(), "manifest rebuilt");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -103,7 +103,7 @@ fn interrupted_and_resumed_campaign_matches_golden_digests() {
     c.crash_after_units = Some(2);
     let crashed = run_campaign(tiny(2), &c, EXPERIMENTS).expect("crashed campaign");
     assert!(
-        crashed.results.iter().any(|(_, r)| r.is_err()),
+        crashed.iter().any(|(_, r)| r.is_err()),
         "no experiment crashed"
     );
     let journaled = journaled_keys(&dir);
@@ -115,7 +115,7 @@ fn interrupted_and_resumed_campaign_matches_golden_digests() {
     let mut c = CampaignOpts::fresh(&dir);
     c.resume = true;
     let out = run_campaign(tiny(2), &c, EXPERIMENTS).expect("resumed campaign");
-    assert_golden("resumed campaign", &out.results);
+    assert_golden("resumed campaign", &out);
     let mut keys = journaled_keys(&dir);
     let total = keys.len();
     keys.sort_unstable();

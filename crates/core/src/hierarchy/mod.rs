@@ -78,7 +78,7 @@ use tako_mem::backing::PhysMem;
 use tako_mem::dram::Dram;
 use tako_noc::Mesh;
 use tako_sim::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
-use tako_sim::config::{SystemConfig, LINE_BYTES};
+use tako_sim::config::{EngineConfig, SystemConfig, LINE_BYTES};
 use tako_sim::event::{AccountingBus, TxnEvent, TxnSink};
 use tako_sim::fault::{FaultInjector, FaultKind};
 use tako_sim::{Cycle, TileId};
@@ -417,7 +417,7 @@ impl Hierarchy {
         }
         self.registry.checkin(morph_id, morph);
         self.callback_depth -= 1;
-        if result.instrs > self.cfg.engine.callback_instr_budget {
+        if result.instrs > EngineConfig::CALLBACK_INSTR_BUDGET {
             self.quarantine_morph(morph_id, "callback instruction budget overrun");
         }
         if let Some(v) = violation {

@@ -145,7 +145,7 @@ impl Hierarchy {
             .cloned()
             .unwrap_or_else(|| self.diagnostic_snapshot(now, 0, None));
         let _ = writeln!(s, "machine state: {snap:?}");
-        let _ = writeln!(s, "fault plan: {}", self.bus.faults.cursor());
+        let _ = writeln!(s, "fault plan: {}", self.bus.faults);
         if let Some(obs) = self.bus.observer() {
             let _ = writeln!(s, "event tail: {}", obs.ring.render());
         }

@@ -5,7 +5,7 @@
 //! store and instruction memory. The paper reports 27.1 KB over a 512 KB
 //! bank — 5.3%.
 
-use tako_sim::config::{SystemConfig, LINE_BYTES};
+use tako_sim::config::{EngineConfig, SystemConfig, LINE_BYTES};
 
 /// Bytes of täkō state per LLC bank, itemized (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,9 @@ impl OverheadReport {
             engine_tlb_bytes: tlb_bytes,
             engine_rtlb_bytes: tlb_bytes,
             callback_buffer_bytes: u64::from(e.callback_buffer) * LINE_BYTES,
-            token_store_bytes: u64::from(e.total_pes()) * u64::from(e.tokens_per_pe) * LINE_BYTES,
+            token_store_bytes: u64::from(e.total_pes())
+                * u64::from(EngineConfig::TOKENS_PER_PE)
+                * LINE_BYTES,
             instruction_memory_bytes: u64::from(e.instr_capacity()) * 4,
             llc_bank_bytes: cfg.llc_bank.size_bytes,
         }

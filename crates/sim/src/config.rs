@@ -271,26 +271,29 @@ pub struct EngineConfig {
     /// finds none left borrows one and is charged a full-buffer stall.
     /// Any size of at least 1 is a legal machine.
     pub callback_buffer: u32,
-    /// Static instructions storable per PE (Table 2: 16).
-    pub instrs_per_pe: u32,
-    /// Token-store entries per PE (Table 2: 8).
-    pub tokens_per_pe: u32,
     /// Reverse-TLB entries (Sec 9: 256 with 2 MB pages).
     pub rtlb_entries: u32,
     /// trrîp (Sec 5.2): engine-issued fills insert at distant priority.
     /// The one switch for the ablation study: disabled, engine fills
     /// insert like demand fills.
     pub trrip: bool,
-    /// Dynamic instructions one callback may execute before the
-    /// hierarchy declares it runaway and quarantines its Morph. Far
-    /// above anything a well-behaved callback needs (they run tens to
-    /// hundreds of instructions).
-    pub callback_instr_budget: u64,
     /// The engine's coherent L1 data cache.
     pub l1d: CacheConfig,
 }
 
 impl EngineConfig {
+    /// Static instructions storable per PE (Table 2: 16).
+    pub const INSTRS_PER_PE: u32 = 16;
+
+    /// Token-store entries per PE (Table 2: 8).
+    pub const TOKENS_PER_PE: u32 = 8;
+
+    /// Dynamic instructions one callback may execute before the
+    /// hierarchy declares it runaway and quarantines its Morph. Far
+    /// above anything a well-behaved callback needs (they run tens to
+    /// hundreds of instructions).
+    pub const CALLBACK_INSTR_BUDGET: u64 = 100_000;
+
     /// The paper's default 5×5 fabric: 15 integer PEs, 10 memory PEs,
     /// 1-cycle PE latency, 8-entry callback buffer.
     pub fn default_5x5() -> Self {
@@ -300,11 +303,8 @@ impl EngineConfig {
             mem_pes: 10,
             pe_latency: 1,
             callback_buffer: 8,
-            instrs_per_pe: 16,
-            tokens_per_pe: 8,
             rtlb_entries: 256,
             trrip: true,
-            callback_instr_budget: 100_000,
             l1d: CacheConfig::engine_l1d_default(),
         }
     }
@@ -347,7 +347,7 @@ impl EngineConfig {
 
     /// Total static-instruction capacity of the fabric.
     pub fn instr_capacity(&self) -> u32 {
-        self.total_pes().saturating_mul(self.instrs_per_pe)
+        self.total_pes().saturating_mul(Self::INSTRS_PER_PE)
     }
 }
 
@@ -439,8 +439,6 @@ pub enum ConfigError {
     NoCallbackBuffer,
     /// The engine's reverse TLB has zero entries.
     NoRtlbEntries,
-    /// The per-callback instruction budget is zero.
-    NoCallbackBudget,
     /// A fault-plan event is addressed to a site (tile/bank index)
     /// outside the configured mesh.
     FaultSiteOutOfRange {
@@ -487,9 +485,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NoRtlbEntries => {
                 write!(f, "engine reverse TLB has zero entries")
-            }
-            ConfigError::NoCallbackBudget => {
-                write!(f, "callback instruction budget is zero")
             }
             ConfigError::FaultSiteOutOfRange { site, tiles } => {
                 write!(
@@ -627,9 +622,6 @@ impl SystemConfig {
         }
         if self.engine.rtlb_entries == 0 {
             return Err(ConfigError::NoRtlbEntries);
-        }
-        if self.engine.callback_instr_budget == 0 {
-            return Err(ConfigError::NoCallbackBudget);
         }
         if let Some(plan) = &self.faults {
             for ev in &plan.events {
@@ -778,10 +770,6 @@ mod tests {
         let mut cfg = base();
         cfg.engine.rtlb_entries = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::NoRtlbEntries));
-
-        let mut cfg = base();
-        cfg.engine.callback_instr_budget = 0;
-        assert_eq!(cfg.validate(), Err(ConfigError::NoCallbackBudget));
 
         let mut cfg = base();
         let mut plan = FaultPlan::empty();

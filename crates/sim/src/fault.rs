@@ -15,13 +15,8 @@
 //! injector built from `None`/an empty plan is a branch on an empty
 //! vector — the hot path is unchanged and disabled runs stay
 //! byte-identical.
-//!
-//! The generator, the `seed:kind[:count]` parser ([`Schedule`]) and the
-//! taken-bits cursor ([`FaultCursor`]) are shared with the I/O fault
-//! backend, [`FaultStorage`](crate::storage::FaultStorage).
 
 use std::fmt;
-use std::ops::Range;
 
 use crate::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::rng::Rng;
@@ -100,130 +95,26 @@ pub struct FaultEvent {
     pub site: Option<usize>,
 }
 
-/// An entry of a [`Schedule`]: one fault of a kind drawn from a fixed
-/// kind set, placed at a point on its schedule's axis — a cycle for a
-/// [`FaultPlan`], an I/O site for an
-/// [`IoFaultPlan`](crate::storage::IoFaultPlan).
-pub trait Scheduled {
-    /// The kind set.
-    type Kind: Copy + 'static;
-    /// Every kind, in the order `mix` plans cycle through.
-    const ALL: &'static [Self::Kind];
-    /// What the flag schedules: the flag is `--{NOUN}s`, and parse
-    /// errors name the `NOUN`.
-    const NOUN: &'static str;
-    /// The points [`Schedule::parse`] spreads events over.
-    const WINDOW: Range<u64>;
-    /// Short name of `kind` in the flag syntax.
-    fn name(kind: Self::Kind) -> &'static str;
-    /// An event of `kind` at point `at`, with the kind's default payload.
-    fn at(at: u64, kind: Self::Kind) -> Self;
-}
-
-impl Scheduled for FaultEvent {
-    type Kind = FaultKind;
-    const ALL: &'static [FaultKind] = &FaultKind::ALL;
-    const NOUN: &'static str = "fault";
-    const WINDOW: Range<u64> = 1_000..1_000_000;
-    fn name(kind: FaultKind) -> &'static str {
-        kind.name()
-    }
-    fn at(at: Cycle, kind: FaultKind) -> Self {
-        FaultEvent {
-            at,
-            kind,
-            magnitude: kind.default_magnitude(),
-            site: None,
-        }
-    }
-}
-
 /// A seeded, deterministic schedule of faults.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schedule<E> {
-    /// The seed the schedule was derived from (0 for hand-built ones).
+pub struct FaultPlan {
+    /// The seed the plan was derived from (0 for hand-built ones).
     pub seed: u64,
-    /// Scheduled faults, in no particular order. At most one fires per
+    /// The faults to inject, in no particular order. At most one fires per
     /// poll; the first match in vector order wins.
-    pub events: Vec<E>,
+    pub events: Vec<FaultEvent>,
 }
 
-/// The hierarchy's schedule: faults injected at cycle points.
-pub type FaultPlan = Schedule<FaultEvent>;
-
-impl<E: Scheduled> Schedule<E> {
-    /// A schedule that injects nothing (useful to prove the
-    /// armed-but-empty path is inert).
+impl FaultPlan {
+    /// A plan that injects nothing (useful to prove the armed-but-empty
+    /// path is inert).
     pub fn empty() -> Self {
-        Schedule {
+        FaultPlan {
             seed: 0,
             events: Vec::new(),
         }
     }
 
-    /// A seeded schedule of `count` faults drawn from `kinds`
-    /// (round-robin) at points uniform in `[lo, hi)`, with default
-    /// payloads. Identical arguments always produce an identical
-    /// schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or `lo >= hi`.
-    pub fn seeded(seed: u64, kinds: &[E::Kind], count: usize, lo: u64, hi: u64) -> Self {
-        assert!(!kinds.is_empty(), "kinds must be non-empty");
-        assert!(lo < hi, "window must be non-empty");
-        let mut rng = Rng::new(seed);
-        let events = (0..count)
-            .map(|i| E::at(lo + rng.below(hi - lo), kinds[i % kinds.len()]))
-            .collect();
-        Schedule { seed, events }
-    }
-
-    /// The kind whose flag name is `name`.
-    pub fn kind_named(name: &str) -> Option<E::Kind> {
-        E::ALL.iter().copied().find(|&k| E::name(k) == name)
-    }
-
-    /// Parse the plan syntax `seed:kind[:count]` (`fault_campaign
-    /// --faults`), e.g. `7:dram`, `3:torn:4`, or `11:mix:10`
-    /// (`mix`/`all` cycles through every kind). Points are spread over
-    /// [`Scheduled::WINDOW`] (the first million cycles, or the first 64
-    /// I/O sites); callers that know the run horizon should use
-    /// [`Schedule::seeded`].
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let noun = E::NOUN;
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() < 2 || parts.len() > 3 {
-            return Err(format!("--{noun}s wants seed:kind[:count], got `{s}`"));
-        }
-        let seed: u64 = parts[0]
-            .parse()
-            .map_err(|_| format!("bad {noun} seed `{}`", parts[0]))?;
-        let kinds: Vec<E::Kind> = match parts[1] {
-            "mix" | "all" => E::ALL.to_vec(),
-            other => vec![Self::kind_named(other).ok_or_else(|| {
-                let names: Vec<&str> = E::ALL.iter().map(|&k| E::name(k)).collect();
-                format!(
-                    "unknown {noun} kind `{other}` (want {}, or mix)",
-                    names.join(", ")
-                )
-            })?],
-        };
-        let count: usize = match parts.get(2) {
-            Some(c) => c.parse().map_err(|_| format!("bad {noun} count `{c}`"))?,
-            None => kinds.len(),
-        };
-        Ok(Self::seeded(
-            seed,
-            &kinds,
-            count,
-            E::WINDOW.start,
-            E::WINDOW.end,
-        ))
-    }
-}
-
-impl FaultPlan {
     /// A plan with a single hand-placed fault.
     pub fn single(at: Cycle, kind: FaultKind, magnitude: u64) -> Self {
         FaultPlan {
@@ -236,85 +127,68 @@ impl FaultPlan {
             }],
         }
     }
-}
 
-/// Which events of a [`Schedule`] have fired: one taken bit per event
-/// plus the fired count. [`FaultInjector`] and
-/// [`FaultStorage`](crate::storage::FaultStorage) each step one.
-#[derive(Debug, Clone, Default)]
-pub struct FaultCursor {
-    taken: Vec<bool>,
-    fired: u64,
-}
+    /// A seeded plan of `count` faults drawn from `kinds` (round-robin)
+    /// at cycles uniform in `[lo, hi)`, with default magnitudes.
+    /// Identical arguments always produce an identical plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kinds` is empty or `lo >= hi`.
+    pub fn seeded(seed: u64, kinds: &[FaultKind], count: usize, lo: Cycle, hi: Cycle) -> Self {
+        assert!(!kinds.is_empty(), "kinds must be non-empty");
+        assert!(lo < hi, "window must be non-empty");
+        let mut rng = Rng::new(seed);
+        let events = (0..count)
+            .map(|i| {
+                let kind = kinds[i % kinds.len()];
+                FaultEvent {
+                    at: lo + rng.below(hi - lo),
+                    kind,
+                    magnitude: kind.default_magnitude(),
+                    site: None,
+                }
+            })
+            .collect();
+        FaultPlan { seed, events }
+    }
 
-impl FaultCursor {
-    /// A cursor over `scheduled` events, none fired.
-    pub fn new(scheduled: usize) -> Self {
-        FaultCursor {
-            taken: vec![false; scheduled],
-            fired: 0,
+    /// Parse the plan syntax `seed:kind[:count]` (`fault_campaign
+    /// --faults`), e.g. `7:dram`, `3:overrun:4`, or `11:mix:10`
+    /// (`mix`/`all` cycles through every kind). Faults are spread over
+    /// the first million cycles; callers that know the run horizon
+    /// should use [`FaultPlan::seeded`].
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let parts: Vec<&str> = s.split(':').collect();
+        if parts.len() < 2 || parts.len() > 3 {
+            return Err(format!("--faults wants seed:kind[:count], got `{s}`"));
         }
-    }
-
-    /// Fire the first untaken event of `events` (the schedule this
-    /// cursor was built for) that `due` accepts, and return it.
-    #[inline]
-    pub fn fire<'a, E>(&mut self, events: &'a [E], due: impl Fn(&E) -> bool) -> Option<&'a E> {
-        let i = (0..events.len()).find(|&i| !self.taken[i] && due(&events[i]))?;
-        self.taken[i] = true;
-        self.fired += 1;
-        Some(&events[i])
-    }
-
-    /// How many events have fired so far.
-    pub fn fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// How many scheduled events have not fired yet.
-    pub fn pending(&self) -> usize {
-        self.taken.iter().filter(|t| !**t).count()
-    }
-}
-
-/// The one-line cursor summary (`fired/pending/scheduled`) for triage
-/// bundles.
-impl fmt::Display for FaultCursor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} fired, {} pending of {}",
-            self.fired,
-            self.pending(),
-            self.taken.len()
-        )
+        let seed: u64 = parts[0]
+            .parse()
+            .map_err(|_| format!("bad fault seed `{}`", parts[0]))?;
+        let kinds: Vec<FaultKind> = match parts[1] {
+            "mix" | "all" => FaultKind::ALL.to_vec(),
+            other => vec![FaultKind::ALL
+                .into_iter()
+                .find(|k| k.name() == other)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = FaultKind::ALL.iter().map(|k| k.name()).collect();
+                    format!(
+                        "unknown fault kind `{other}` (want {}, or mix)",
+                        names.join(", ")
+                    )
+                })?],
+        };
+        let count: usize = match parts.get(2) {
+            Some(c) => c.parse().map_err(|_| format!("bad fault count `{c}`"))?,
+            None => kinds.len(),
+        };
+        Ok(Self::seeded(seed, &kinds, count, 1_000, 1_000_000))
     }
 }
 
-/// The cursor is a fault source's only mutable state: the events are
-/// rebuilt from the schedule, and `load` verifies the count matches.
-impl Snapshot for FaultCursor {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section("fault");
-        w.put_len(self.taken.len());
-        for t in &self.taken {
-            w.put_bool(*t);
-        }
-        w.put_u64(self.fired);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("fault")?;
-        let n = r.get_len_expect("fault.taken", self.taken.len())?;
-        for i in 0..n {
-            self.taken[i] = r.get_bool()?;
-        }
-        self.fired = r.get_u64()?;
-        Ok(())
-    }
-}
-
-/// Runtime state for one run: the plan's events and which have fired.
+/// Runtime state for one run: the plan's events, one taken bit per
+/// event, and the fired count.
 ///
 /// The hierarchy polls the injector at each site where a fault kind is
 /// meaningful; a poll fires the first due, untaken event of that kind
@@ -323,15 +197,20 @@ impl Snapshot for FaultCursor {
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     events: Vec<FaultEvent>,
-    cursor: FaultCursor,
+    taken: Vec<bool>,
+    fired: u64,
 }
 
 impl FaultInjector {
     /// An injector for a plan (or an inert one for `None`).
     pub fn new(plan: Option<&FaultPlan>) -> Self {
         let events = plan.map(|p| p.events.clone()).unwrap_or_default();
-        let cursor = FaultCursor::new(events.len());
-        FaultInjector { events, cursor }
+        let taken = vec![false; events.len()];
+        FaultInjector {
+            events,
+            taken,
+            fired: 0,
+        }
     }
 
     /// True if this injector can never fire.
@@ -357,27 +236,63 @@ impl FaultInjector {
         if self.events.is_empty() {
             return None;
         }
-        self.cursor
-            .fire(&self.events, |ev| {
-                ev.kind == kind && ev.at <= now && ev.site.is_none_or(|s| site == Some(s))
-            })
-            .map(|ev| ev.magnitude)
+        let i = self
+            .events
+            .iter()
+            .zip(&self.taken)
+            .position(|(ev, &taken)| {
+                !taken && ev.kind == kind && ev.at <= now && ev.site.is_none_or(|s| site == Some(s))
+            })?;
+        self.taken[i] = true;
+        self.fired += 1;
+        Some(self.events[i].magnitude)
     }
 
-    /// Which scheduled faults have fired (its `Display` is the triage
-    /// summary).
-    pub fn cursor(&self) -> &FaultCursor {
-        &self.cursor
+    /// How many events have fired so far.
+    pub fn fired(&self) -> u64 {
+        self.fired
+    }
+
+    /// How many scheduled events have not fired yet.
+    pub fn pending(&self) -> usize {
+        self.taken.iter().filter(|t| !**t).count()
     }
 }
 
+/// The one-line summary (`fired/pending/scheduled`) for triage bundles.
+impl fmt::Display for FaultInjector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} fired, {} pending of {}",
+            self.fired,
+            self.pending(),
+            self.taken.len()
+        )
+    }
+}
+
+/// The taken bits and fired count are the injector's only mutable
+/// state: the events are rebuilt from the plan, and `load` verifies the
+/// count matches.
 impl Snapshot for FaultInjector {
     fn save(&self, w: &mut SnapWriter) {
-        self.cursor.save(w);
+        w.section("fault");
+        w.put_len(self.taken.len());
+        for t in &self.taken {
+            w.put_bool(*t);
+        }
+        w.put_u64(self.fired);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cursor.load(r)
+        r.section("fault")?;
+        let n = r.get_len_expect("fault.taken", self.taken.len())?;
+        for i in 0..n {
+            self.taken[i] = r.get_bool()?;
+        }
+        self.fired = r.get_u64()?;
+        Ok(())
     }
 }
 
@@ -403,8 +318,8 @@ mod tests {
         assert_eq!(inj.poll(50, FaultKind::MshrPressure), None);
         assert_eq!(inj.poll(100, FaultKind::DelayedDram), Some(7));
         assert_eq!(inj.poll(200, FaultKind::DelayedDram), None);
-        assert_eq!(inj.cursor().fired(), 1);
-        assert_eq!(inj.cursor().pending(), 0);
+        assert_eq!(inj.fired(), 1);
+        assert_eq!(inj.pending(), 0);
     }
 
     #[test]
@@ -487,10 +402,10 @@ mod tests {
         let env = crate::checkpoint::encode(&inj);
         let mut fresh = FaultInjector::new(Some(&plan));
         crate::checkpoint::decode(&env, &mut fresh).unwrap();
-        assert_eq!(fresh.cursor().fired(), inj.cursor().fired());
-        assert_eq!(fresh.cursor().pending(), inj.cursor().pending());
-        assert_eq!(fresh.cursor.taken, inj.cursor.taken);
-        // A cursor from a differently sized plan is rejected.
+        assert_eq!(fresh.fired(), inj.fired());
+        assert_eq!(fresh.pending(), inj.pending());
+        assert_eq!(fresh.taken, inj.taken);
+        // Taken bits from a differently sized plan is rejected.
         let other = FaultPlan::seeded(4, &FaultKind::ALL, 3, 1, 1_000);
         let mut wrong = FaultInjector::new(Some(&other));
         assert!(crate::checkpoint::decode(&env, &mut wrong).is_err());
@@ -498,8 +413,7 @@ mod tests {
 
     /// The `fault` snapshot section is part of the checkpoint format:
     /// section name, taken-bit count, one byte per taken bit, fired
-    /// count. These bytes were written by the injector before it shared
-    /// its cursor with the I/O fault backend.
+    /// count.
     #[test]
     fn cursor_bytes_are_pinned() {
         let plan = FaultPlan::seeded(4, &FaultKind::ALL, 10, 1, 1_000);
@@ -516,71 +430,45 @@ mod tests {
             2, 0, 0, 0, 0, 0, 0, 0,
         ];
         assert_eq!(w.into_bytes(), expect);
-        assert_eq!(inj.cursor().to_string(), "2 fired, 8 pending of 10");
+        assert_eq!(inj.to_string(), "2 fired, 8 pending of 10");
     }
 
-    /// Both kind sets behind [`Schedule`]: every name parses back to its
-    /// kind, `mix`/`all` expand to `ALL` in order, parse errors name the
-    /// set's own flag, and seeded points stay inside the default window.
+    /// Every kind name parses back to its kind, `mix`/`all` expand to
+    /// `ALL` in order, seeded cycles stay inside the parse window, and
+    /// the parse errors are pinned.
     #[test]
-    fn kind_sets_round_trip_through_parse() {
-        use crate::storage::{IoFault, IoFaultKind, IoFaultPlan};
-        use std::fmt::Debug;
-
-        fn check<E: Scheduled + Debug + PartialEq>(
-            kind_of: impl Fn(&E) -> E::Kind,
-            point: impl Fn(&E) -> u64,
-            errors: [&str; 5],
-        ) where
-            E::Kind: PartialEq + Debug,
-        {
-            for &k in E::ALL {
-                assert_eq!(Schedule::<E>::kind_named(E::name(k)), Some(k));
-                let p = Schedule::<E>::parse(&format!("5:{}:3", E::name(k))).unwrap();
-                assert_eq!(p.events.len(), 3);
-                assert!(p.events.iter().all(|e| kind_of(e) == k));
-            }
-            assert_eq!(Schedule::<E>::kind_named("nope"), None);
-            let mix = Schedule::<E>::parse("9:mix").unwrap();
-            assert_eq!(mix.seed, 9);
-            assert_eq!(mix.events.iter().map(&kind_of).collect::<Vec<_>>(), E::ALL);
-            assert_eq!(Schedule::<E>::parse("9:all").unwrap(), mix);
-            let wide = Schedule::<E>::parse("11:mix:500").unwrap();
-            assert!(wide.events.iter().all(|e| E::WINDOW.contains(&point(e))));
-            let bad = ["1", "1:mix:2:3", "x:mix", "1:bogus", "1:mix:zzz"];
-            for (input, want) in bad.into_iter().zip(errors) {
-                assert_eq!(Schedule::<E>::parse(input).unwrap_err(), want);
-            }
+    fn every_kind_round_trips_through_parse() {
+        for k in FaultKind::ALL {
+            let p = FaultPlan::parse(&format!("5:{}:3", k.name())).unwrap();
+            assert_eq!(p.events.len(), 3);
+            assert!(p.events.iter().all(|e| e.kind == k));
         }
-
-        check::<FaultEvent>(
-            |e| e.kind,
-            |e| e.at,
-            [
-                "--faults wants seed:kind[:count], got `1`",
-                "--faults wants seed:kind[:count], got `1:mix:2:3`",
-                "bad fault seed `x`",
-                "unknown fault kind `bogus` (want overrun, illegal, fabric, mshr, dram, or mix)",
-                "bad fault count `zzz`",
-            ],
-        );
-        assert_eq!(FaultEvent::WINDOW, 1_000..1_000_000);
-        check::<IoFault>(
-            |e| e.kind,
-            |e| e.at_op,
-            [
-                "--io-faults wants seed:kind[:count], got `1`",
-                "--io-faults wants seed:kind[:count], got `1:mix:2:3`",
-                "bad io-fault seed `x`",
-                "unknown io-fault kind `bogus` (want crash, crash-after, torn, drop-rename, \
-                 dup-append, flip, transient, permanent, or mix)",
-                "bad io-fault count `zzz`",
-            ],
-        );
-        assert_eq!(IoFault::WINDOW, 0..64);
+        let mix = FaultPlan::parse("9:mix").unwrap();
+        assert_eq!(mix.seed, 9);
         assert_eq!(
-            IoFaultPlan::kind_named("torn"),
-            Some(IoFaultKind::TornWrite { keep: 7 })
+            mix.events.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            FaultKind::ALL
         );
+        assert_eq!(FaultPlan::parse("9:all").unwrap(), mix);
+        let wide = FaultPlan::parse("11:mix:500").unwrap();
+        assert!(wide
+            .events
+            .iter()
+            .all(|e| (1_000..1_000_000).contains(&e.at)));
+        for (input, want) in [
+            ("1", "--faults wants seed:kind[:count], got `1`"),
+            (
+                "1:mix:2:3",
+                "--faults wants seed:kind[:count], got `1:mix:2:3`",
+            ),
+            ("x:mix", "bad fault seed `x`"),
+            (
+                "1:bogus",
+                "unknown fault kind `bogus` (want overrun, illegal, fabric, mshr, dram, or mix)",
+            ),
+            ("1:mix:zzz", "bad fault count `zzz`"),
+        ] {
+            assert_eq!(FaultPlan::parse(input).unwrap_err(), want);
+        }
     }
 }

@@ -9,16 +9,14 @@
 //!   discipline: whole-file writes land in a temp file that is synced
 //!   and renamed into place, so a crash mid-write can never leave a
 //!   half-record under the final name.
-//! * [`FaultStorage`] — a deterministic wrapper that counts every
-//!   durable operation as an *I/O site* and injects a scheduled fault
-//!   at the N-th site: crash before or after the operation, tear a
-//!   write at byte k, drop the rename of an atomic write (leaving only
+//! * [`FaultStorage`] — a deterministic wrapper over the disk that
+//!   counts every durable operation as an *I/O site* and injects one
+//!   fault at a chosen site: crash before or after the operation, tear
+//!   a write at byte k, drop the rename of an atomic write (leaving only
 //!   temp debris), duplicate an append, flip a bit in the written
-//!   bytes, or surface a transient/permanent I/O error. The plan is the
-//!   same seeded [`Schedule`] and [`FaultCursor`] the hierarchy's
-//!   [`FaultPlan`](crate::fault::FaultPlan) uses, so a crash-point sweep
-//!   can enumerate *every* site of a campaign and prove recovery from
-//!   each.
+//!   bytes, or fail with an I/O error. A crash-point sweep runs one
+//!   campaign per site and kind, so it can enumerate *every* site and
+//!   prove recovery from each.
 //!
 //! Injected crashes are modeled as panics carrying the
 //! [`CRASH_MARKER`] prefix; the sweep harness catches them with
@@ -27,97 +25,22 @@
 //! duplicated appends corrupt *silently* (optionally crashing right
 //! after), which is what real power loss and bit rot do.
 //!
-//! Failed operations are classified [`IoClass::Transient`] or
-//! [`IoClass::Permanent`] and recorded per backend instance
-//! ([`Storage::health`]); the campaign runner reports that tally in its
-//! status line.
+//! A failed operation returns its `io::Error` and nothing more: no
+//! backend re-issues it or keeps a tally. The caller fails what it was
+//! doing, and recovery is the campaign's `--resume`.
 
-use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::fault::{FaultCursor, Schedule, Scheduled};
 
 /// Panic-payload prefix for injected storage crashes; sweep harnesses
 /// and the campaign runner recognize an interrupted run by it.
 pub const CRASH_MARKER: &str = "io-crash:";
 
-// ---------------------------------------------------------------------
-// Error classification & health accounting
-// ---------------------------------------------------------------------
-
-/// Whether an I/O error is worth re-issuing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoClass {
-    /// Plausibly goes away on its own (interrupted syscall, timeout,
-    /// resource pressure): the operation is re-issued in place.
-    Transient,
-    /// Will not improve on re-issue (corrupt data, missing file,
-    /// permission denied, disk full): fail fast.
-    Permanent,
-}
-
-/// Classify an `io::Error` as worth re-issuing or not.
-pub fn classify(e: &io::Error) -> IoClass {
-    use io::ErrorKind::*;
-    match e.kind() {
-        Interrupted | WouldBlock | TimedOut | ResourceBusy | Deadlock => IoClass::Transient,
-        _ => IoClass::Permanent,
-    }
-}
-
-/// Running tally of storage failures, kept per backend instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IoHealth {
-    /// Failed operations classified transient.
-    pub transient: u64,
-    /// Failed operations classified permanent.
-    pub permanent: u64,
-    /// Description of the most recent failure.
-    pub last: Option<String>,
-}
-
-impl IoHealth {
-    /// True when no failure has been recorded.
-    pub fn is_clean(&self) -> bool {
-        self.transient == 0 && self.permanent == 0
-    }
-
-    fn note(&mut self, class: IoClass, detail: String) {
-        match class {
-            IoClass::Transient => self.transient += 1,
-            IoClass::Permanent => self.permanent += 1,
-        }
-        self.last = Some(detail);
-    }
-}
-
-impl fmt::Display for IoHealth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} transient, {} permanent I/O failures",
-            self.transient, self.permanent
-        )?;
-        if let Some(last) = &self.last {
-            write!(f, " (last: {last})")?;
-        }
-        Ok(())
-    }
-}
-
-fn note_failure(shared: &Mutex<IoHealth>, op: &str, path: &Path, e: &io::Error) -> IoClass {
-    let class = classify(e);
-    let detail = format!("{op} {}: {e} ({class:?})", path.display());
-    if let Ok(mut h) = shared.lock() {
-        h.note(class, detail);
-    }
-    class
-}
+/// The message of the error [`FaultStorage`] injects; the sweep harness
+/// tells an injected failure from a genuine one by it.
+pub const INJECTED_ERROR: &str = "injected I/O error";
 
 // ---------------------------------------------------------------------
 // The Storage trait
@@ -179,9 +102,6 @@ pub trait Storage: Send + Sync {
     ///
     /// Any `io::Error` other than `NotFound`.
     fn remove(&self, path: &Path) -> io::Result<()>;
-
-    /// This backend's accumulated failure tally.
-    fn health(&self) -> IoHealth;
 }
 
 // ---------------------------------------------------------------------
@@ -189,30 +109,8 @@ pub trait Storage: Send + Sync {
 // ---------------------------------------------------------------------
 
 /// The real filesystem, with the atomic-write discipline.
-#[derive(Debug, Default)]
-pub struct DiskStorage {
-    health: Mutex<IoHealth>,
-}
-
-impl DiskStorage {
-    /// A fresh backend with a clean health tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh backend behind an `Arc`, ready for [`CampaignOpts`-style
-    /// sharing](crate::storage::Storage).
-    pub fn shared() -> Arc<dyn Storage> {
-        Arc::new(Self::new())
-    }
-
-    fn track<T>(&self, op: &str, path: &Path, r: io::Result<T>) -> io::Result<T> {
-        if let Err(e) = &r {
-            note_failure(&self.health, op, path, e);
-        }
-        r
-    }
-}
+#[derive(Debug)]
+pub struct DiskStorage;
 
 /// The temp-file sibling an atomic write stages into before renaming.
 pub fn tmp_sibling(path: &Path) -> PathBuf {
@@ -221,45 +119,32 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn disk_write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-fn disk_append(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-    f.write_all(bytes)
-}
-
 impl Storage for DiskStorage {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.track("read", path, std::fs::read(path))
+        std::fs::read(path)
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.track("write", path, disk_write_atomic(path, bytes))
+        let tmp = tmp_sibling(path);
+        {
+            let mut f = File::create(&tmp)?;
+            f.write_all(bytes)?;
+            f.sync_data()?;
+        }
+        std::fs::rename(&tmp, path)
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.track("append", path, disk_append(path, bytes))
+        let mut f = OpenOptions::new().create(true).append(true).open(path)?;
+        f.write_all(bytes)
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        let r = File::open(path).and_then(|f| f.sync_data());
-        self.track("sync", path, r)
+        File::open(path)?.sync_data()
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        let r = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .and_then(|f| f.set_len(len));
-        self.track("truncate", path, r)
+        OpenOptions::new().write(true).open(path)?.set_len(len)
     }
 
     fn exists(&self, path: &Path) -> bool {
@@ -267,23 +152,18 @@ impl Storage for DiskStorage {
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        let r = match std::fs::remove_file(path) {
+        match std::fs::remove_file(path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             other => other,
-        };
-        self.track("remove", path, r)
-    }
-
-    fn health(&self) -> IoHealth {
-        self.health.lock().map(|h| h.clone()).unwrap_or_default()
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Fault plans
+// FaultStorage
 // ---------------------------------------------------------------------
 
-/// What goes wrong at a scheduled I/O site.
+/// What goes wrong at the faulted I/O site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFaultKind {
     /// Die before the operation performs any I/O.
@@ -312,27 +192,23 @@ pub enum IoFaultKind {
         /// Bit index 0..8 within that byte.
         bit: u8,
     },
-    /// The operation fails with a transient error (`Interrupted`).
-    TransientError,
-    /// The operation fails with a permanent error (`InvalidData`).
-    PermanentError,
+    /// The operation performs no I/O and returns an error.
+    Error,
 }
 
 impl IoFaultKind {
-    /// All kinds, in a fixed order (used by `mix` plans).
-    pub const ALL: [IoFaultKind; 8] = [
+    /// Every kind, in a fixed order, each with its default payload.
+    pub const ALL: [IoFaultKind; 7] = [
         IoFaultKind::Crash,
         IoFaultKind::CrashAfter,
         IoFaultKind::TornWrite { keep: 7 },
         IoFaultKind::DropRename,
         IoFaultKind::DuplicateAppend,
         IoFaultKind::BitFlip { offset: 3, bit: 5 },
-        IoFaultKind::TransientError,
-        IoFaultKind::PermanentError,
+        IoFaultKind::Error,
     ];
 
-    /// Short name, as `crash_campaign --kinds` and
-    /// [`Schedule::parse`] spell it.
+    /// Short name, as `crash_campaign --kinds` spells it.
     pub fn name(self) -> &'static str {
         match self {
             IoFaultKind::Crash => "crash",
@@ -341,96 +217,40 @@ impl IoFaultKind {
             IoFaultKind::DropRename => "drop-rename",
             IoFaultKind::DuplicateAppend => "dup-append",
             IoFaultKind::BitFlip { .. } => "flip",
-            IoFaultKind::TransientError => "transient",
-            IoFaultKind::PermanentError => "permanent",
+            IoFaultKind::Error => "error",
         }
     }
 }
 
-/// One scheduled I/O fault: at the `at_op`-th durable operation the
-/// backend performs (0-based), `kind` happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoFault {
-    /// Which I/O site (operation index) the fault fires at.
-    pub at_op: u64,
-    /// What goes wrong there.
-    pub kind: IoFaultKind,
-}
-
-impl Scheduled for IoFault {
-    type Kind = IoFaultKind;
-    const ALL: &'static [IoFaultKind] = &IoFaultKind::ALL;
-    const NOUN: &'static str = "io-fault";
-    const WINDOW: Range<u64> = 0..64;
-    fn name(kind: IoFaultKind) -> &'static str {
-        kind.name()
-    }
-    fn at(at_op: u64, kind: IoFaultKind) -> Self {
-        IoFault { at_op, kind }
-    }
-}
-
-/// A seeded, deterministic schedule of I/O faults — the persistence
-/// sibling of [`FaultPlan`](crate::fault::FaultPlan). Sweeps that know
-/// the site count place one fault per site with
-/// [`IoFaultPlan::single`].
-pub type IoFaultPlan = Schedule<IoFault>;
-
-impl IoFaultPlan {
-    /// A plan with a single hand-placed fault.
-    pub fn single(at_op: u64, kind: IoFaultKind) -> Self {
-        IoFaultPlan {
-            seed: 0,
-            events: vec![IoFault { at_op, kind }],
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// FaultStorage
-// ---------------------------------------------------------------------
-
-/// Deterministic fault-injecting wrapper around another [`Storage`].
+/// Deterministic fault-injecting wrapper around [`DiskStorage`].
 ///
-/// Every trait call counts as one I/O site; a scheduled fault fires
-/// when its site comes up. Crashes are panics carrying
-/// [`CRASH_MARKER`]; corruption kinds silently mangle the bytes that
-/// reach the inner backend.
+/// Every trait call but `exists` counts as one I/O site; the one
+/// fault, if any, fires when its site comes up. Crashes are panics
+/// carrying [`CRASH_MARKER`]; corruption kinds silently mangle the
+/// bytes that reach the disk.
+#[derive(Debug)]
 pub struct FaultStorage {
-    inner: Arc<dyn Storage>,
-    plan: IoFaultPlan,
+    fault: Option<(u64, IoFaultKind)>,
     ops: AtomicU64,
-    cursor: Mutex<FaultCursor>,
-    health: Mutex<IoHealth>,
-}
-
-impl fmt::Debug for FaultStorage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultStorage")
-            .field("plan", &self.plan)
-            .field("ops", &self.ops_performed())
-            .finish_non_exhaustive()
-    }
 }
 
 impl FaultStorage {
-    /// Wrap `inner` with `plan`.
-    pub fn new(inner: Arc<dyn Storage>, plan: IoFaultPlan) -> Self {
-        let cursor = Mutex::new(FaultCursor::new(plan.events.len()));
+    /// A backend that injects `kind` at the `at_op`-th durable
+    /// operation (0-based).
+    pub fn new(at_op: u64, kind: IoFaultKind) -> Self {
         FaultStorage {
-            inner,
-            plan,
+            fault: Some((at_op, kind)),
             ops: AtomicU64::new(0),
-            cursor,
-            health: Mutex::new(IoHealth::default()),
         }
     }
 
-    /// A counting backend over a fresh [`DiskStorage`] with no faults —
-    /// the first pass of a crash-point sweep, measuring how many I/O
-    /// sites a campaign has.
+    /// A counting backend with no fault — the first pass of a
+    /// crash-point sweep, measuring how many I/O sites a campaign has.
     pub fn counting() -> Self {
-        Self::new(Arc::new(DiskStorage::new()), IoFaultPlan::empty())
+        FaultStorage {
+            fault: None,
+            ops: AtomicU64::new(0),
+        }
     }
 
     /// Total durable operations performed (the I/O-site count).
@@ -438,211 +258,152 @@ impl FaultStorage {
         self.ops.load(Ordering::SeqCst)
     }
 
-    /// How many scheduled faults have fired.
-    pub fn faults_fired(&self) -> u64 {
-        self.cursor.lock().map(|c| c.fired()).unwrap_or(0)
-    }
-
-    /// Advance the op cursor and return the fault due at this site, if
+    /// Advance the op counter and return the fault due at this site, if
     /// any.
-    fn step(&self, op: &str, path: &Path) -> Option<IoFaultKind> {
+    fn step(&self) -> Option<IoFaultKind> {
         let site = self.ops.fetch_add(1, Ordering::SeqCst);
-        let kind = (self.cursor.lock().ok()?)
-            .fire(&self.plan.events, |f| f.at_op == site)?
-            .kind;
-        // Error kinds are reported through note_failure when the
-        // synthesized error is returned, not here.
-        if !matches!(
-            kind,
-            IoFaultKind::TransientError | IoFaultKind::PermanentError
-        ) {
-            if let Ok(mut h) = self.health.lock() {
-                h.last = Some(format!(
-                    "injected {} at io site {site} ({op} {})",
-                    kind.name(),
-                    path.display()
-                ));
-            }
-        }
-        Some(kind)
+        self.fault
+            .filter(|&(at_op, _)| at_op == site)
+            .map(|(_, kind)| kind)
     }
 
-    fn crash(&self, op: &str, path: &Path, when: &str) -> ! {
+    fn crash(op: &str, path: &Path, when: &str) -> ! {
         panic!(
-            "{CRASH_MARKER} injected crash {when} {op} {} \
-             (deterministic I/O fault plan, seed {})",
-            path.display(),
-            self.plan.seed
+            "{CRASH_MARKER} injected crash {when} {op} {} (deterministic I/O fault)",
+            path.display()
         );
     }
 
-    fn synth_error(&self, kind: IoFaultKind, op: &str, path: &Path) -> io::Error {
-        let (ek, what) = match kind {
-            IoFaultKind::TransientError => (io::ErrorKind::Interrupted, "transient"),
-            _ => (io::ErrorKind::InvalidData, "permanent"),
-        };
-        let e = io::Error::new(ek, format!("injected {what} I/O error"));
-        note_failure(&self.health, op, path, &e);
-        e
+    fn error() -> io::Error {
+        io::Error::other(INJECTED_ERROR)
     }
 
     /// Apply `kind` to a buffered write of `bytes`, returning the bytes
-    /// that actually reach the medium (and whether to crash after).
-    fn mangle(kind: IoFaultKind, bytes: &[u8]) -> (Vec<u8>, bool) {
+    /// that actually reach the medium.
+    fn mangle(kind: IoFaultKind, bytes: &[u8]) -> Vec<u8> {
         match kind {
-            IoFaultKind::TornWrite { keep } => {
-                let keep = (keep as usize).min(bytes.len());
-                (bytes[..keep].to_vec(), true)
-            }
+            IoFaultKind::TornWrite { keep } => bytes[..(keep as usize).min(bytes.len())].to_vec(),
             IoFaultKind::BitFlip { offset, bit } => {
                 let mut out = bytes.to_vec();
                 if !out.is_empty() {
                     let at = (offset as usize) % out.len();
                     out[at] ^= 1u8 << (bit % 8);
                 }
-                (out, false)
+                out
             }
-            _ => (bytes.to_vec(), false),
+            _ => bytes.to_vec(),
         }
     }
 }
 
 impl Storage for FaultStorage {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.step("read", path) {
-            Some(IoFaultKind::Crash) => self.crash("read", path, "before"),
+        match self.step() {
+            Some(IoFaultKind::Crash) => Self::crash("read", path, "before"),
             Some(IoFaultKind::CrashAfter) => {
-                let r = self.inner.read(path);
-                drop(r);
-                self.crash("read", path, "after")
+                let _ = DiskStorage.read(path);
+                Self::crash("read", path, "after")
             }
-            Some(k @ (IoFaultKind::TransientError | IoFaultKind::PermanentError)) => {
-                Err(self.synth_error(k, "read", path))
-            }
-            _ => self.inner.read(path),
+            Some(IoFaultKind::Error) => Err(Self::error()),
+            _ => DiskStorage.read(path),
         }
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.step("write", path) {
-            Some(IoFaultKind::Crash) => self.crash("write", path, "before"),
+        match self.step() {
+            Some(IoFaultKind::Crash) => Self::crash("write", path, "before"),
             Some(IoFaultKind::CrashAfter) => {
-                let _ = self.inner.write_atomic(path, bytes);
-                self.crash("write", path, "after")
+                let _ = DiskStorage.write_atomic(path, bytes);
+                Self::crash("write", path, "after")
             }
             Some(IoFaultKind::DropRename) => {
                 // Stage the temp file exactly as the atomic path would,
                 // then die before the rename: final name untouched.
-                let _ = self.inner.write_atomic(&tmp_sibling(path), bytes);
-                self.crash("write", path, "mid (rename dropped)")
+                let _ = DiskStorage.write_atomic(&tmp_sibling(path), bytes);
+                Self::crash("write", path, "mid (rename dropped)")
             }
             Some(k @ IoFaultKind::TornWrite { .. }) => {
                 // A torn whole-file write tears the *temp* file and then
                 // dies before the rename would happen — the atomic
                 // discipline means the final name never sees the tear.
-                let (torn, _) = Self::mangle(k, bytes);
-                let _ = self.inner.write_atomic(&tmp_sibling(path), &torn);
-                self.crash("write", path, "mid (torn)")
+                let _ = DiskStorage.write_atomic(&tmp_sibling(path), &Self::mangle(k, bytes));
+                Self::crash("write", path, "mid (torn)")
             }
             Some(k @ IoFaultKind::BitFlip { .. }) => {
-                let (flipped, _) = Self::mangle(k, bytes);
-                self.inner.write_atomic(path, &flipped)
+                DiskStorage.write_atomic(path, &Self::mangle(k, bytes))
             }
-            Some(k @ (IoFaultKind::TransientError | IoFaultKind::PermanentError)) => {
-                Err(self.synth_error(k, "write", path))
-            }
-            Some(IoFaultKind::DuplicateAppend) | None => self.inner.write_atomic(path, bytes),
+            Some(IoFaultKind::Error) => Err(Self::error()),
+            Some(IoFaultKind::DuplicateAppend) | None => DiskStorage.write_atomic(path, bytes),
         }
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.step("append", path) {
-            Some(IoFaultKind::Crash) => self.crash("append", path, "before"),
+        match self.step() {
+            Some(IoFaultKind::Crash) => Self::crash("append", path, "before"),
             Some(IoFaultKind::CrashAfter) => {
-                let _ = self.inner.append(path, bytes);
-                self.crash("append", path, "after")
+                let _ = DiskStorage.append(path, bytes);
+                Self::crash("append", path, "after")
             }
             Some(k @ IoFaultKind::TornWrite { .. }) => {
                 // Appends have no rename shield: the tear lands in the
                 // journal itself and the per-record checksums must
                 // catch it on resume.
-                let (torn, _) = Self::mangle(k, bytes);
-                let _ = self.inner.append(path, &torn);
-                self.crash("append", path, "mid (torn)")
+                let _ = DiskStorage.append(path, &Self::mangle(k, bytes));
+                Self::crash("append", path, "mid (torn)")
             }
             Some(IoFaultKind::DuplicateAppend) => {
-                self.inner.append(path, bytes)?;
-                self.inner.append(path, bytes)
+                DiskStorage.append(path, bytes)?;
+                DiskStorage.append(path, bytes)
             }
             Some(k @ IoFaultKind::BitFlip { .. }) => {
-                let (flipped, _) = Self::mangle(k, bytes);
-                self.inner.append(path, &flipped)
+                DiskStorage.append(path, &Self::mangle(k, bytes))
             }
-            Some(k @ (IoFaultKind::TransientError | IoFaultKind::PermanentError)) => {
-                Err(self.synth_error(k, "append", path))
-            }
-            Some(IoFaultKind::DropRename) | None => self.inner.append(path, bytes),
+            Some(IoFaultKind::Error) => Err(Self::error()),
+            Some(IoFaultKind::DropRename) | None => DiskStorage.append(path, bytes),
         }
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        match self.step("sync", path) {
+        match self.step() {
             Some(IoFaultKind::Crash | IoFaultKind::TornWrite { .. }) => {
-                self.crash("sync", path, "before")
+                Self::crash("sync", path, "before")
             }
             Some(IoFaultKind::CrashAfter | IoFaultKind::DropRename) => {
-                let _ = self.inner.sync(path);
-                self.crash("sync", path, "after")
+                let _ = DiskStorage.sync(path);
+                Self::crash("sync", path, "after")
             }
-            Some(k @ (IoFaultKind::TransientError | IoFaultKind::PermanentError)) => {
-                Err(self.synth_error(k, "sync", path))
-            }
-            _ => self.inner.sync(path),
+            Some(IoFaultKind::Error) => Err(Self::error()),
+            _ => DiskStorage.sync(path),
         }
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        match self.step("truncate", path) {
-            Some(IoFaultKind::Crash) => self.crash("truncate", path, "before"),
+        match self.step() {
+            Some(IoFaultKind::Crash) => Self::crash("truncate", path, "before"),
             Some(IoFaultKind::CrashAfter) => {
-                let _ = self.inner.truncate(path, len);
-                self.crash("truncate", path, "after")
+                let _ = DiskStorage.truncate(path, len);
+                Self::crash("truncate", path, "after")
             }
-            Some(k @ (IoFaultKind::TransientError | IoFaultKind::PermanentError)) => {
-                Err(self.synth_error(k, "truncate", path))
-            }
-            _ => self.inner.truncate(path, len),
+            Some(IoFaultKind::Error) => Err(Self::error()),
+            _ => DiskStorage.truncate(path, len),
         }
     }
 
     fn exists(&self, path: &Path) -> bool {
         // Existence probes are metadata, not durable I/O: not a site.
-        self.inner.exists(path)
+        DiskStorage.exists(path)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        match self.step("remove", path) {
-            Some(IoFaultKind::Crash) => self.crash("remove", path, "before"),
+        match self.step() {
+            Some(IoFaultKind::Crash) => Self::crash("remove", path, "before"),
             Some(IoFaultKind::CrashAfter) => {
-                let _ = self.inner.remove(path);
-                self.crash("remove", path, "after")
+                let _ = DiskStorage.remove(path);
+                Self::crash("remove", path, "after")
             }
-            Some(k @ (IoFaultKind::TransientError | IoFaultKind::PermanentError)) => {
-                Err(self.synth_error(k, "remove", path))
-            }
-            _ => self.inner.remove(path),
+            Some(IoFaultKind::Error) => Err(Self::error()),
+            _ => DiskStorage.remove(path),
         }
-    }
-
-    fn health(&self) -> IoHealth {
-        let mut h = self.health.lock().map(|h| h.clone()).unwrap_or_default();
-        let inner = self.inner.health();
-        h.transient += inner.transient;
-        h.permanent += inner.permanent;
-        if h.last.is_none() {
-            h.last = inner.last;
-        }
-        h
     }
 }
 
@@ -660,20 +421,19 @@ mod tests {
     #[test]
     fn disk_atomic_write_roundtrip_and_overwrite() {
         let d = tmpdir("atomic");
-        let s = DiskStorage::new();
+        let s = DiskStorage;
         let p = d.join("file.bin");
         s.write_atomic(&p, b"first").unwrap();
         assert_eq!(s.read(&p).unwrap(), b"first");
         s.write_atomic(&p, b"second").unwrap();
         assert_eq!(s.read(&p).unwrap(), b"second");
         assert!(!s.exists(&tmp_sibling(&p)), "temp debris left behind");
-        assert!(s.health().is_clean());
     }
 
     #[test]
     fn disk_append_and_truncate() {
         let d = tmpdir("append");
-        let s = DiskStorage::new();
+        let s = DiskStorage;
         let p = d.join("log");
         s.append(&p, b"ab").unwrap();
         s.append(&p, b"cd").unwrap();
@@ -687,22 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn disk_read_failure_is_classified_permanent() {
-        let d = tmpdir("classify");
-        let s = DiskStorage::new();
-        assert!(s.read(&d.join("nope")).is_err());
-        let h = s.health();
-        assert_eq!(h.permanent, 1);
-        assert_eq!(h.transient, 0);
-    }
-
-    #[test]
     fn fault_crash_fires_at_exact_site() {
         let d = tmpdir("crash");
-        let s = FaultStorage::new(
-            Arc::new(DiskStorage::new()),
-            IoFaultPlan::single(2, IoFaultKind::Crash),
-        );
+        let s = FaultStorage::new(2, IoFaultKind::Crash);
         let p = d.join("f");
         s.write_atomic(&p, b"0").unwrap(); // site 0
         s.append(&p, b"1").unwrap(); // site 1
@@ -713,16 +460,13 @@ mod tests {
         assert!(msg.starts_with(CRASH_MARKER), "payload: {msg}");
         // The crash fired *before* the op: nothing appended.
         assert_eq!(std::fs::read(&p).unwrap(), b"01");
-        assert_eq!(s.faults_fired(), 1);
+        assert_eq!(s.ops_performed(), 3);
     }
 
     #[test]
     fn fault_torn_append_persists_prefix_then_crashes() {
         let d = tmpdir("torn");
-        let s = FaultStorage::new(
-            Arc::new(DiskStorage::new()),
-            IoFaultPlan::single(0, IoFaultKind::TornWrite { keep: 3 }),
-        );
+        let s = FaultStorage::new(0, IoFaultKind::TornWrite { keep: 3 });
         let p = d.join("j");
         let r =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.append(&p, b"ABCDEFGH")));
@@ -733,10 +477,9 @@ mod tests {
     #[test]
     fn fault_drop_rename_leaves_old_content() {
         let d = tmpdir("rename");
-        let disk: Arc<dyn Storage> = Arc::new(DiskStorage::new());
         let p = d.join("m");
-        disk.write_atomic(&p, b"old").unwrap();
-        let s = FaultStorage::new(disk, IoFaultPlan::single(0, IoFaultKind::DropRename));
+        DiskStorage.write_atomic(&p, b"old").unwrap();
+        let s = FaultStorage::new(0, IoFaultKind::DropRename);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.write_atomic(&p, b"new-and-longer")
         }));
@@ -748,10 +491,7 @@ mod tests {
     #[test]
     fn fault_bit_flip_corrupts_silently() {
         let d = tmpdir("flip");
-        let s = FaultStorage::new(
-            Arc::new(DiskStorage::new()),
-            IoFaultPlan::single(0, IoFaultKind::BitFlip { offset: 1, bit: 0 }),
-        );
+        let s = FaultStorage::new(0, IoFaultKind::BitFlip { offset: 1, bit: 0 });
         let p = d.join("b");
         s.write_atomic(&p, &[0u8, 0, 0]).unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), vec![0u8, 1, 0]);
@@ -760,10 +500,7 @@ mod tests {
     #[test]
     fn fault_duplicate_append_doubles_the_record() {
         let d = tmpdir("dup");
-        let s = FaultStorage::new(
-            Arc::new(DiskStorage::new()),
-            IoFaultPlan::single(0, IoFaultKind::DuplicateAppend),
-        );
+        let s = FaultStorage::new(0, IoFaultKind::DuplicateAppend);
         let p = d.join("dup");
         s.append(&p, b"rec").unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"recrec");
@@ -772,30 +509,16 @@ mod tests {
     #[test]
     fn fault_errors_classify_and_count() {
         let d = tmpdir("errs");
-        let plan = IoFaultPlan {
-            seed: 0,
-            events: vec![
-                IoFault {
-                    at_op: 0,
-                    kind: IoFaultKind::TransientError,
-                },
-                IoFault {
-                    at_op: 1,
-                    kind: IoFaultKind::PermanentError,
-                },
-            ],
-        };
-        let s = FaultStorage::new(Arc::new(DiskStorage::new()), plan);
+        let s = FaultStorage::new(1, IoFaultKind::Error);
         let p = d.join("x");
-        let e = s.append(&p, b"a").unwrap_err();
-        assert_eq!(classify(&e), IoClass::Transient);
+        s.append(&p, b"a").unwrap();
+        // The faulted site performs no I/O and returns the error.
         let e = s.append(&p, b"b").unwrap_err();
-        assert_eq!(classify(&e), IoClass::Permanent);
-        let h = s.health();
-        assert_eq!((h.transient, h.permanent), (1, 1));
+        assert_eq!(e.to_string(), "injected I/O error");
         // Un-faulted sites pass through untouched.
         s.append(&p, b"c").unwrap();
-        assert_eq!(std::fs::read(&p).unwrap(), b"c");
+        assert_eq!(std::fs::read(&p).unwrap(), b"ac");
+        assert_eq!(s.ops_performed(), 3);
     }
 
     #[test]
@@ -810,25 +533,5 @@ mod tests {
         s.truncate(&p, 1).unwrap();
         s.remove(&p).unwrap();
         assert_eq!(s.ops_performed(), 6);
-        assert_eq!(s.faults_fired(), 0);
-    }
-
-    #[test]
-    fn seeded_plan_is_deterministic_and_parse_forms_work() {
-        let a = IoFaultPlan::seeded(9, &IoFaultKind::ALL, 12, 0, 100);
-        let b = IoFaultPlan::seeded(9, &IoFaultKind::ALL, 12, 0, 100);
-        assert_eq!(a, b);
-        assert_ne!(a, IoFaultPlan::seeded(10, &IoFaultKind::ALL, 12, 0, 100));
-        for (i, f) in a.events.iter().enumerate() {
-            assert!(f.at_op < 100);
-            assert_eq!(f.kind, IoFaultKind::ALL[i % IoFaultKind::ALL.len()]);
-        }
-        let p = IoFaultPlan::parse("7:torn").unwrap();
-        assert_eq!(p.events.len(), 1);
-        assert!(matches!(p.events[0].kind, IoFaultKind::TornWrite { .. }));
-        assert_eq!(IoFaultPlan::parse("3:mix:5").unwrap().events.len(), 5);
-        assert!(IoFaultPlan::parse("x:torn").is_err());
-        assert!(IoFaultPlan::parse("1:bogus").is_err());
-        assert!(IoFaultPlan::parse("1").is_err());
     }
 }

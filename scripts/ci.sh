@@ -140,11 +140,17 @@ if ! grep -q ' 0 simulated accesses ' "$JDIR/view-resumed.log"; then
 fi
 diff <(grep -v 'took' "$JDIR/view-resumed.txt") \
      <(grep -v 'took' "$JDIR/clean.txt" | sed -n '/^# Fig 13:/,/^# Fig 16:/p' | sed '$d')
-echo "    resumed fig14 simulated 0 accesses and matches the clean run"
+# The resume completed fig14, so its triage bundle is stale.
+if [ -e "$JDIR/view-journal/fig14.triage.txt" ]; then
+  echo "error: the resume left fig14's stale triage bundle" >&2
+  exit 1
+fi
+echo "    resumed fig14 simulated 0 accesses, matches the clean run, lost its triage"
 
 # Crash-point sweep smoke: every I/O site of a small journaled
-# campaign, for every deterministic fault kind, must resume to the
-# uninterrupted run's golden digest (DESIGN.md §7d). Takes ~1s.
+# campaign, for every deterministic fault kind (the I/O error kind
+# included), must resume to the uninterrupted run's golden digest
+# (DESIGN.md §7d). Takes ~1s.
 # The I/O-site count is pinned like the simulated-access total: the
 # unit journal syncs after every unit, and a sync is an I/O site, so a
 # change that batches (or drops) syncs, or adds a durable file, moves it.
